@@ -70,11 +70,13 @@ from .problems import (
 )
 from .solver import (
     MaxIterExceeded,
+    NewtonResult,
     ParetoPoint,
     SingularNewtonSystem,
     SolverConfig,
     SolverError,
     minimize_weighted,
+    raise_unconverged,
     scalarize,
     subproblem_solve,
     x_star_derivative,

@@ -21,8 +21,8 @@ from .atlas import (
     injectivity_scan,
 )
 from .diagnostics import DEFAULT_RANK_TOL, CorankCertificate, certify_corank_on_atlas
-from .problems import DistanceSquared, Phenotypic, RidgePair, Weight, build_problem
-from .solver import DEFAULT_CONFIG, SolverConfig, scalarize
+from .problems import DistanceSquared, Phenotypic, RidgePair, build_problem
+from .solver import DEFAULT_CONFIG, SolverConfig, minimize_weighted, raise_unconverged
 
 __all__ = [
     "LocationInstance",
@@ -276,46 +276,32 @@ def ridge_path(
 ) -> RidgePathReport:
     """Sweep the two-objective trade-off from pure fit to pure shrinkage.
 
-    Rows go from w = (1, 0) to w = (1/r, 1 - 1/r); the w1 = 0 vertex is
-    appended explicitly with lambda = inf and theta = 0.  Every solved theta
-    is compared against an independent normal-equations solve of
-    (X^T X + lambda I) theta = X^T y.
+    Rows go from w = (1, 0) to w = (1/r, 1 - 1/r), then the w1 = 0 vertex
+    with lambda = inf and theta = 0; all rows are one Newton batch.  Every
+    solved theta is compared against an independent normal-equations solve
+    of (X^T X + lambda I) theta = X^T y.
     """
     problem = build_problem(RidgePair(instance.x_data, instance.y_data, instance.mu))
     xtx = instance.x_data.T @ instance.x_data
     xty = instance.x_data.T @ instance.y_data
-    p = problem.n
+    w1 = np.append(np.arange(resolution, 0, -1) / resolution, 0.0)
+    weights = np.column_stack([w1, 1.0 - w1])
+    solved = minimize_weighted(problem, weights, config)
+    raise_unconverged(solved)
     rows: list[RidgePathRow] = []
-    warm = None
-    for k in range(resolution, 0, -1):
-        w1 = k / resolution
-        w2 = 1.0 - w1
-        face = (0,) if k == resolution else (0, 1)
-        pt = scalarize(problem, Weight(np.array([w1, w2]), face), config, x0=warm)
-        warm = pt.x
-        lam = ridge_lambda(w1, w2, instance.mu)
-        oracle = np.linalg.solve(xtx + lam * np.eye(p), xty)
+    for (a, b), theta, residual in zip(weights, solved.x, solved.residual):
+        lam = ridge_lambda(a, b, instance.mu) if a > 0.0 else np.inf
+        oracle = np.linalg.solve(xtx + lam * np.eye(problem.n), xty) if a > 0.0 else 0.0
         rows.append(
             RidgePathRow(
-                w1=w1,
-                w2=w2,
-                lam=lam,
-                theta=pt.x,
-                kkt_residual=pt.kkt_residual,
-                oracle_gap=float(np.linalg.norm(pt.x - oracle)),
+                w1=float(a),
+                w2=float(b),
+                lam=float(lam),
+                theta=theta,
+                kkt_residual=float(residual),
+                oracle_gap=float(np.linalg.norm(theta - oracle)),
             )
         )
-    vertex = scalarize(problem, Weight(np.array([0.0, 1.0]), (1,)), config, x0=warm)
-    rows.append(
-        RidgePathRow(
-            w1=0.0,
-            w2=1.0,
-            lam=np.inf,
-            theta=vertex.x,
-            kkt_residual=vertex.kkt_residual,
-            oracle_gap=float(np.linalg.norm(vertex.x)),
-        )
-    )
     return RidgePathReport(
         mu=instance.mu,
         resolution=resolution,

@@ -1,9 +1,10 @@
 """Atlas of Pareto points over a barycentric grid on the weight simplex.
 
 The grid puts nodes at integer combinations k/r (k nonnegative integers
-summing to r).  Nodes are solved in breadth-first order from the barycenter
-so that each solve warm-starts from an already-solved neighbor; for the
-quadratic families this makes every solve a single Newton step.
+summing to r).  Nodes are solved level by level in breadth-first order from
+the barycenter, each level as one batch, so that each solve warm-starts from
+an already-solved neighbor; for the quadratic families this makes every
+solve a single Newton step.
 """
 from __future__ import annotations
 
@@ -17,14 +18,16 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .ordering import DOMINANCE_TOL, dominating_pairs
-from .problems import Weight
+from .problems import Weight, restrict
 from .solver import (
     DEFAULT_CONFIG,
-    MaxIterExceeded,
+    NewtonResult,
     ParetoPoint,
     SolverConfig,
-    scalarize,
-    subproblem_solve,
+    minimize_weighted,
+    pareto_points,
+    raise_unconverged,
+    row_norms,
 )
 
 __all__ = [
@@ -244,31 +247,32 @@ class ParetoAtlas:
 
 
 def build_atlas(problem, resolution: int, config: SolverConfig = DEFAULT_CONFIG) -> ParetoAtlas:
-    """Solve every grid node, warm-starting each from its BFS parent."""
+    """Solve every grid node, one breadth-first level at a time.
+
+    Each level of ``SimplexGrid.bfs_order`` is one Newton batch, warm-started
+    from the parents' minimizers.  Nodes that exhaust the iteration budget
+    are recorded in ``failures`` (corank -1), not raised.
+    """
     grid = SimplexGrid(problem.m, resolution)
     order, parent = grid.bfs_order()
-    points: list[ParetoPoint | None] = [None] * grid.node_count
-    failures: list[int] = []
-    for i in order:
-        p = parent[i]
-        warm = points[p].x if p >= 0 else None
-        weight = grid.weight_of(i)
-        try:
-            points[i] = scalarize(problem, weight, config, x0=warm)
-        except MaxIterExceeded as exc:
-            failures.append(i)
-            points[i] = ParetoPoint(
-                weight=weight,
-                x=exc.x,
-                fx=problem.values(exc.x),
-                kkt_residual=exc.residual,
-                jacobian_sv=np.linalg.svd(problem.gradients(exc.x), compute_uv=False),
-                corank=-1,
-                iterations=exc.iterations,
-                grad_tol=exc.tol,
-                converged=False,
-            )
-    return ParetoAtlas(problem, grid, points, config, sorted(failures))
+    parents = np.array([parent[i] for i in range(grid.node_count)])
+    depth = np.zeros(grid.node_count, dtype=int)
+    for i in order[1:]:
+        depth[i] = depth[parents[i]] + 1
+    order = np.array(order)
+    levels = np.split(order, np.flatnonzero(np.diff(depth[order])) + 1)
+    x = np.empty((grid.node_count, problem.n))
+    res, tol = np.empty(grid.node_count), np.empty(grid.node_count)
+    iterations = np.empty(grid.node_count, dtype=int)
+    for level in levels:
+        warm = x[parents[level]] if parents[level[0]] >= 0 else None
+        x[level], res[level], iterations[level], tol[level] = minimize_weighted(
+            problem, grid.weights[level], config, x0=warm)
+    result = NewtonResult(x, res, iterations, tol)
+    weights = [grid.weight_of(i) for i in range(grid.node_count)]
+    points = pareto_points(problem, weights, result, config.rank_tol)
+    failures = np.flatnonzero(res > tol).tolist()
+    return ParetoAtlas(problem, grid, points, config, failures)
 
 
 @dataclass
@@ -287,33 +291,36 @@ def face_consistency(atlas: ParetoAtlas, config: SolverConfig | None = None) -> 
     """Re-solve every boundary node as a subproblem of its face.
 
     The subproblem solves start cold (no warm start from the atlas), so the
-    comparison is a genuinely independent route to the same minimizer.  The
-    acceptance tolerance is 10x the scaled gradient tolerance: for strongly
-    convex objectives the minimizer displacement is bounded by the residual
-    over the convexity constant.
+    comparison is a genuinely independent route to the same minimizer; each
+    proper face is one Newton batch.  The acceptance tolerance is 10x the
+    scaled gradient tolerance: for strongly convex objectives the minimizer
+    displacement is bounded by the residual over the convexity constant.
     """
     config = config or atlas.config
-    problem = atlas.problem
-    worst, worst_node = 0.0, None
+    grid = atlas.grid
+    boundary = np.flatnonzero((grid.nodes == 0).any(axis=1))
+    faces: dict[tuple[int, ...], list[int]] = {}
+    for i in boundary.tolist():
+        faces.setdefault(grid.face_of(i), []).append(i)
+    xs = atlas.x_array()
+    gaps = np.zeros(grid.node_count)
     per_face: dict[tuple[int, ...], float] = {}
     tolerance = 0.0
-    checked = 0
-    for i, pt in enumerate(atlas.points):
-        face = atlas.grid.face_of(i)
-        if len(face) == problem.m:
-            continue  # improper face: the subproblem is the problem itself
-        sub = subproblem_solve(problem, face, pt.weight.coordinates[list(face)], config)
-        gap = float(np.linalg.norm(pt.x - sub.x))
-        checked += 1
-        tolerance = max(tolerance, 10.0 * max(pt.grad_tol, sub.grad_tol))
-        per_face[face] = max(per_face.get(face, 0.0), gap)
-        if gap > worst:
-            worst, worst_node = gap, i
+    for face, nodes in faces.items():
+        sub = minimize_weighted(restrict(atlas.problem, face), grid.weights[np.ix_(nodes, face)],
+                                config)
+        raise_unconverged(sub)
+        gaps[nodes] = row_norms(xs[nodes] - sub.x)
+        per_face[face] = float(gaps[nodes].max())
+        worst_tol = max(max(atlas.points[i].grad_tol for i in nodes), float(sub.tol.max()))
+        tolerance = max(tolerance, 10.0 * worst_tol)
+    worst = float(gaps.max())
+    worst_node = int(np.argmax(gaps)) if worst > 0.0 else None
     return FaceConsistencyReport(
         consistent=worst <= tolerance,
         max_discrepancy=worst,
         tolerance=tolerance,
-        checked=checked,
+        checked=int(boundary.size),
         worst_node=worst_node,
         per_face=per_face,
     )

@@ -27,7 +27,6 @@ from .perturb import (
     LinearPerturbation,
     TrackerDiverged,
     corank2_tracker,
-    default_workers,
     genericity_experiment,
     stability_experiment,
 )
@@ -46,6 +45,14 @@ from .solver import SolverConfig, SolverError, scalarize
 OK, CERT_FAIL, INPUT_ERROR, SOLVER_ERROR = 0, 1, 2, 3
 
 
+def finite(text: str) -> float:
+    """A float option value; NaN and infinities are input errors."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _fmt_vec(v) -> str:
     return "[" + ", ".join(f"{x:.12g}" for x in np.asarray(v).ravel()) + "]"
 
@@ -57,16 +64,16 @@ def _add_problem_args(sub, positional=True):
         "--builtin", choices=BUILTIN_NAMES, help="use a named fixture instead of a file"
     )
     sub.add_argument(
-        "--epsilon", type=float, default=0.1,
+        "--epsilon", type=finite, default=0.1,
         help="epsilon for --builtin example31_perturbed (default 0.1)",
     )
 
 
 def _add_solver_args(sub):
-    sub.add_argument("--grad-tol", type=float, default=1e-10,
+    sub.add_argument("--grad-tol", type=finite, default=1e-10,
                      help="gradient tolerance, scaled by the initial gradient norm")
     sub.add_argument("--max-iter", type=int, default=200)
-    sub.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL,
+    sub.add_argument("--rank-tol", type=finite, default=DEFAULT_RANK_TOL,
                      help="relative singular value threshold for rank decisions")
 
 
@@ -308,7 +315,7 @@ def cmd_perturb(args, parser) -> int:
         return OK if ok else CERT_FAIL
 
     if args.stability:
-        scales = sorted((float(t) for t in args.scales.split(",")), reverse=True)
+        scales = sorted((finite(t) for t in args.scales.split(",")), reverse=True)
         rep = stability_experiment(problem, scales, args.resolution, args.seed, config)
         sups = [row.sup_displacement for row in rep.rows]
         monotone = all(a >= b - 1e-15 for a, b in zip(sups, sups[1:]))
@@ -341,7 +348,6 @@ def cmd_perturb(args, parser) -> int:
         rank_tols=tols,
         seed=args.seed,
         config=config,
-        workers=args.workers,
     )
     ok = all(rep.all_simplicial(t) for t in tols)
     lines.append(
@@ -368,7 +374,6 @@ def cmd_perturb(args, parser) -> int:
             "resolution": args.resolution,
             "seed": args.seed,
             "rank_tols": list(tols),
-            "workers": args.workers or default_workers(),
         },
         "genericity": rep.as_dict(),
         "exit_status": OK if ok else CERT_FAIL,
@@ -500,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p)
     _add_solver_args(p)
     p.add_argument("--resolution", "-r", type=int, default=20)
-    p.add_argument("--collapse-tol", type=float, default=1e-6)
+    p.add_argument("--collapse-tol", type=finite, default=1e-6)
     p.add_argument("--spot-check", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
@@ -511,13 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p)
     _add_solver_args(p)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--scale", type=float, default=0.1)
+    p.add_argument("--scale", type=finite, default=0.1)
     p.add_argument("--resolution", "-r", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rank-tols", type=float, action="append",
+    p.add_argument("--rank-tols", type=finite, action="append",
                    help="repeatable rank tolerance sweep (default: --rank-tol)")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"trial parallelism (default: ${'{'}PARETO_ATLAS_WORKERS{'}'} or 1)")
     p.add_argument("--track", action="store_true",
                    help="track the corank-2 point of a square 4 -> 4 mapping")
     p.add_argument("--stability", action="store_true",
@@ -530,10 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ridge", help="two-objective ridge trade-off path")
     p.add_argument("data", help="CSV with feature columns and the response last")
-    p.add_argument("--mu", type=float, required=True, help="strong-convexity shift (> 0)")
+    p.add_argument("--mu", type=finite, required=True, help="strong-convexity shift (> 0)")
     p.add_argument("--resolution", "-r", type=int, default=100)
     p.add_argument("--out", "-o", help="write the path CSV here")
-    p.add_argument("--oracle-tol", type=float, default=1e-8)
+    p.add_argument("--oracle-tol", type=finite, default=1e-8)
     _add_solver_args(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ridge)
@@ -542,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p)
     _add_solver_args(p)
     p.add_argument("--resolution", "-r", type=int, default=20)
-    p.add_argument("--bary-tol", type=float, default=1e-8)
-    p.add_argument("--hull-tol", type=float, default=1e-9)
+    p.add_argument("--bary-tol", type=finite, default=1e-8)
+    p.add_argument("--hull-tol", type=finite, default=1e-9)
     p.add_argument("--out", "-o", help="atlas export prefix")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_locate)

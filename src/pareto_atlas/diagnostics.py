@@ -18,6 +18,7 @@ __all__ = [
     "FoldReport",
     "NotCorankOne",
     "NoRegularMinor",
+    "numerical_rank",
     "rank_report",
     "corank_at",
     "certify_corank_on_atlas",
@@ -58,10 +59,15 @@ class RankReport:
         return float(self.singular_values[self.rank - 1] / self.singular_values[0])
 
 
+def numerical_rank(singular_values: np.ndarray, tol: float = DEFAULT_RANK_TOL):
+    """Count of descending singular values above ``tol`` times the largest (last axis)."""
+    sv = np.asarray(singular_values)
+    return np.count_nonzero(sv > tol * sv[..., :1], axis=-1)
+
+
 def rank_report(matrix: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RankReport:
     sv = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
-    smax = sv[0] if sv.size else 0.0
-    rank = int(np.count_nonzero(sv > tol * smax)) if smax > 0.0 else 0
+    rank = int(numerical_rank(sv, tol))
     return RankReport(sv, rank, min(matrix.shape) - rank, tol)
 
 
@@ -91,15 +97,16 @@ class CorankCertificate:
 def certify_corank_on_atlas(atlas, tol: float = DEFAULT_RANK_TOL) -> CorankCertificate:
     """Recompute Jacobian coranks at every atlas node.
 
-    Independent of whatever the solver stored: this evaluates gradients and
-    takes fresh SVDs at the stored minimizers.
+    Independent of whatever the solver stored: this evaluates the Jacobians
+    at the stored minimizers and takes fresh SVDs, all nodes in one batch.
     """
-    coranks = np.zeros(len(atlas.points), dtype=int)
-    min_gap = np.inf
-    for i, pt in enumerate(atlas.points):
-        rep = corank_at(atlas.problem, pt.x, tol)
-        coranks[i] = rep.corank
-        min_gap = min(min_gap, rep.gap)
+    jac = atlas.problem.evaluate(atlas.x_array())[1]
+    sv = np.linalg.svd(jac, compute_uv=False)
+    rank = numerical_rank(sv, tol)
+    coranks = min(jac.shape[1:]) - rank
+    retained = np.take_along_axis(sv, np.maximum(rank - 1, 0)[:, None], axis=1)[:, 0]
+    gaps = np.full(len(rank), np.inf)
+    gaps[rank > 0] = retained[rank > 0] / sv[rank > 0, 0]
     max_corank = int(coranks.max()) if coranks.size else 0
     witnesses = [int(i) for i in np.nonzero(coranks >= 2)[0]]
     return CorankCertificate(
@@ -108,7 +115,7 @@ def certify_corank_on_atlas(atlas, tol: float = DEFAULT_RANK_TOL) -> CorankCerti
         max_corank=max_corank,
         witnesses=witnesses,
         simplicial_on_sample=max_corank <= 1,
-        min_gap=float(min_gap),
+        min_gap=float(gaps.min()),
     )
 
 
@@ -119,9 +126,7 @@ def certify_corank_on_atlas(atlas, tol: float = DEFAULT_RANK_TOL) -> CorankCerti
 
 def _svd_spaces(matrix: np.ndarray, tol: float):
     u, sv, vt = np.linalg.svd(np.asarray(matrix, dtype=float), full_matrices=True)
-    smax = sv[0] if sv.size else 0.0
-    rank = int(np.count_nonzero(sv > tol * smax)) if smax > 0.0 else 0
-    return u, sv, vt, rank
+    return u, sv, vt, int(numerical_rank(sv, tol))
 
 
 def null_basis(matrix: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -7,14 +7,12 @@ direction, shrunk.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .atlas import ParetoAtlas, build_atlas
+from .atlas import build_atlas
 from .diagnostics import (
     DEFAULT_RANK_TOL,
     CorankCertificate,
@@ -22,7 +20,14 @@ from .diagnostics import (
     cokernel_basis,
     corank_at,
 )
-from .solver import DEFAULT_CONFIG, SolverConfig, scalarize
+from .problems import ProblemBase
+from .solver import (
+    DEFAULT_CONFIG,
+    SolverConfig,
+    minimize_weighted,
+    raise_unconverged,
+    row_norms,
+)
 
 __all__ = [
     "LinearPerturbation",
@@ -38,17 +43,7 @@ __all__ = [
     "corank2_tracker",
     "StabilityReport",
     "stability_experiment",
-    "default_workers",
 ]
-
-WORKERS_ENV = "PARETO_ATLAS_WORKERS"
-
-
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ class LinearPerturbation:
         return cls(np.zeros((m, n)), seed=None, scale=0.0)
 
 
-class PerturbedProblem:
+class PerturbedProblem(ProblemBase):
     """Base problem with pi_i . x added to objective i."""
 
     def __init__(self, base, perturbation: LinearPerturbation):
@@ -90,19 +85,10 @@ class PerturbedProblem:
         self.m = base.m
         self.family = None
 
-    def values(self, x):
-        return self.base.values(x) + self.perturbation.coefficients @ np.asarray(x, float)
-
-    def gradients(self, x):
-        return self.base.gradients(x) + self.perturbation.coefficients
-
-    def hessians(self, x):
-        return self.base.hessians(x)
-
-    def evaluate(self, x):
-        f, g, h = self.base.evaluate(x)
+    def evaluate(self, xs):
+        values, jac, hess = self.base.evaluate(xs)
         coeff = self.perturbation.coefficients
-        return f + coeff @ np.asarray(x, float), g + coeff, h
+        return values + np.asarray(xs, dtype=float) @ coeff.T, jac + coeff, hess
 
     def __repr__(self):
         return f"PerturbedProblem({self.base!r}, scale={self.perturbation.scale:g})"
@@ -185,14 +171,15 @@ def genericity_experiment(
     rank_tols=(DEFAULT_RANK_TOL,),
     seed: int = 0,
     config: SolverConfig = DEFAULT_CONFIG,
-    workers: int | None = None,
 ) -> GenericityReport:
     """Atlas + corank sweep for ``trials`` seeded random perturbations.
 
     Trial t draws its perturbation with seed ``seed + t``, so runs are
-    reproducible point by point.  Worker count defaults to the
-    PARETO_ATLAS_WORKERS environment variable (1 = sequential).
+    reproducible point by point.  Raises ValueError for ``trials < 1``: a
+    sweep over no trials certifies nothing.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     tols = tuple(float(t) for t in np.atleast_1d(rank_tols))
 
     def run(trial: int) -> GenericityTrial:
@@ -204,15 +191,10 @@ def genericity_experiment(
             seed=seed + trial,
             scale=scale,
             certificates=certs,
-            max_kkt_residual=atlas.summary.max_kkt_residual,
+            max_kkt_residual=max(pt.kkt_residual for pt in atlas.points),
         )
 
-    count = workers if workers is not None else default_workers()
-    if count > 1:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            results = list(pool.map(run, range(trials)))
-    else:
-        results = [run(t) for t in range(trials)]
+    results = [run(t) for t in range(trials)]
     return GenericityReport(
         trials=trials,
         scale=scale,
@@ -428,17 +410,18 @@ def stability_experiment(
 
     All scales reuse the same seed, so they perturb along a single direction
     with decreasing magnitude; displacements should decrease accordingly.
-    Each perturbed solve warm-starts at the unperturbed minimizer.
+    Each scale is one Newton batch over the grid, every node warm-started
+    at its unperturbed minimizer.
     """
     base = build_atlas(problem, resolution, config)
+    base_x = base.x_array()
     rows = []
     for scale in scales:
         pi = LinearPerturbation.draw(problem.n, problem.m, seed, float(scale))
-        target = perturb_problem(problem, pi)
-        gaps = np.empty(base.grid.node_count)
-        for i, pt in enumerate(base.points):
-            moved = scalarize(target, pt.weight, config, x0=pt.x)
-            gaps[i] = np.linalg.norm(moved.x - pt.x)
+        moved = minimize_weighted(perturb_problem(problem, pi), base.grid.weights, config,
+                                  x0=base_x)
+        raise_unconverged(moved)
+        gaps = row_norms(moved.x - base_x)
         rows.append(
             StabilityRow(
                 scale=float(scale),

@@ -1,14 +1,15 @@
 """Objective mappings: families of strongly convex C^2 functions on R^n.
 
 Every family evaluates values, gradients and Hessians analytically (all
-built-in families are quadratic polynomials, so the derivatives are exact).
-A problem is the mapping f = (f_1, ..., f_m); the solver and atlas modules
-only ever touch it through ``values``/``gradients``/``hessians``.
+built-in families are quadratic polynomials, so the derivatives are exact),
+for a whole stack of points in one ``evaluate`` call.  A problem is the
+mapping f = (f_1, ..., f_m); the solver and atlas modules only ever touch it
+through ``evaluate``.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "DistanceSquared",
     "Phenotypic",
     "RidgePair",
+    "ProblemBase",
     "ObjectiveProblem",
     "RestrictedProblem",
     "ConvexityCertificate",
@@ -84,6 +86,8 @@ class Weight:
         object.__setattr__(self, "face", tuple(sorted(self.face)))
         if coords.ndim != 1 or coords.size == 0:
             raise ValueError("weight coordinates must be a nonempty vector")
+        if not np.isfinite(coords).all():
+            raise ValueError("weight coordinates must be finite")
         if abs(coords.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weight coordinates must sum to 1, got {coords.sum()!r}")
         if (coords < 0.0).any():
@@ -108,8 +112,14 @@ class Weight:
 
 
 # ---------------------------------------------------------------------------
-# Problem families
+# Problem families: each has one ``evaluate(X)`` (see ProblemBase)
 # ---------------------------------------------------------------------------
+
+
+def _constant(hessians) -> np.ndarray:
+    """Read-only (1, m, n, n) view of Hessians that do not depend on x."""
+    hessians = np.asarray(hessians, dtype=float)
+    return np.broadcast_to(hessians, (1,) + hessians.shape)
 
 
 @dataclass(frozen=True)
@@ -143,14 +153,10 @@ class GenericQuadratic:
         for i, q in enumerate(self.qs):
             _require_symmetric_pd(q, f"q[{i}]")
 
-    def values(self, x):
-        return 0.5 * np.einsum("i,kij,j->k", x, self.qs, x) + self.bs @ x + self.cs
-
-    def gradients(self, x):
-        return np.einsum("kij,j->ki", self.qs, x) + self.bs
-
-    def hessians(self, x):
-        return self.qs.copy()
+    def evaluate(self, xs):
+        qx = np.einsum("kij,Nj->Nki", self.qs, xs)
+        values = 0.5 * np.einsum("Ni,Nki->Nk", xs, qx) + xs @ self.bs.T + self.cs
+        return values, qx + self.bs, _constant(self.qs)
 
     def payload(self) -> dict:
         return {"q": self.qs.tolist(), "b": self.bs.tolist(), "c": self.cs.tolist()}
@@ -168,6 +174,7 @@ class GenericQuadratic:
 class Example31:
     """Three quadratics on R^3 whose optimal set pinches to a point.
 
+    f_1 = |x|^2, f_2 = x_1 + x_2 + |x|^2, f_3 = -(x_1 + x_2) + |x|^2 + x_2^2.
     The weight-to-minimizer map collapses a whole line of weights to the
     origin, where the Jacobian of the mapping drops to corank 2.  Closed
     form of the scalarized minimizer: with d = w2 - w3,
@@ -179,28 +186,17 @@ class Example31:
     n = 3
     m = 3
 
+    _quadratic = GenericQuadratic(
+        [np.diag([2.0, 2.0, 2.0]), np.diag([2.0, 2.0, 2.0]), np.diag([2.0, 4.0, 2.0])],
+        [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]],
+        np.zeros(3),
+    )
+
     def validate(self):
         pass
 
-    def values(self, x):
-        x1, y, z = x
-        s = x1 * x1 + y * y + z * z
-        return np.array([s, x1 + y + s, -(x1 + y) + s + y * y])
-
-    def gradients(self, x):
-        x1, y, z = x
-        return np.array(
-            [
-                [2 * x1, 2 * y, 2 * z],
-                [1 + 2 * x1, 1 + 2 * y, 2 * z],
-                [-1 + 2 * x1, -1 + 4 * y, 2 * z],
-            ]
-        )
-
-    def hessians(self, x):
-        return np.array(
-            [np.diag([2.0, 2.0, 2.0]), np.diag([2.0, 2.0, 2.0]), np.diag([2.0, 4.0, 2.0])]
-        )
+    def evaluate(self, xs):
+        return self._quadratic.evaluate(xs)
 
     def minimizer(self, w2: float, w3: float) -> np.ndarray:
         """Closed-form scalarized minimizer, parametrized by (w2, w3)."""
@@ -235,18 +231,11 @@ class Example31Perturbed:
         if self.epsilon == 0.0:
             raise ProblemFormatError("epsilon must be nonzero")
 
-    def values(self, x):
-        out = self._base.values(x)
-        out[0] += self.epsilon * x[2]
-        return out
-
-    def gradients(self, x):
-        out = self._base.gradients(x)
-        out[0, 2] += self.epsilon
-        return out
-
-    def hessians(self, x):
-        return self._base.hessians(x)
+    def evaluate(self, xs):
+        values, jac, hess = self._base.evaluate(xs)
+        values[:, 0] += self.epsilon * xs[:, 2]
+        jac[:, 0, 2] += self.epsilon
+        return values, jac, hess
 
     def payload(self) -> dict:
         return {"epsilon": self.epsilon}
@@ -260,45 +249,31 @@ class Example31Perturbed:
 class Example32:
     """Three coupled quadratics on R^3 with corank 1 along the whole optimal set.
 
-    The individual minimizers are collinear, yet the weight-to-minimizer map
-    is injective; rank never drops below 2 on the optimal set.
+    f_1 = x_1^2 + (x_1 - x_2)^2 + x_3^2, f_2 = 2 (x_1 - 1)^2 + (x_1 - x_2 - 1)^2
+    + x_3^2, f_3 = (x_1 - 2)^2 + (x_1 + x_2 - 2)^2 + x_3^2.  The individual
+    minimizers are collinear, yet the weight-to-minimizer map is injective;
+    rank never drops below 2 on the optimal set.
     """
 
     tag = "example32"
     n = 3
     m = 3
 
+    _quadratic = GenericQuadratic(
+        [
+            [[4.0, -2.0, 0.0], [-2.0, 2.0, 0.0], [0.0, 0.0, 2.0]],
+            [[6.0, -2.0, 0.0], [-2.0, 2.0, 0.0], [0.0, 0.0, 2.0]],
+            [[4.0, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 2.0]],
+        ],
+        [[0.0, 0.0, 0.0], [-6.0, 2.0, 0.0], [-8.0, -4.0, 0.0]],
+        [0.0, 3.0, 8.0],
+    )
+
     def validate(self):
         pass
 
-    def values(self, x):
-        x1, y, z = x
-        return np.array(
-            [
-                x1 * x1 + (x1 - y) ** 2 + z * z,
-                2 * (x1 - 1) ** 2 + (x1 - y - 1) ** 2 + z * z,
-                (x1 - 2) ** 2 + (y + x1 - 2) ** 2 + z * z,
-            ]
-        )
-
-    def gradients(self, x):
-        x1, y, z = x
-        return np.array(
-            [
-                [4 * x1 - 2 * y, -2 * x1 + 2 * y, 2 * z],
-                [6 * x1 - 2 * y - 6, -2 * x1 + 2 * y + 2, 2 * z],
-                [4 * x1 + 2 * y - 8, 2 * x1 + 2 * y - 4, 2 * z],
-            ]
-        )
-
-    def hessians(self, x):
-        return np.array(
-            [
-                [[4.0, -2.0, 0.0], [-2.0, 2.0, 0.0], [0.0, 0.0, 2.0]],
-                [[6.0, -2.0, 0.0], [-2.0, 2.0, 0.0], [0.0, 0.0, 2.0]],
-                [[4.0, 2.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 2.0]],
-            ]
-        )
+    def evaluate(self, xs):
+        return self._quadratic.evaluate(xs)
 
     def payload(self) -> dict:
         return {}
@@ -312,57 +287,31 @@ class Example32:
 class RemarkG:
     """Square 4 -> 4 strongly convex map with a persistent corank-2 point.
 
-    Built from two coupled quadratics g1, g2 as (g1 - x3, g2 - x4,
-    g1 + x3, g2 + x4).  The Jacobian at the origin has rank 2, and the
-    corank-2 point survives small linear perturbations (tracked by
-    ``perturb.corank2_tracker``).
+    Built from two coupled quadratics
+    g1 = x1^2 + x2 x3 + (x2^2 + x1 x4)/2 + x3^2 + x4^2 (Hessian h1) and
+    g2 = x2^2 + x1 x4 + (x1^2 + x2 x3)/2 + x3^2 + x4^2 (Hessian h2) as
+    (g1 - x3, g2 - x4, g1 + x3, g2 + x4).  The Jacobian at the origin has
+    rank 2, and the corank-2 point survives small linear perturbations
+    (tracked by ``perturb.corank2_tracker``).
     """
 
     tag = "remark_g"
     n = 4
     m = 4
 
+    _h1 = [[2.0, 0.0, 0.0, 0.5], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 2.0, 0.0], [0.5, 0.0, 0.0, 2.0]]
+    _h2 = [[1.0, 0.0, 0.0, 1.0], [0.0, 2.0, 0.5, 0.0], [0.0, 0.5, 2.0, 0.0], [1.0, 0.0, 0.0, 2.0]]
+    _quadratic = GenericQuadratic(
+        [_h1, _h2, _h1, _h2],
+        [[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        np.zeros(4),
+    )
+
     def validate(self):
         pass
 
-    @staticmethod
-    def _g_values(x):
-        x1, x2, x3, x4 = x
-        g1 = x1 * x1 + x3 * x2 + 0.5 * (x2 * x2 + x4 * x1) + x3 * x3 + x4 * x4
-        g2 = x2 * x2 + x4 * x1 + 0.5 * (x1 * x1 + x3 * x2) + x3 * x3 + x4 * x4
-        return g1, g2
-
-    def values(self, x):
-        g1, g2 = self._g_values(x)
-        x3, x4 = x[2], x[3]
-        return np.array([g1 - x3, g2 - x4, g1 + x3, g2 + x4])
-
-    def gradients(self, x):
-        x1, x2, x3, x4 = x
-        dg1 = np.array([2 * x1 + 0.5 * x4, x2 + x3, x2 + 2 * x3, 0.5 * x1 + 2 * x4])
-        dg2 = np.array([x1 + x4, 2 * x2 + 0.5 * x3, 0.5 * x2 + 2 * x3, x1 + 2 * x4])
-        e3 = np.array([0.0, 0.0, 1.0, 0.0])
-        e4 = np.array([0.0, 0.0, 0.0, 1.0])
-        return np.array([dg1 - e3, dg2 - e4, dg1 + e3, dg2 + e4])
-
-    def hessians(self, x):
-        h1 = np.array(
-            [
-                [2.0, 0.0, 0.0, 0.5],
-                [0.0, 1.0, 1.0, 0.0],
-                [0.0, 1.0, 2.0, 0.0],
-                [0.5, 0.0, 0.0, 2.0],
-            ]
-        )
-        h2 = np.array(
-            [
-                [1.0, 0.0, 0.0, 1.0],
-                [0.0, 2.0, 0.5, 0.0],
-                [0.0, 0.5, 2.0, 0.0],
-                [1.0, 0.0, 0.0, 2.0],
-            ]
-        )
-        return np.array([h1, h2, h1, h2])
+    def evaluate(self, xs):
+        return self._quadratic.evaluate(xs)
 
     def payload(self) -> dict:
         return {}
@@ -395,16 +344,11 @@ class DistanceSquared:
         if self.points.ndim != 2 or self.points.shape[0] < 1:
             raise ProblemFormatError("points must have shape (m, n) with m >= 1")
 
-    def values(self, x):
-        diff = x[None, :] - self.points
-        return np.einsum("ki,ki->k", diff, diff)
-
-    def gradients(self, x):
-        return 2.0 * (x[None, :] - self.points)
-
-    def hessians(self, x):
+    def evaluate(self, xs):
+        diff = xs[:, None, :] - self.points
         eye = 2.0 * np.eye(self.n)
-        return np.repeat(eye[None, :, :], self.m, axis=0)
+        hess = _constant(np.repeat(eye[None, :, :], self.m, axis=0))
+        return np.einsum("Nki,Nki->Nk", diff, diff), 2.0 * diff, hess
 
     def payload(self) -> dict:
         return {"points": self.points.tolist()}
@@ -443,16 +387,12 @@ class Phenotypic:
         for i, a in enumerate(self.mats):
             _require_symmetric_pd(a, f"matrices[{i}]")
 
-    def values(self, x):
-        resid = np.einsum("kij,kj->ki", self.mats, x[None, :] - self.points)
-        return np.einsum("ki,ki->k", resid, resid)
-
-    def gradients(self, x):
+    def evaluate(self, xs):
+        diff = xs[:, None, :] - self.points
+        resid = np.einsum("kij,Nkj->Nki", self.mats, diff)
         gram = np.einsum("kji,kjl->kil", self.mats, self.mats)
-        return 2.0 * np.einsum("kil,kl->ki", gram, x[None, :] - self.points)
-
-    def hessians(self, x):
-        return 2.0 * np.einsum("kji,kjl->kil", self.mats, self.mats)
+        jac = 2.0 * np.einsum("kil,Nkl->Nki", gram, diff)
+        return np.einsum("Nki,Nki->Nk", resid, resid), jac, _constant(2.0 * gram)
 
     def payload(self) -> dict:
         return {"matrices": self.mats.tolist(), "points": self.points.tolist()}
@@ -500,19 +440,14 @@ class RidgePair:
         if not self.mu > 0.0:
             raise ProblemFormatError("mu must be positive")
 
-    def values(self, x):
-        resid = self.x_data @ x - self.y_data
-        sq = float(x @ x)
-        return np.array([float(resid @ resid) + self.mu * sq, sq])
-
-    def gradients(self, x):
-        resid = self.x_data @ x - self.y_data
-        return np.array([2.0 * (self.x_data.T @ resid) + 2.0 * self.mu * x, 2.0 * x])
-
-    def hessians(self, x):
-        p = self.n
-        h1 = 2.0 * (self.x_data.T @ self.x_data) + 2.0 * self.mu * np.eye(p)
-        return np.array([h1, 2.0 * np.eye(p)])
+    def evaluate(self, xs):
+        resid = xs @ self.x_data.T - self.y_data
+        sq = np.einsum("Ni,Ni->N", xs, xs)
+        values = np.stack([np.einsum("Ni,Ni->N", resid, resid) + self.mu * sq, sq], axis=1)
+        jac = np.stack([2.0 * (resid @ self.x_data) + 2.0 * self.mu * xs, 2.0 * xs], axis=1)
+        eye = np.eye(self.n)
+        h1 = 2.0 * (self.x_data.T @ self.x_data) + 2.0 * self.mu * eye
+        return values, jac, _constant([h1, 2.0 * eye])
 
     def payload(self) -> dict:
         return {"X": self.x_data.tolist(), "y": self.y_data.tolist(), "mu": self.mu}
@@ -552,11 +487,37 @@ def _field(data: dict, name: str, family: str):
 # ---------------------------------------------------------------------------
 
 
-class ObjectiveProblem:
+class ProblemBase:
+    """Per-point access to a batched ``evaluate``.
+
+    Subclasses set ``n`` and ``m`` and define ``evaluate(X)`` on an (N, n)
+    stack of points, returning F (N, m), J (N, m, n) with J[k, i] the
+    gradient of f_i at X[k], and Hessians of shape (N, m, n, n) or, when
+    they do not depend on x, (1, m, n, n).  ``values``, ``gradients`` and
+    ``hessians`` evaluate a single point through it.
+    """
+
+    def _at(self, x, part: int) -> np.ndarray:
+        arr = np.asarray(x, dtype=float)
+        if arr.shape != (self.n,):
+            raise ValueError(f"expected point of shape ({self.n},), got {arr.shape}")
+        return np.array(self.evaluate(arr[None, :])[part][0])
+
+    def values(self, x) -> np.ndarray:
+        return self._at(x, 0)
+
+    def gradients(self, x) -> np.ndarray:
+        """Jacobian of the mapping: row i is the gradient of f_i at x."""
+        return self._at(x, 1)
+
+    def hessians(self, x) -> np.ndarray:
+        return self._at(x, 2)
+
+
+class ObjectiveProblem(ProblemBase):
     """An m-tuple of strongly convex objectives with analytic derivatives.
 
-    Evaluation is pure and reentrant; instances carry no mutable state and
-    may be shared between workers.
+    Evaluation is pure and reentrant; instances carry no mutable state.
     """
 
     def __init__(self, family):
@@ -564,32 +525,18 @@ class ObjectiveProblem:
         self.n = int(family.n)
         self.m = int(family.m)
 
-    def _point(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != (self.n,):
-            raise ValueError(f"expected point of shape ({self.n},), got {arr.shape}")
-        return arr
-
-    def values(self, x) -> np.ndarray:
-        return self.family.values(self._point(x))
-
-    def gradients(self, x) -> np.ndarray:
-        """Jacobian of the mapping: row i is the gradient of f_i at x."""
-        return self.family.gradients(self._point(x))
-
-    def hessians(self, x) -> np.ndarray:
-        return self.family.hessians(self._point(x))
-
-    def evaluate(self, x):
-        p = self._point(x)
-        return self.family.values(p), self.family.gradients(p), self.family.hessians(p)
+    def evaluate(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.n:
+            raise ValueError(f"expected points of shape (N, {self.n}), got {xs.shape}")
+        return self.family.evaluate(xs)
 
     def __repr__(self):
         tag = getattr(self.family, "tag", type(self.family).__name__)
         return f"ObjectiveProblem({tag}, n={self.n}, m={self.m})"
 
 
-class RestrictedProblem:
+class RestrictedProblem(ProblemBase):
     """View of a problem that keeps the objectives with the given indices."""
 
     def __init__(self, base, indices: tuple[int, ...]):
@@ -599,31 +546,34 @@ class RestrictedProblem:
         self.m = len(indices)
         self.family = None
 
-    def values(self, x):
-        return self.base.values(x)[list(self.indices)]
-
-    def gradients(self, x):
-        return self.base.gradients(x)[list(self.indices)]
-
-    def hessians(self, x):
-        return self.base.hessians(x)[list(self.indices)]
-
-    def evaluate(self, x):
-        f, g, h = self.base.evaluate(x)
-        sel = list(self.indices)
-        return f[sel], g[sel], h[sel]
+    def evaluate(self, xs):
+        values, jac, hess = self.base.evaluate(xs)
+        keep = list(self.indices)
+        return values[:, keep], jac[:, keep], hess[:, keep]
 
     def __repr__(self):
         return f"RestrictedProblem({self.base!r}, indices={self.indices})"
 
 
+def _validate(spec) -> None:
+    """Checks shared by ``build_problem`` and ``parse_problem``.
+
+    Non-finite numbers (JSON ``NaN``/``Infinity``, or ``1e400``, which
+    overflows) are rejected before the family's own checks run on them.
+    """
+    for name, value in spec.payload().items():
+        if not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise ProblemFormatError(f"field '{name}' must be finite")
+    spec.validate()
+
+
 def build_problem(spec) -> ObjectiveProblem:
     """Validate a family spec and wrap it as a problem.
 
-    Raises ProblemFormatError for non-PD matrices, nonpositive ridge
-    penalties, or inconsistent shapes.
+    Raises ProblemFormatError for non-finite numbers, non-PD matrices,
+    nonpositive ridge penalties, or inconsistent shapes.
     """
-    spec.validate()
+    _validate(spec)
     return ObjectiveProblem(spec)
 
 
@@ -682,21 +632,15 @@ def check_strong_convexity(
         pts = radius * rng.standard_normal((count, problem.n))
     else:
         pts = np.asarray(sampler(count), dtype=float)
-    beta_min = np.inf
-    witness = pts[0]
-    witness_obj = 0
-    for x in pts:
-        eigs = np.linalg.eigvalsh(problem.hessians(x))  # (m, n) batched
-        k = int(np.argmin(eigs[:, 0]))
-        if eigs[k, 0] < beta_min:
-            beta_min = float(eigs[k, 0])
-            witness = x
-            witness_obj = k
+    # lowest eigenvalue per (point, objective); constant Hessians give one row
+    lowest = np.linalg.eigvalsh(problem.evaluate(pts)[2])[..., 0]
+    point, objective = np.unravel_index(np.argmin(lowest), lowest.shape)
+    beta_min = float(lowest[point, objective])
     return ConvexityCertificate(
         beta_min=beta_min,
         ok=beta_min > 0.0,
-        witness_point=np.array(witness),
-        witness_objective=witness_obj,
+        witness_point=np.array(pts[point]),
+        witness_objective=int(objective),
         count=count,
         radius=radius,
     )
@@ -738,7 +682,7 @@ def parse_problem(text: str):
         raise
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"bad field in family '{tag}': {exc}") from exc
-    spec.validate()
+    _validate(spec)
     for dim in ("n", "m"):
         if dim in data and int(data[dim]) != getattr(spec, dim):
             raise ProblemFormatError(

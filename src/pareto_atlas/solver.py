@@ -4,16 +4,17 @@ For a weight w on the simplex the scalarized objective g = sum_i w_i f_i is
 strongly convex, so the mixed Hessian sum_i w_i H(f_i) is positive definite
 wherever at least one weight is positive and Newton steps (with Armijo
 backtracking) converge to the unique minimizer, which is the Pareto point
-attached to w.
+attached to w.  The solver runs a whole stack of weights as one batch: every
+node takes its own steps and stops on its own tolerance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .diagnostics import DEFAULT_RANK_TOL, rank_report
+from .diagnostics import DEFAULT_RANK_TOL, numerical_rank
 from .problems import Weight, restrict
 
 __all__ = [
@@ -22,7 +23,9 @@ __all__ = [
     "SingularNewtonSystem",
     "MaxIterExceeded",
     "ParetoPoint",
+    "NewtonResult",
     "minimize_weighted",
+    "raise_unconverged",
     "scalarize",
     "subproblem_solve",
     "x_star_derivative",
@@ -79,83 +82,155 @@ class ParetoPoint:
     converged: bool = True
 
 
-def _mixed(weights: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    return np.tensordot(weights, stack, axes=(0, 0))
+class NewtonResult(NamedTuple):
+    """Minimizers with their final residuals, iteration counts and tolerances."""
+
+    x: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    tol: np.ndarray
+
+
+# Row-wise products as stacked matmuls with a unit axis, so that each row is
+# rounded exactly as the 1-d product ``a[k] @ b[k]`` would be.
+def _weighted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.matmul(a[:, None, :], b)[:, 0, :]  # (N, m) x (N or 1, m, p) -> (N, p)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, rounded as ``np.linalg.norm`` of the row."""
+    return np.sqrt(_dot(a, a))
+
+
+def _scalarized(problem, weights: np.ndarray, xs: np.ndarray):
+    """Value, gradient and Hessian of sum_i w_i f_i at each row of ``xs``."""
+    values, jac, hess = problem.evaluate(xs)
+    flat = hess.reshape(len(hess), problem.m, -1)
+    mixed = _weighted(weights, flat).reshape(len(xs), problem.n, problem.n)
+    return _dot(weights, values), _weighted(weights, jac), mixed
+
+
+def _spd_solve(mats: np.ndarray, rhs: np.ndarray, where: str = "") -> np.ndarray:
+    """Solve mats @ y = rhs; a Cholesky factorization certifies that mats is SPD."""
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError as exc:
+        raise SingularNewtonSystem(f"mixed Hessian not positive definite{where}") from exc
+    return np.linalg.solve(mats, rhs)
 
 
 def minimize_weighted(problem, weights, config: SolverConfig = DEFAULT_CONFIG, x0=None):
-    """Minimize sum_i weights_i f_i by damped Newton.
+    """Minimize sum_i weights_i f_i by damped Newton, for one weight or a stack.
 
-    ``weights`` is any nonnegative, nonzero vector (no simplex normalization
-    required here; the minimizer is invariant under positive scaling).
-    Returns (x, residual, iterations, effective_tol).  Raises
-    SingularNewtonSystem or MaxIterExceeded on failure.
+    ``weights`` is a nonnegative, nonzero length-m vector (the minimizer is
+    invariant under positive scaling) or an (N, m) stack of them; ``x0`` is
+    one start point or one per weight (default ``config.initial_point``,
+    else the origin).  Every node stops on its own tolerance, ``grad_tol``
+    scaled by max(1, its initial gradient norm).
+
+    Returns a NewtonResult.  For a stack, a node converged exactly when
+    residual <= tol; one that did not carries its best iterate and
+    ``max_iter`` iterations.  For a single vector the fields are scalars and
+    non-convergence raises MaxIterExceeded.  Raises SingularNewtonSystem
+    when a mixed Hessian is not positive definite.
     """
     w = np.asarray(weights, dtype=float)
-    if w.shape != (problem.m,):
+    if w.ndim == 1:
+        result = minimize_weighted(problem, w[None, :], config, x0)
+        raise_unconverged(result)
+        x, res, iters, tol = result
+        return NewtonResult(x[0], float(res[0]), int(iters[0]), float(tol[0]))
+    if w.ndim != 2 or w.shape[1] != problem.m:
         raise ValueError(f"expected {problem.m} weights, got shape {w.shape}")
-    if (w < 0).any() or not w.any():
-        raise ValueError("weights must be nonnegative and not all zero")
+    if not np.isfinite(w).all() or (w < 0).any() or not w.any(axis=1).all():
+        raise ValueError("weights must be finite, nonnegative and not all zero")
 
-    if x0 is not None:
-        x = np.array(x0, dtype=float)
-    elif config.initial_point is not None:
-        x = np.array(config.initial_point, dtype=float)
-    else:
-        x = np.zeros(problem.n)
+    count = len(w)
+    start = x0 if x0 is not None else config.initial_point
+    x = np.array(np.broadcast_to(0.0 if start is None else start, (count, problem.n)), float)
 
-    grad = w @ problem.gradients(x)
-    tol = config.grad_tol * max(1.0, float(np.linalg.norm(grad)))
-    best_x, best_res = x.copy(), float(np.linalg.norm(grad))
+    value, grad, hess = _scalarized(problem, w, x)
+    res = row_norms(grad)
+    tol = config.grad_tol * np.maximum(1.0, res)
+    best_x, best_res = x.copy(), res.copy()
+    iterations = np.full(count, config.max_iter)
+    running = np.ones(count, dtype=bool)
     for iteration in range(config.max_iter):
-        res = float(np.linalg.norm(grad))
-        if res < best_res:
-            best_x, best_res = x.copy(), res
-        if res <= tol:
-            return x, res, iteration, tol
-        hess = _mixed(w, problem.hessians(x))
-        try:
-            factor = cho_factor(hess, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise SingularNewtonSystem(
-                f"mixed Hessian not positive definite at iteration {iteration}"
-            ) from exc
-        direction = cho_solve(factor, -grad)
-        slope = float(grad @ direction)
-        value = float(w @ problem.values(x))
-        alpha, accepted = 1.0, False
-        while alpha > 1e-14:
-            trial = x + alpha * direction
-            if float(w @ problem.values(trial)) <= value + config.armijo_c * alpha * slope:
-                accepted = True
+        better = running & (res < best_res)
+        best_x[better], best_res[better] = x[better], res[better]
+        done = running & (res <= tol)
+        iterations[done] = iteration
+        running &= ~done
+        active = np.flatnonzero(running)
+        if not active.size:
+            break
+        step = _spd_solve(hess[active], -grad[active][:, :, None],
+                          f" at iteration {iteration}")[:, :, 0]
+        slope = _dot(grad[active], step)
+
+        # Armijo backtracking, one step length per node.  A node whose step
+        # shrinks to rounding stops where it is; the final check decides it.
+        alpha = np.ones(active.size)
+        searching = np.ones(active.size, dtype=bool)
+        while True:
+            searching &= alpha > 1e-14
+            trying = np.flatnonzero(searching)
+            if not trying.size:
                 break
-            alpha *= config.armijo_shrink
-        if not accepted:
-            break  # flat to rounding; final residual check decides below
-        x = trial
-        grad = w @ problem.gradients(x)
+            nodes = active[trying]
+            trial = x[nodes] + alpha[trying, None] * step[trying]
+            t_value, t_grad, t_hess = _scalarized(problem, w[nodes], trial)
+            ok = t_value <= value[nodes] + config.armijo_c * alpha[trying] * slope[trying]
+            moved = nodes[ok]
+            x[moved], value[moved], grad[moved], hess[moved] = (
+                trial[ok], t_value[ok], t_grad[ok], t_hess[ok])
+            res[moved] = row_norms(grad[moved])
+            searching[trying[ok]] = False
+            alpha[trying[~ok]] *= config.armijo_shrink
+        running[active[alpha <= 1e-14]] = False  # no acceptable step
 
-    res = float(np.linalg.norm(grad))
-    if res <= tol:
-        return x, res, config.max_iter, tol
-    if best_res <= tol:
-        return best_x, best_res, config.max_iter, tol
-    raise MaxIterExceeded(best_x, best_res, config.max_iter, tol)
+    failed = res > tol
+    x[failed], res[failed] = best_x[failed], best_res[failed]
+    return NewtonResult(x, res, iterations, tol)
 
 
-def _finish(problem, weight: Weight, x, res, iters, tol, rank_tol) -> ParetoPoint:
-    jac = problem.gradients(x)
-    rep = rank_report(jac, rank_tol)
-    return ParetoPoint(
-        weight=weight,
-        x=x,
-        fx=problem.values(x),
-        kkt_residual=res,
-        jacobian_sv=rep.singular_values,
-        corank=rep.corank,
-        iterations=iters,
-        grad_tol=tol,
-    )
+def raise_unconverged(result: NewtonResult) -> None:
+    """Raise MaxIterExceeded for the first unconverged node of a stacked result."""
+    failed = np.flatnonzero(result.residual > result.tol)
+    if failed.size:
+        i = failed[0]
+        raise MaxIterExceeded(result.x[i], float(result.residual[i]),
+                              int(result.iterations[i]), float(result.tol[i]))
+
+
+def pareto_points(problem, weights: list[Weight], result: NewtonResult,
+                  rank_tol: float) -> list[ParetoPoint]:
+    """ParetoPoints for a stacked result, with one batched SVD for the coranks.
+
+    A node that did not converge gets corank -1 and ``converged=False``.
+    """
+    values, jac, _ = problem.evaluate(result.x)
+    sv = np.linalg.svd(jac, compute_uv=False)
+    converged = result.residual <= result.tol
+    coranks = np.where(converged, min(problem.m, problem.n) - numerical_rank(sv, rank_tol), -1)
+    return [
+        ParetoPoint(
+            weight=weight,
+            x=result.x[i],
+            fx=values[i],
+            kkt_residual=float(result.residual[i]),
+            jacobian_sv=sv[i],
+            corank=int(coranks[i]),
+            iterations=int(result.iterations[i]),
+            grad_tol=float(result.tol[i]),
+            converged=bool(converged[i]),
+        )
+        for i, weight in enumerate(weights)
+    ]
 
 
 def scalarize(problem, weight, config: SolverConfig = DEFAULT_CONFIG, x0=None) -> ParetoPoint:
@@ -169,8 +244,9 @@ def scalarize(problem, weight, config: SolverConfig = DEFAULT_CONFIG, x0=None) -
         weight = Weight.of(weight)
     if weight.m != problem.m:
         raise ValueError(f"weight has {weight.m} coordinates, problem has m={problem.m}")
-    x, res, iters, tol = minimize_weighted(problem, weight.coordinates, config, x0=x0)
-    return _finish(problem, weight, x, res, iters, tol, config.rank_tol)
+    result = minimize_weighted(problem, weight.coordinates[None, :], config, x0=x0)
+    raise_unconverged(result)
+    return pareto_points(problem, [weight], result, config.rank_tol)[0]
 
 
 def subproblem_solve(problem, indices, face_weight, config: SolverConfig = DEFAULT_CONFIG, x0=None) -> ParetoPoint:
@@ -190,9 +266,7 @@ def subproblem_solve(problem, indices, face_weight, config: SolverConfig = DEFAU
         w = w[list(sub.indices)]
     if w.shape != (sub.m,):
         raise ValueError(f"face weight must have length {sub.m} or {problem.m}")
-    weight = Weight.of(w)
-    x, res, iters, tol = minimize_weighted(sub, weight.coordinates, config, x0=x0)
-    return _finish(sub, weight, x, res, iters, tol, config.rank_tol)
+    return scalarize(sub, Weight.of(w), config, x0)
 
 
 def x_star_derivative(problem, point: ParetoPoint) -> np.ndarray:
@@ -206,16 +280,10 @@ def x_star_derivative(problem, point: ParetoPoint) -> np.ndarray:
     where A is the inverse of the mixed Hessian at the minimizer.  Shape
     (n, m-1); for a single objective the chart is empty.
     """
-    w = point.weight.coordinates
-    x = point.x
-    m = problem.m
-    if m == 1:
+    if problem.m == 1:
         return np.zeros((problem.n, 0))
-    grads = problem.gradients(x)
-    mixed = _mixed(w, problem.hessians(x))
-    try:
-        factor = cho_factor(mixed, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularNewtonSystem("mixed Hessian not positive definite") from exc
+    w = point.weight.coordinates[None, :]
+    _, _, mixed = _scalarized(problem, w, point.x[None, :])
+    grads = problem.gradients(point.x)
     rhs = (grads[:-1] - grads[-1]).T  # (n, m-1)
-    return -cho_solve(factor, rhs)
+    return -_spd_solve(mixed[0], rhs)

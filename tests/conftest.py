@@ -2,6 +2,8 @@
 summary hook (one line per acceptance criterion at the end of the run)."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,48 @@ def fixture_problems():
         ("phenotypic", phenotypic_instance()),
         ("ridge_pair", build_problem(RidgePair(ridge.x_data, ridge.y_data, ridge.mu))),
     ]
+
+
+@dataclass(frozen=True)
+class SoftplusFamily:
+    """Non-quadratic, strongly convex test family: f_i(x) = softplus(a_i.x) + |x - p_i|^2.
+
+    Its Hessians depend on x, so Newton needs several steps per node.
+    """
+
+    a: np.ndarray  # (m, n)
+    p: np.ndarray  # (m, n)
+
+    tag = "softplus"
+
+    @property
+    def n(self) -> int:
+        return self.a.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.a.shape[0]
+
+    def validate(self):
+        pass
+
+    def payload(self) -> dict:
+        return {"a": self.a.tolist(), "p": self.p.tolist()}
+
+    def evaluate(self, xs):
+        z = np.einsum("Ni,ki->Nk", xs, self.a)
+        diff = xs[:, None, :] - self.p
+        sig = 0.5 * (1.0 + np.tanh(0.5 * z))
+        values = np.logaddexp(0.0, z) + np.einsum("Nki,Nki->Nk", diff, diff)
+        jac = sig[:, :, None] * self.a + 2.0 * diff
+        outer = np.einsum("ki,kj->kij", self.a, self.a)
+        hess = (sig * (1.0 - sig))[:, :, None, None] * outer + 2.0 * np.eye(self.n)
+        return values, jac, hess
+
+
+def softplus_problem(seed: int = 0, n: int = 2, m: int = 3):
+    gen = np.random.default_rng(seed)
+    return build_problem(SoftplusFamily(gen.normal(size=(m, n)), gen.normal(size=(m, n))))
 
 
 def fd_gradients(problem, x, h: float = 1e-6) -> np.ndarray:

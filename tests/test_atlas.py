@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_quadratic
+from conftest import fd_gradients, fd_hessians, random_quadratic, softplus_problem
 from pareto_atlas import (
     DistanceSquared,
     SimplexGrid,
@@ -112,6 +112,51 @@ class TestBuildAtlas:
         assert atlas.failures == list(range(atlas.grid.node_count))
         assert all(not pt.converged for pt in atlas.points)
         assert atlas.summary.unconverged == atlas.grid.node_count
+
+
+class TestNonQuadraticFamily:
+    """A family whose Hessians vary with x, so nodes need several Newton steps."""
+
+    def test_test_family_derivatives(self, rng):
+        problem = softplus_problem()
+        for _ in range(3):
+            x = rng.normal(size=problem.n)
+            assert_allclose(problem.gradients(x), fd_gradients(problem, x), rtol=1e-6, atol=1e-6)
+            assert_allclose(problem.hessians(x), fd_hessians(problem, x), rtol=1e-6, atol=1e-6)
+
+    @staticmethod
+    def assert_nodes_match_single_solves(problem, atlas, config):
+        """Each converged node is what it would be if solved on its own from the
+        same warm start (its BFS parent's minimizer)."""
+        _, parent = atlas.grid.bfs_order()
+        for i, pt in enumerate(atlas.points):
+            if i in atlas.failures:
+                continue
+            warm = atlas.points[parent[i]].x if parent[i] >= 0 else None
+            alone = scalarize(problem, atlas.grid.weight_of(i), config, x0=warm)
+            assert pt.converged and pt.iterations == alone.iterations
+            assert_allclose(pt.x, alone.x, rtol=0.0, atol=1e-12)
+
+    def test_atlas_matches_single_node_solves(self):
+        problem = softplus_problem()
+        atlas = build_atlas(problem, 10)
+        assert atlas.failures == []
+        assert max(pt.iterations for pt in atlas.points) > 1
+        self.assert_nodes_match_single_solves(problem, atlas, atlas.config)
+        for pt in atlas.points:
+            stationarity = pt.weight.coordinates @ problem.gradients(pt.x)
+            assert np.linalg.norm(stationarity) <= pt.grad_tol
+
+    def test_unconverged_node_does_not_disturb_the_others(self):
+        problem = softplus_problem()
+        config = SolverConfig(max_iter=2)
+        atlas = build_atlas(problem, 10, config)
+        assert 0 < len(atlas.failures) < atlas.grid.node_count
+        for i in atlas.failures:
+            pt = atlas.points[i]
+            assert not pt.converged and pt.corank == -1
+            assert pt.iterations == 2 and pt.kkt_residual > pt.grad_tol
+        self.assert_nodes_match_single_solves(problem, atlas, config)
 
 
 class TestExports:

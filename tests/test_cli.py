@@ -53,6 +53,10 @@ class TestSolve:
         assert main(["solve", "--builtin", "example31", "-w", "0.5,oops,0.2"]) == 2
         assert main(["solve", "--builtin", "example31", "-w", "0.5,0.5"]) == 2
 
+    def test_non_finite_weight_exits_2(self, capsys):
+        assert main(["solve", "--builtin", "example31", "-w", "nan,0.5,0.5"]) == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestProblemLoading:
     def test_file_and_builtin_together_rejected(self):
@@ -80,6 +84,21 @@ class TestProblemLoading:
         bad.write_text("{not json")
         assert main(["solve", str(bad), "-w", "1,0,0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["[[0, NaN], [1, 0]]", "[[0, Infinity], [1, 0]]",
+                                        "[[0, 1e400], [1, 0]]"])
+    def test_non_finite_problem_file_exits_2(self, tmp_path, capsys, points):
+        path = tmp_path / "bad.json"
+        path.write_text('{"family": "distance_squared", "points": %s}' % points)
+        assert main(["verify", str(path), "-r", "4"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_epsilon_rejected(self, capsys, value):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--builtin", "example31_perturbed", "--epsilon", value])
+        assert err.value.code == 2
+        assert "--epsilon" in capsys.readouterr().err
 
     def test_problem_file_round_trip(self, tmp_path, capsys, quadratic):
         path = tmp_path / "quad.json"
@@ -180,6 +199,12 @@ class TestPerturb:
         assert code == 0
         assert doc["mode"] == "genericity"
         assert doc["genericity"]["results"][0]["seed"] == 0
+        assert set(doc["options"]) == {"trials", "scale", "resolution", "seed", "rank_tols"}
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_empty_sweep_exits_2(self, capsys, trials):
+        assert main(["perturb", "--builtin", "example31", "--trials", trials, "-r", "5"]) == 2
+        assert "trials" in capsys.readouterr().err
 
     def test_rank_tol_sweep(self, capsys):
         code, doc = run_json(

@@ -57,11 +57,13 @@ class TestPerturbedProblem:
     def test_evaluate_composes(self, example32, rng):
         pi = LinearPerturbation.draw(3, 3, seed=1, scale=0.1)
         target = perturb_problem(example32, pi)
-        x = rng.normal(size=3)
-        f, g, h = target.evaluate(x)
-        assert_allclose(f, target.values(x))
-        assert_allclose(g, target.gradients(x))
-        assert_allclose(h, target.hessians(x))
+        xs = rng.normal(size=(4, 3))
+        f, g, h = target.evaluate(xs)
+        base_f, base_g, base_h = example32.evaluate(xs)
+        assert_allclose(f, base_f + xs @ pi.coefficients.T, rtol=1e-14)
+        assert_allclose(g, base_g + pi.coefficients, rtol=1e-14)
+        assert h is base_h or np.array_equal(h, base_h)
+        assert h.shape == (1, 3, 3, 3)  # constant Hessians stay unstacked
 
     def test_shape_mismatch_rejected(self, example31):
         with pytest.raises(ValueError, match="shape"):
@@ -86,13 +88,17 @@ class TestGenericity:
         )
         assert report.corank2_trials(1e-8) == [0]
 
-    def test_workers_do_not_change_results(self, example31):
-        seq = genericity_experiment(example31, 3, 0.1, 6, seed=2, workers=1)
-        par = genericity_experiment(example31, 3, 0.1, 6, seed=2, workers=3)
-        for a, b in zip(seq.results, par.results):
-            assert a.seed == b.seed
-            assert a.max_corank(1e-8) == b.max_corank(1e-8)
-            assert a.max_kkt_residual == b.max_kkt_residual
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_an_empty_sweep(self, example31, trials):
+        with pytest.raises(ValueError, match="trials"):
+            genericity_experiment(example31, trials, 0.1, 5)
+
+    def test_max_kkt_residual_is_the_worst_node(self, example31):
+        report = genericity_experiment(example31, 2, 0.1, 6, seed=2)
+        for trial in report.results:
+            pi = LinearPerturbation.draw(3, 3, trial.seed, 0.1)
+            atlas = build_atlas(perturb_problem(example31, pi), 6)
+            assert trial.max_kkt_residual == atlas.summary.max_kkt_residual
 
     def test_report_dict_is_json_ready(self, example31):
         import json

@@ -1,6 +1,9 @@
 """Problem families: derivative correctness, validation, serialization."""
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -53,11 +56,17 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("problem", PROBLEMS, ids=IDS)
     def test_evaluate_bundles_all_three(self, problem, rng):
-        x = rng.normal(size=problem.n)
-        f, g, h = problem.evaluate(x)
-        assert_allclose(f, problem.values(x))
-        assert_allclose(g, problem.gradients(x))
-        assert_allclose(h, problem.hessians(x))
+        """One call on a stack of K points equals the per-point rows."""
+        k, m, n = 6, problem.m, problem.n
+        xs = rng.normal(size=(k, n))
+        f, g, h = problem.evaluate(xs)
+        assert f.shape == (k, m) and g.shape == (k, m, n)
+        assert h.shape[0] in (1, k)
+        h = np.broadcast_to(h, (k, m, n, n))
+        for row, x in enumerate(xs):
+            assert_allclose(f[row], problem.values(x), rtol=1e-14, atol=1e-14)
+            assert_allclose(g[row], problem.gradients(x), rtol=1e-14, atol=1e-14)
+            assert_allclose(h[row], problem.hessians(x), rtol=1e-14, atol=1e-14)
 
 
 class TestFrozenValues:
@@ -144,6 +153,12 @@ class TestWeight:
         with pytest.raises(ValueError, match="out of range"):
             Weight(np.array([1.0, 0.0]), (0, 5))
 
+    @pytest.mark.parametrize("coords", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]])
+    def test_rejects_non_finite(self, coords):
+        # NaN slips past the sum check, since abs(nan - 1) > tol is False
+        with pytest.raises(ValueError, match="finite"):
+            Weight.of(coords)
+
     def test_accepts_rounded_grid_sum(self):
         coords = np.array([1, 7, 2], dtype=float) / 10.0
         Weight.of(coords)  # no raise
@@ -185,6 +200,20 @@ class TestValidation:
     def test_point_shape_checked_on_evaluation(self, example31):
         with pytest.raises(ValueError, match="shape"):
             example31.values(np.zeros(4))
+        with pytest.raises(ValueError, match="shape"):
+            example31.evaluate(np.zeros(3))  # a stack is (N, n)
+        with pytest.raises(ValueError, match="shape"):
+            example31.evaluate(np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("spec", [
+        GenericQuadratic([[[2.0, 0.0], [0.0, np.nan]]], [[0.0, 0.0]], [0.0]),
+        GenericQuadratic([np.eye(2)], [[0.0, np.inf]], [0.0]),
+        Example31Perturbed(np.nan),
+        RidgePair(np.ones((3, 2)), np.ones(3), mu=np.inf),
+    ], ids=["nan-q", "inf-b", "nan-epsilon", "inf-mu"])
+    def test_rejects_non_finite_fields(self, spec):
+        with pytest.raises(ProblemFormatError, match="finite"):
+            build_problem(spec)
 
 
 class TestSerialization:
@@ -217,6 +246,28 @@ class TestSerialization:
     def test_non_object_document_rejected(self):
         with pytest.raises(ProblemFormatError, match="JSON object"):
             parse_problem("[1, 2, 3]")
+
+    @pytest.mark.parametrize("doc", [
+        '{"family": "distance_squared", "points": [[0, NaN], [1, 0]]}',
+        '{"family": "distance_squared", "points": [[0, Infinity], [1, 0]]}',
+        '{"family": "ridge_pair", "X": [[1, 0]], "y": [-Infinity], "mu": 0.1}',
+        '{"family": "ridge_pair", "X": [[1, 0]], "y": [1], "mu": 1e400}',
+        '{"family": "example31_perturbed", "epsilon": NaN}',
+        '{"family": "generic_quadratic", "q": [[[1e400]]], "b": [[0]], "c": [0]}',
+    ])
+    def test_non_finite_numbers_rejected(self, doc):
+        with pytest.raises(ProblemFormatError, match="must be finite"):
+            parse_problem(doc)
+
+    def test_readme_problem_json_blocks_parse(self):
+        """Every JSON example in the README's problem-format section parses."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Problem JSON (input)", 1)[1].split("\n### ", 1)[0]
+        blocks = re.findall(r"```json\n(.*?)```", section, flags=re.DOTALL)
+        assert blocks
+        for block in blocks:
+            spec = parse_problem(block)
+            assert build_problem(spec).m == spec.m
 
     def test_parse_validates_payload(self):
         doc = '{"family": "ridge_pair", "X": [[1, 0]], "y": [1], "mu": -1.0}'
@@ -271,8 +322,8 @@ class TestRestrict:
         assert_allclose(sub.values(x), example32.values(x)[[0, 2]])
         assert_allclose(sub.gradients(x), example32.gradients(x)[[0, 2]])
         assert_allclose(sub.hessians(x), example32.hessians(x)[[0, 2]])
-        f, g, h = sub.evaluate(x)
-        assert f.shape == (2,) and g.shape == (2, 3) and h.shape == (2, 3, 3)
+        f, g, h = sub.evaluate(x[None, :])
+        assert f.shape == (1, 2) and g.shape == (1, 2, 3) and h.shape == (1, 2, 3, 3)
 
     def test_rejects_bad_indices(self, example32):
         with pytest.raises(ValueError, match="out of range"):

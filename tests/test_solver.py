@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import interior_weights, random_quadratic
+from conftest import interior_weights, random_quadratic, softplus_problem
 from pareto_atlas import (
     GenericQuadratic,
     MaxIterExceeded,
@@ -15,6 +15,7 @@ from pareto_atlas import (
     SolverConfig,
     Weight,
     minimize_weighted,
+    raise_unconverged,
     scalarize,
     subproblem_solve,
     x_star_derivative,
@@ -99,6 +100,41 @@ class TestMinimize:
         broken = ObjectiveProblem(spec)  # bypasses build_problem validation
         with pytest.raises(SingularNewtonSystem):
             minimize_weighted(broken, np.array([1.0]))
+
+
+class TestBatch:
+    def test_stack_matches_single_solves(self):
+        problem = softplus_problem()
+        weights = interior_weights(3, 8, seed=2)
+        x, res, iters, tol = minimize_weighted(problem, weights)
+        assert x.shape == (8, 2) and res.shape == iters.shape == tol.shape == (8,)
+        assert (res <= tol).all() and iters.max() > 1
+        for k, w in enumerate(weights):
+            x1, res1, iters1, tol1 = minimize_weighted(problem, w)
+            assert_allclose(x[k], x1, rtol=0.0, atol=1e-15)
+            assert (iters[k], tol[k]) == (iters1, tol1)
+
+    def test_unconverged_node_is_flagged_not_raised(self):
+        problem = softplus_problem()
+        weights = interior_weights(3, 4, seed=3)
+        solved = minimize_weighted(problem, weights).x
+        starts = solved.copy()
+        starts[2] += 30.0  # far away: needs more than the budget
+        config = SolverConfig(max_iter=2)
+        x, res, iters, tol = result = minimize_weighted(problem, weights, config, x0=starts)
+        assert (res > tol).tolist() == [False, False, True, False]
+        assert iters.tolist() == [0, 0, 2, 0]
+        assert_allclose(x[[0, 1, 3]], starts[[0, 1, 3]], rtol=0.0, atol=0.0)
+        with pytest.raises(MaxIterExceeded) as err:
+            raise_unconverged(result)
+        assert err.value.residual == res[2]
+        assert_allclose(err.value.x, x[2])
+
+    def test_stack_weights_validated_per_row(self, example32):
+        with pytest.raises(ValueError, match="not all zero"):
+            minimize_weighted(example32, np.array([[0.2, 0.3, 0.5], [0.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            minimize_weighted(example32, np.array([[np.nan, 0.5, 0.5]]))
 
 
 class TestScalarize:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 from .ordering import DOMINANCE_TOL, dominating_pairs
 from .problems import Weight, restrict
@@ -42,13 +43,37 @@ __all__ = [
 ]
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """All k in N^parts with sum(k) = total, in lexicographic order.
+
+    Stars and bars: the combinations of parts-1 bar positions among
+    total+parts-1 slots come out of itertools in lexicographic order, and so
+    do the gaps between consecutive bars.
+    """
+    slots = total + parts - 1
+    count = comb(slots, parts - 1)
+    bars = np.fromiter(chain.from_iterable(combinations(range(slots), parts - 1)),
+                       dtype=int, count=count * (parts - 1)).reshape(count, parts - 1)
+    edges = np.hstack([np.full((count, 1), -1), bars, np.full((count, 1), slots)])
+    return np.diff(edges, axis=1) - 1
+
+
+def _lex_rank(nodes: np.ndarray, total: int) -> np.ndarray:
+    """Position of each composition in the lexicographic order of ``_compositions``.
+
+    The compositions that agree with k before coordinate j and are smaller at
+    j number C(rest + p, p) - C(rest - k_j + p, p), with rest the total left
+    for the p + 1 coordinates from j on (hockey-stick identity).  Every
+    binomial involved is at most the node count, so the ranks are exact.
+    """
+    parts = nodes.shape[1]
+    table = np.array([[comb(t + p, p) for p in range(parts)] for t in range(total + 1)])
+    rest = total - np.cumsum(nodes, axis=1) + nodes
+    rank = np.zeros(len(nodes), dtype=int)
+    for j in range(parts - 1):
+        p = parts - 1 - j
+        rank += table[rest[:, j], p] - table[rest[:, j] - nodes[:, j], p]
+    return rank
 
 
 class SimplexGrid:
@@ -61,9 +86,19 @@ class SimplexGrid:
             raise ValueError("resolution must be >= 1")
         self.m = m
         self.resolution = resolution
-        self.nodes = np.array(list(_compositions(resolution, m)), dtype=int)
+        self.nodes = _compositions(resolution, m)
         self.weights = self.nodes / float(resolution)
-        self._index = {tuple(k): i for i, k in enumerate(self.nodes.tolist())}
+        # One column per unit move k - e_a + e_b (a != b): the neighbour's
+        # index, or -1 where k_a = 0.  Rows are sorted, so the -1s come first.
+        moves = [(a, b) for a in range(m) for b in range(m) if a != b]
+        table = np.full((self.node_count, len(moves)), -1)
+        for col, (a, b) in enumerate(moves):
+            src = np.flatnonzero(self.nodes[:, a])
+            moved = self.nodes[src]
+            moved[:, a] -= 1
+            moved[:, b] += 1
+            table[src, col] = _lex_rank(moved, resolution)
+        self._neighbors = np.sort(table, axis=1)
 
     @property
     def node_count(self) -> int:
@@ -81,42 +116,73 @@ class SimplexGrid:
         return Weight(self.weights[i], self.face_of(i))
 
     def neighbors(self, i: int) -> list[int]:
-        k = self.nodes[i]
-        out = []
-        for a in range(self.m):
-            if k[a] == 0:
-                continue
-            for b in range(self.m):
-                if b == a:
-                    continue
-                moved = k.copy()
-                moved[a] -= 1
-                moved[b] += 1
-                out.append(self._index[tuple(moved.tolist())])
-        return sorted(set(out))
+        row = self._neighbors[i]
+        return row[row >= 0].tolist()
 
     @cached_property
-    def adjacency(self) -> list[tuple[int, int]]:
-        pairs = set()
-        for i in range(self.node_count):
-            for j in self.neighbors(i):
-                pairs.add((min(i, j), max(i, j)))
-        return sorted(pairs)
+    def adjacency(self) -> np.ndarray:
+        """Each adjacent pair (i, j), i < j, once; an (E, 2) array in sorted order."""
+        rows = np.repeat(np.arange(self.node_count), self._neighbors.shape[1])
+        cols = self._neighbors.ravel()
+        keep = rows < cols  # also drops the -1 entries
+        return np.stack([rows[keep], cols[keep]], axis=1)
 
-    def bfs_order(self) -> tuple[list[int], dict[int, int]]:
-        """Visit order from the node nearest the barycenter, with parents."""
+    def bfs_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Breadth-first visit order from the node nearest the barycenter, and
+        each node's parent (-1 for the start).
+
+        One level at a time: the frontier's neighbour rows, read in visit
+        order, list the next level's nodes in the order a FIFO queue would
+        first reach them, and the row a node is first reached from is its
+        parent.
+        """
         center = np.full(self.m, 1.0 / self.m)
         start = int(np.argmin(np.linalg.norm(self.weights - center, axis=1)))
-        order, parent = [], {start: -1}
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            order.append(i)
-            for j in self.neighbors(i):
-                if j not in parent:
-                    parent[j] = i
-                    queue.append(j)
-        return order, parent
+        parent = np.full(self.node_count, -2)
+        parent[start] = -1
+        levels, frontier = [], np.array([start])
+        while frontier.size:
+            levels.append(frontier)
+            reached = self._neighbors[frontier]
+            fresh = (reached >= 0) & (parent[np.maximum(reached, 0)] == -2)
+            reached_from = np.broadcast_to(frontier[:, None], reached.shape)[fresh]
+            reached = reached[fresh]
+            _, first = np.unique(reached, return_index=True)
+            first.sort()
+            frontier = reached[first]
+            parent[frontier] = reached_from[first]
+        return np.concatenate(levels), parent
+
+
+def _pair_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Euclidean distance between rows u[k] and v[k].
+
+    The squares are summed one coordinate at a time, which rounds exactly as
+    scipy's ``cdist`` does, so the certificates report the same digits as a
+    dense distance matrix would.
+    """
+    d = u - v
+    total = np.zeros(len(d))
+    for col in d.T:
+        total += col * col
+    return np.sqrt(total)
+
+
+def _min_pair_distance(xs: np.ndarray) -> float:
+    """Smallest distance between two rows of ``xs`` (inf for fewer than two).
+
+    A k-d tree finds each row's nearest neighbour; every pair within a hair
+    of the smallest tree distance is then measured again with
+    ``_pair_distances``, whose rounding decides the minimum.
+    """
+    if len(xs) < 2:
+        return np.inf
+    tree = cKDTree(xs)
+    nearest = float(tree.query(xs, k=2)[0][:, 1].min())
+    if nearest == 0.0:
+        return 0.0
+    near = tree.query_pairs(nearest * (1.0 + 1e-9), output_type="ndarray")
+    return float(_pair_distances(xs[near[:, 0]], xs[near[:, 1]]).min())
 
 
 def _face_label(face: tuple[int, ...]) -> str:
@@ -167,11 +233,8 @@ class ParetoAtlas:
         for c in coranks:
             hist[c] = hist.get(c, 0) + 1
         xs = self.x_array()
-        dx = cdist(xs, xs)
-        np.fill_diagonal(dx, np.inf)
-        min_pair = float(dx.min()) if self.grid.node_count > 1 else np.inf
         adj = self.grid.adjacency
-        max_adj = max((float(np.linalg.norm(xs[a] - xs[b])) for a, b in adj), default=0.0)
+        adjacent = row_norms(xs[adj[:, 0]] - xs[adj[:, 1]])
         return AtlasSummary(
             node_count=self.grid.node_count,
             resolution=self.grid.resolution,
@@ -179,8 +242,8 @@ class ParetoAtlas:
             max_kkt_residual=max(pt.kkt_residual for pt in self.points),
             corank_histogram=hist,
             dominance_violations=len(dominating_pairs(self.f_array(), DOMINANCE_TOL)),
-            min_pairwise_x_distance=min_pair,
-            max_adjacent_x_distance=max_adj,
+            min_pairwise_x_distance=_min_pair_distance(xs),
+            max_adjacent_x_distance=float(adjacent.max(initial=0.0)),
         )
 
     def report_dict(self) -> dict:
@@ -254,12 +317,10 @@ def build_atlas(problem, resolution: int, config: SolverConfig = DEFAULT_CONFIG)
     are recorded in ``failures`` (corank -1), not raised.
     """
     grid = SimplexGrid(problem.m, resolution)
-    order, parent = grid.bfs_order()
-    parents = np.array([parent[i] for i in range(grid.node_count)])
+    order, parents = grid.bfs_order()
     depth = np.zeros(grid.node_count, dtype=int)
-    for i in order[1:]:
+    for i in order[1:].tolist():
         depth[i] = depth[parents[i]] + 1
-    order = np.array(order)
     levels = np.split(order, np.flatnonzero(np.diff(depth[order])) + 1)
     x = np.empty((grid.node_count, problem.n))
     res, tol = np.empty(grid.node_count), np.empty(grid.node_count)
@@ -352,11 +413,16 @@ def injectivity_scan(atlas: ParetoAtlas, collapse_tol: float = 1e-6) -> Injectiv
     xs = atlas.x_array()
     ws = atlas.grid.weights
     threshold = 2.0 * atlas.grid.step * (1.0 + 1e-9)
-    dx = cdist(xs, xs)
-    dw = cdist(ws, ws)
-    mask = np.triu((dx <= collapse_tol) & (dw > threshold), k=1)
-    rows, cols = np.nonzero(mask)
-    pairs = list(zip(rows.tolist(), cols.tolist()))
+    # The tree's distances may differ from _pair_distances in the last bit,
+    # so search a hair wider and decide on the recomputed distances.
+    radius = max(collapse_tol, 0.0) * (1.0 + 1e-9)
+    near = cKDTree(xs).query_pairs(radius, output_type="ndarray")
+    a, b = near[:, 0], near[:, 1]
+    keep = (_pair_distances(xs[a], xs[b]) <= collapse_tol) & (
+        _pair_distances(ws[a], ws[b]) > threshold)
+    a, b = a[keep], b[keep]
+    order = np.lexsort((b, a))
+    pairs = list(zip(a[order].tolist(), b[order].tolist()))
     return InjectivityReport(
         injective_on_sample=not pairs,
         collapsed_pairs=pairs,

@@ -110,8 +110,9 @@ def _report(args, doc: dict, lines: list[str]) -> None:
             json.dump(doc, fh, indent=2)
 
 
-def _cert_line(name: str, ok: bool, detail: str) -> str:
-    return f"[{'ok' if ok else 'FAIL'}] {name}: {detail}"
+def _cert_line(name: str, ok: bool | None, detail: str) -> str:
+    """One certificate verdict; ``ok`` is None when its sample is empty."""
+    return f"[{'n/a' if ok is None else 'ok' if ok else 'FAIL'}] {name}: {detail}"
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,7 @@ def cmd_verify(args, parser) -> int:
     faces = face_consistency(atlas, config)
     inject = injectivity_scan(atlas, args.collapse_tol)
     nondom = s.dominance_violations == 0
+    no_pairs = (None, f"{s.node_count} node, no pairs to compare")
 
     checks = {
         "corank": (
@@ -233,16 +235,16 @@ def cmd_verify(args, parser) -> int:
             faces.consistent,
             f"max discrepancy {faces.max_discrepancy:.3e} over {faces.checked} "
             f"boundary nodes (tol {faces.tolerance:.3e})",
-        ),
+        ) if faces.checked else (None, "no boundary nodes to re-solve"),
         "injectivity": (
             inject.injective_on_sample,
             f"{len(inject.collapsed_pairs)} collapsed pairs "
             f"(collapse tol {inject.collapse_tol:g})",
-        ),
+        ) if s.node_count > 1 else no_pairs,
         "non-domination": (
             nondom,
             f"{s.dominance_violations} dominating pairs among node values",
-        ),
+        ) if s.node_count > 1 else no_pairs,
     }
     for name, (ok, detail) in checks.items():
         lines.append(_cert_line(name, ok, detail))
@@ -257,7 +259,7 @@ def cmd_verify(args, parser) -> int:
             f"       collapse: w={_fmt_vec(atlas.grid.weights[a])} vs "
             f"w={_fmt_vec(atlas.grid.weights[b])} |dx|={gap:.3e}"
         )
-    status = OK if all(ok for ok, _ in checks.values()) else CERT_FAIL
+    status = OK if all(ok is not False for ok, _ in checks.values()) else CERT_FAIL
     lines.append(f"verify: {'all certificates pass' if status == OK else 'FAILED'}")
     doc = {
         "schema": "pareto-atlas/run-v1",
@@ -434,7 +436,7 @@ def cmd_locate(args, parser) -> int:
         "injectivity": (
             rep.injectivity.injective_on_sample,
             f"{len(rep.injectivity.collapsed_pairs)} collapsed pairs",
-        ),
+        ) if rep.atlas.grid.node_count > 1 else (None, "1 node, no pairs to compare"),
     }
     if rep.general_position:
         checks["corank (general position)"] = (
@@ -454,7 +456,7 @@ def cmd_locate(args, parser) -> int:
         rep.atlas.to_json(json_path)
         outputs = [csv_path, json_path]
         lines.append(f"wrote {csv_path} and {json_path}")
-    status = OK if all(ok for ok, _ in checks.values()) else CERT_FAIL
+    status = OK if all(ok is not False for ok, _ in checks.values()) else CERT_FAIL
     doc = {
         "schema": "pareto-atlas/run-v1",
         "command": "locate",

@@ -65,6 +65,7 @@ class SolverConfig:
 
 
 DEFAULT_CONFIG = SolverConfig()
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -174,6 +175,9 @@ def minimize_weighted(problem, weights, config: SolverConfig = DEFAULT_CONFIG, x
 
         # Armijo backtracking, one step length per node.  A node whose step
         # shrinks to rounding stops where it is; the final check decides it.
+        # Where the required decrease is below the rounding of the value,
+        # the values cannot tell the trial apart, so a smaller gradient norm
+        # decides instead.
         alpha = np.ones(active.size)
         searching = np.ones(active.size, dtype=bool)
         while True:
@@ -184,11 +188,14 @@ def minimize_weighted(problem, weights, config: SolverConfig = DEFAULT_CONFIG, x
             nodes = active[trying]
             trial = x[nodes] + alpha[trying, None] * step[trying]
             t_value, t_grad, t_hess = _scalarized(problem, w[nodes], trial)
-            ok = t_value <= value[nodes] + config.armijo_c * alpha[trying] * slope[trying]
+            t_res = row_norms(t_grad)
+            decrease = config.armijo_c * alpha[trying] * slope[trying]
+            unresolved = np.abs(decrease) <= 8.0 * _EPS * np.maximum(1.0, np.abs(value[nodes]))
+            ok = np.where(unresolved, t_res < res[nodes], t_value <= value[nodes] + decrease)
             moved = nodes[ok]
             x[moved], value[moved], grad[moved], hess[moved] = (
                 trial[ok], t_value[ok], t_grad[ok], t_hess[ok])
-            res[moved] = row_norms(grad[moved])
+            res[moved] = t_res[ok]
             searching[trying[ok]] = False
             alpha[trying[~ok]] *= config.armijo_shrink
         running[active[alpha <= 1e-14]] = False  # no acceptable step

@@ -156,6 +156,23 @@ class TestVerify:
         assert doc["exit_status"] == 0
 
 
+    def test_empty_samples_are_not_applicable(self, tmp_path, capsys):
+        """One objective: one node, no boundary nodes and no pairs."""
+        path = tmp_path / "single.json"
+        path.write_text(json.dumps({"family": "generic_quadratic",
+                                    "q": [[[2, 0], [0, 3]]], "b": [[1, -1]], "c": [0]}))
+        code, doc = run_json(capsys, ["verify", str(path), "-r", "4", "--json"])
+        assert code == doc["exit_status"] == 0
+        verdicts = {name: c["ok"] for name, c in doc["certificates"].items()}
+        assert verdicts == {"corank": True, "face-consistency": None,
+                            "injectivity": None, "non-domination": None}
+        assert main(["verify", str(path), "-r", "4"]) == 0
+        out = capsys.readouterr().out
+        for name in ("face-consistency", "injectivity", "non-domination"):
+            assert f"[n/a] {name}: " in out
+        assert "[ok] face-consistency" not in out
+
+
 class TestAtlas:
     def test_writes_csv_and_json(self, tmp_path, capsys):
         prefix = tmp_path / "atl"
@@ -301,6 +318,14 @@ class TestLocate:
         assert code == 0
         assert (tmp_path / "tri.csv").exists()
         assert (tmp_path / "tri.json").exists()
+
+    def test_single_point_has_no_pairs_to_compare(self, tmp_path, capsys):
+        path = tmp_path / "single.json"
+        path.write_text(serialize_problem(build_problem(DistanceSquared(np.array([[1.0, 2.0]])))))
+        code, doc = run_json(capsys, ["locate", str(path), "-r", "3", "--json"])
+        assert code == doc["exit_status"] == 0
+        assert main(["locate", str(path), "-r", "3"]) == 0
+        assert "[n/a] injectivity: " in capsys.readouterr().out
 
     def test_wrong_family_exits_2(self, capsys):
         assert main(["locate", "--builtin", "example31"]) == 2

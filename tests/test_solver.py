@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import interior_weights, random_quadratic, softplus_problem
+from conftest import SoftplusFamily, interior_weights, random_quadratic, softplus_problem
 from pareto_atlas import (
     GenericQuadratic,
     MaxIterExceeded,
@@ -14,6 +14,8 @@ from pareto_atlas import (
     SingularNewtonSystem,
     SolverConfig,
     Weight,
+    build_atlas,
+    build_problem,
     minimize_weighted,
     raise_unconverged,
     scalarize,
@@ -129,6 +131,18 @@ class TestBatch:
             raise_unconverged(result)
         assert err.value.residual == res[2]
         assert_allclose(err.value.x, x[2])
+
+    def test_decrease_below_value_rounding_still_converges(self):
+        """Near the minimizer the Armijo decrease is below the rounding of
+        the value; the gradient norm decides there, so no node stalls."""
+        pt = scalarize(softplus_problem(), [0.1, 0.9, 0.0])
+        assert pt.kkt_residual <= pt.grad_tol
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_steep_softplus_atlas_has_no_failures(self, seed):
+        gen = np.random.default_rng(seed)
+        family = SoftplusFamily(3.0 * gen.normal(size=(3, 2)), gen.normal(size=(3, 2)))
+        assert build_atlas(build_problem(family), 10).failures == []
 
     def test_stack_weights_validated_per_row(self, example32):
         with pytest.raises(ValueError, match="not all zero"):

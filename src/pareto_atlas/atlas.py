@@ -38,6 +38,7 @@ __all__ = [
     "FaceConsistencyReport",
     "InjectivityReport",
     "build_atlas",
+    "solve_grid",
     "face_consistency",
     "injectivity_scan",
 ]
@@ -152,6 +153,17 @@ class SimplexGrid:
             frontier = reached[first]
             parent[frontier] = reached_from[first]
         return np.concatenate(levels), parent
+
+    def levels(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """``bfs_order`` split into its levels, and each node's parent.
+
+        A node's level is its distance from the start, which is half the L1
+        distance between their compositions: every move shifts one unit
+        from one coordinate to another.
+        """
+        order, parent = self.bfs_order()
+        depth = np.abs(self.nodes - self.nodes[order[0]]).sum(axis=1) // 2
+        return np.split(order, np.flatnonzero(np.diff(depth[order])) + 1), parent
 
 
 def _pair_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -309,30 +321,42 @@ class ParetoAtlas:
                 writer.writerow(row)
 
 
-def build_atlas(problem, resolution: int, config: SolverConfig = DEFAULT_CONFIG) -> ParetoAtlas:
-    """Solve every grid node, one breadth-first level at a time.
+def solve_grid(problem, grid: SimplexGrid, config: SolverConfig = DEFAULT_CONFIG,
+               linear: np.ndarray | None = None) -> NewtonResult:
+    """Minimizers at every grid node, one breadth-first level at a time.
 
-    Each level of ``SimplexGrid.bfs_order`` is one Newton batch, warm-started
-    from the parents' minimizers.  Nodes that exhaust the iteration budget
-    are recorded in ``failures`` (corank -1), not raised.
+    Each level of ``SimplexGrid.levels`` is one Newton batch, warm-started
+    from the parents' minimizers.  With ``linear`` of shape (T, m, n) the
+    grid is solved for each of the T problems f_i + linear[t, i] . x, every
+    level still one batch, and the result has T * N rows, problem-major.
+    """
+    levels, parents = grid.levels()
+    terms = 1 if linear is None else len(linear)
+    shape = (terms, grid.node_count)
+    x = np.empty(shape + (problem.n,))
+    res, tol = np.empty(shape), np.empty(shape)
+    iterations = np.empty(shape, dtype=int)
+    for level in levels:
+        warm = x[:, parents[level]].reshape(-1, problem.n) if parents[level[0]] >= 0 else None
+        rows = None if linear is None else np.repeat(linear, len(level), axis=0)
+        result = minimize_weighted(problem, np.tile(grid.weights[level], (terms, 1)), config,
+                                   x0=warm, linear=rows)
+        for out, got in zip((x, res, iterations, tol), result):
+            out[:, level] = got.reshape((terms, len(level)) + got.shape[1:])
+    return NewtonResult(x.reshape(-1, problem.n), res.ravel(), iterations.ravel(), tol.ravel())
+
+
+def build_atlas(problem, resolution: int, config: SolverConfig = DEFAULT_CONFIG) -> ParetoAtlas:
+    """Solve every grid node, one breadth-first level at a time (``solve_grid``).
+
+    Nodes that exhaust the iteration budget are recorded in ``failures``
+    (corank -1), not raised.
     """
     grid = SimplexGrid(problem.m, resolution)
-    order, parents = grid.bfs_order()
-    depth = np.zeros(grid.node_count, dtype=int)
-    for i in order[1:].tolist():
-        depth[i] = depth[parents[i]] + 1
-    levels = np.split(order, np.flatnonzero(np.diff(depth[order])) + 1)
-    x = np.empty((grid.node_count, problem.n))
-    res, tol = np.empty(grid.node_count), np.empty(grid.node_count)
-    iterations = np.empty(grid.node_count, dtype=int)
-    for level in levels:
-        warm = x[parents[level]] if parents[level[0]] >= 0 else None
-        x[level], res[level], iterations[level], tol[level] = minimize_weighted(
-            problem, grid.weights[level], config, x0=warm)
-    result = NewtonResult(x, res, iterations, tol)
+    result = solve_grid(problem, grid, config)
     weights = [grid.weight_of(i) for i in range(grid.node_count)]
     points = pareto_points(problem, weights, result, config.rank_tol)
-    failures = np.flatnonzero(res > tol).tolist()
+    failures = np.flatnonzero(result.residual > result.tol).tolist()
     return ParetoAtlas(problem, grid, points, config, failures)
 
 

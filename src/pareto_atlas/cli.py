@@ -351,6 +351,10 @@ def cmd_perturb(args, parser) -> int:
         seed=args.seed,
         config=config,
     )
+    failures = sum(len(t.failures) for t in rep.results)
+    if failures:
+        print(f"error: {failures} nodes failed to converge", file=sys.stderr)
+        return SOLVER_ERROR
     ok = all(rep.all_simplicial(t) for t in tols)
     lines.append(
         f"genericity: {args.trials} trials, scale {args.scale:g}, "

@@ -21,6 +21,7 @@ __all__ = [
     "numerical_rank",
     "rank_report",
     "corank_at",
+    "corank_certificate",
     "certify_corank_on_atlas",
     "fold_check",
     "cokernel_basis",
@@ -94,16 +95,13 @@ class CorankCertificate:
         return f"corank certificate (tol {self.tolerance:g}): {verdict}"
 
 
-def certify_corank_on_atlas(atlas, tol: float = DEFAULT_RANK_TOL) -> CorankCertificate:
-    """Recompute Jacobian coranks at every atlas node.
+def corank_certificate(sv: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> CorankCertificate:
+    """Corank certificate from each node's Jacobian singular values.
 
-    Independent of whatever the solver stored: this evaluates the Jacobians
-    at the stored minimizers and takes fresh SVDs, all nodes in one batch.
+    ``sv`` is (N, k), one descending row per node, k = min(m, n).
     """
-    jac = atlas.problem.evaluate(atlas.x_array())[1]
-    sv = np.linalg.svd(jac, compute_uv=False)
     rank = numerical_rank(sv, tol)
-    coranks = min(jac.shape[1:]) - rank
+    coranks = sv.shape[1] - rank
     retained = np.take_along_axis(sv, np.maximum(rank - 1, 0)[:, None], axis=1)[:, 0]
     gaps = np.full(len(rank), np.inf)
     gaps[rank > 0] = retained[rank > 0] / sv[rank > 0, 0]
@@ -117,6 +115,16 @@ def certify_corank_on_atlas(atlas, tol: float = DEFAULT_RANK_TOL) -> CorankCerti
         simplicial_on_sample=max_corank <= 1,
         min_gap=float(gaps.min()),
     )
+
+
+def certify_corank_on_atlas(atlas, tol: float = DEFAULT_RANK_TOL) -> CorankCertificate:
+    """Recompute Jacobian coranks at every atlas node.
+
+    Independent of whatever the solver stored: this evaluates the Jacobians
+    at the stored minimizers and takes fresh SVDs, all nodes in one batch.
+    """
+    jac = atlas.problem.evaluate(atlas.x_array())[1]
+    return corank_certificate(np.linalg.svd(jac, compute_uv=False), tol)
 
 
 # ---------------------------------------------------------------------------

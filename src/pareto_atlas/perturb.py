@@ -12,13 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .atlas import build_atlas
+from .atlas import SimplexGrid, build_atlas, solve_grid
 from .diagnostics import (
     DEFAULT_RANK_TOL,
     CorankCertificate,
-    certify_corank_on_atlas,
+    certify_corank_on_atlas,  # noqa: F401 -- unused here; perfbench/tracing.py patches it
     cokernel_basis,
     corank_at,
+    corank_certificate,
 )
 from .problems import ProblemBase
 from .solver import (
@@ -27,6 +28,7 @@ from .solver import (
     minimize_weighted,
     raise_unconverged,
     row_norms,
+    with_linear,
 )
 
 __all__ = [
@@ -86,9 +88,9 @@ class PerturbedProblem(ProblemBase):
         self.family = None
 
     def evaluate(self, xs):
+        xs = np.asarray(xs, dtype=float)
         values, jac, hess = self.base.evaluate(xs)
-        coeff = self.perturbation.coefficients
-        return values + np.asarray(xs, dtype=float) @ coeff.T, jac + coeff, hess
+        return (*with_linear(values, jac, self.perturbation.coefficients, xs), hess)
 
     def __repr__(self):
         return f"PerturbedProblem({self.base!r}, scale={self.perturbation.scale:g})"
@@ -110,6 +112,7 @@ class GenericityTrial:
     scale: float
     certificates: dict[float, CorankCertificate]
     max_kkt_residual: float
+    failures: list[int]  # nodes whose residual is above its tolerance
 
     def max_corank(self, tol: float) -> int:
         return self.certificates[tol].max_corank
@@ -175,26 +178,33 @@ def genericity_experiment(
     """Atlas + corank sweep for ``trials`` seeded random perturbations.
 
     Trial t draws its perturbation with seed ``seed + t``, so runs are
-    reproducible point by point.  Raises ValueError for ``trials < 1``: a
-    sweep over no trials certifies nothing.
+    reproducible point by point.  Every trial solves the same grid, so each
+    breadth-first level is one Newton batch over all trials, and one SVD
+    batch gives every trial's coranks.  Raises ValueError for
+    ``trials < 1``: a sweep over no trials certifies nothing.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     tols = tuple(float(t) for t in np.atleast_1d(rank_tols))
-
-    def run(trial: int) -> GenericityTrial:
-        pi = LinearPerturbation.draw(problem.n, problem.m, seed + trial, scale)
-        atlas = build_atlas(perturb_problem(problem, pi), resolution, config)
-        certs = {tol: certify_corank_on_atlas(atlas, tol) for tol in tols}
-        return GenericityTrial(
-            trial=trial,
-            seed=seed + trial,
+    pis = np.array([LinearPerturbation.draw(problem.n, problem.m, seed + t, scale).coefficients
+                    for t in range(trials)])
+    grid = SimplexGrid(problem.m, resolution)
+    result = solve_grid(problem, grid, config, pis)
+    jac = problem.evaluate(result.x)[1] + np.repeat(pis, grid.node_count, axis=0)
+    sv = np.linalg.svd(jac, compute_uv=False).reshape(trials, grid.node_count, -1)
+    residual = result.residual.reshape(trials, -1)
+    failed = residual > result.tol.reshape(trials, -1)
+    results = [
+        GenericityTrial(
+            trial=t,
+            seed=seed + t,
             scale=scale,
-            certificates=certs,
-            max_kkt_residual=max(pt.kkt_residual for pt in atlas.points),
+            certificates={tol: corank_certificate(sv[t], tol) for tol in tols},
+            max_kkt_residual=float(residual[t].max()),
+            failures=np.flatnonzero(failed[t]).tolist(),
         )
-
-    results = [run(t) for t in range(trials)]
+        for t in range(trials)
+    ]
     return GenericityReport(
         trials=trials,
         scale=scale,
@@ -410,24 +420,26 @@ def stability_experiment(
 
     All scales reuse the same seed, so they perturb along a single direction
     with decreasing magnitude; displacements should decrease accordingly.
-    Each scale is one Newton batch over the grid, every node warm-started
+    All scales are one Newton batch over the grid, every node warm-started
     at its unperturbed minimizer.
     """
     base = build_atlas(problem, resolution, config)
-    base_x = base.x_array()
-    rows = []
-    for scale in scales:
-        pi = LinearPerturbation.draw(problem.n, problem.m, seed, float(scale))
-        moved = minimize_weighted(perturb_problem(problem, pi), base.grid.weights, config,
-                                  x0=base_x)
-        raise_unconverged(moved)
-        gaps = row_norms(moved.x - base_x)
-        rows.append(
-            StabilityRow(
-                scale=float(scale),
-                seed=seed,
-                sup_displacement=float(gaps.max()),
-                mean_displacement=float(gaps.mean()),
-            )
+    scales = [float(scale) for scale in scales]
+    pis = np.array([LinearPerturbation.draw(problem.n, problem.m, seed, scale).coefficients
+                    for scale in scales]).reshape(-1, problem.m, problem.n)
+    count = base.grid.node_count
+    base_x = np.tile(base.x_array(), (len(scales), 1))
+    moved = minimize_weighted(problem, np.tile(base.grid.weights, (len(scales), 1)), config,
+                              x0=base_x, linear=np.repeat(pis, count, axis=0))
+    raise_unconverged(moved)
+    gaps = row_norms(moved.x - base_x).reshape(len(scales), count)
+    rows = [
+        StabilityRow(
+            scale=scale,
+            seed=seed,
+            sup_displacement=float(gap.max()),
+            mean_displacement=float(gap.mean()),
         )
+        for scale, gap in zip(scales, gaps)
+    ]
     return StabilityReport(resolution=resolution, seed=seed, rows=rows)

@@ -107,10 +107,23 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(a, a))
 
 
-def _scalarized(problem, weights: np.ndarray, xs: np.ndarray):
-    """Value, gradient and Hessian of sum_i w_i f_i at each row of ``xs``."""
+def with_linear(values: np.ndarray, jac: np.ndarray, linear: np.ndarray, xs: np.ndarray):
+    """Values and Jacobians of f_i + pi_i . x, given those of f at the rows of ``xs``.
+
+    ``linear`` is one (m, n) matrix pi for every row or an (N, m, n) stack,
+    one per row; either way each product pi x is taken row by row, so the
+    two forms round alike.
+    """
+    return values + np.matmul(linear, xs[:, :, None])[:, :, 0], jac + linear
+
+
+def _scalarized(problem, weights: np.ndarray, xs: np.ndarray, linear: np.ndarray | None = None):
+    """Value, gradient and Hessian of sum_i w_i (f_i + pi_i . x) at each row of
+    ``xs``, with pi = ``linear[k]`` for row k (no linear term when None)."""
     values, jac, hess = problem.evaluate(xs)
-    flat = hess.reshape(len(hess), problem.m, -1)
+    if linear is not None:
+        values, jac = with_linear(values, jac, linear, xs)
+    flat = hess.reshape(len(hess), problem.m, problem.n * problem.n)
     mixed = _weighted(weights, flat).reshape(len(xs), problem.n, problem.n)
     return _dot(weights, values), _weighted(weights, jac), mixed
 
@@ -124,14 +137,17 @@ def _spd_solve(mats: np.ndarray, rhs: np.ndarray, where: str = "") -> np.ndarray
     return np.linalg.solve(mats, rhs)
 
 
-def minimize_weighted(problem, weights, config: SolverConfig = DEFAULT_CONFIG, x0=None):
+def minimize_weighted(problem, weights, config: SolverConfig = DEFAULT_CONFIG, x0=None,
+                      linear=None):
     """Minimize sum_i weights_i f_i by damped Newton, for one weight or a stack.
 
     ``weights`` is a nonnegative, nonzero length-m vector (the minimizer is
     invariant under positive scaling) or an (N, m) stack of them; ``x0`` is
     one start point or one per weight (default ``config.initial_point``,
-    else the origin).  Every node stops on its own tolerance, ``grad_tol``
-    scaled by max(1, its initial gradient norm).
+    else the origin).  ``linear``, an (N, m, n) stack, gives node k its own
+    problem f_i + linear[k, i] . x, so nodes of differently perturbed
+    problems share one batch.  Every node stops on its own tolerance,
+    ``grad_tol`` scaled by max(1, its initial gradient norm).
 
     Returns a NewtonResult.  For a stack, a node converged exactly when
     residual <= tol; one that did not carries its best iterate and
@@ -141,7 +157,7 @@ def minimize_weighted(problem, weights, config: SolverConfig = DEFAULT_CONFIG, x
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim == 1:
-        result = minimize_weighted(problem, w[None, :], config, x0)
+        result = minimize_weighted(problem, w[None, :], config, x0, linear)
         raise_unconverged(result)
         x, res, iters, tol = result
         return NewtonResult(x[0], float(res[0]), int(iters[0]), float(tol[0]))
@@ -151,10 +167,16 @@ def minimize_weighted(problem, weights, config: SolverConfig = DEFAULT_CONFIG, x
         raise ValueError("weights must be finite, nonnegative and not all zero")
 
     count = len(w)
+    if linear is not None and np.shape(linear) != (count, problem.m, problem.n):
+        raise ValueError(f"expected linear terms of shape {(count, problem.m, problem.n)}, "
+                         f"got {np.shape(linear)}")
     start = x0 if x0 is not None else config.initial_point
-    x = np.array(np.broadcast_to(0.0 if start is None else start, (count, problem.n)), float)
+    # C order whatever the start's shape: stacked products round by layout,
+    # and a row must round alike in every batch.
+    x = np.array(np.broadcast_to(0.0 if start is None else start, (count, problem.n)), float,
+                 order="C")
 
-    value, grad, hess = _scalarized(problem, w, x)
+    value, grad, hess = _scalarized(problem, w, x, linear)
     res = row_norms(grad)
     tol = config.grad_tol * np.maximum(1.0, res)
     best_x, best_res = x.copy(), res.copy()
@@ -187,7 +209,8 @@ def minimize_weighted(problem, weights, config: SolverConfig = DEFAULT_CONFIG, x
                 break
             nodes = active[trying]
             trial = x[nodes] + alpha[trying, None] * step[trying]
-            t_value, t_grad, t_hess = _scalarized(problem, w[nodes], trial)
+            t_value, t_grad, t_hess = _scalarized(
+                problem, w[nodes], trial, None if linear is None else linear[nodes])
             t_res = row_norms(t_grad)
             decrease = config.armijo_c * alpha[trying] * slope[trying]
             unresolved = np.abs(decrease) <= 8.0 * _EPS * np.maximum(1.0, np.abs(value[nodes]))

@@ -148,9 +148,11 @@ class SoftplusFamily:
         return values, jac, hess
 
 
-def softplus_problem(seed: int = 0, n: int = 2, m: int = 3):
+def softplus_problem(seed: int = 0, n: int = 2, m: int = 3, steepness: float = 1.0):
+    """A seeded SoftplusFamily; steepness scales the a_i (at 10, Armijo backtracks)."""
     gen = np.random.default_rng(seed)
-    return build_problem(SoftplusFamily(gen.normal(size=(m, n)), gen.normal(size=(m, n))))
+    return build_problem(SoftplusFamily(steepness * gen.normal(size=(m, n)),
+                                        gen.normal(size=(m, n))))
 
 
 def fd_gradients(problem, x, h: float = 1e-6) -> np.ndarray:

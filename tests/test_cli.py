@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pareto_atlas
 from pareto_atlas import DistanceSquared, build_problem, serialize_problem
 from pareto_atlas.cli import main
 
@@ -218,6 +221,15 @@ class TestPerturb:
         assert doc["genericity"]["results"][0]["seed"] == 0
         assert set(doc["options"]) == {"trials", "scale", "resolution", "seed", "rank_tols"}
 
+    def test_unconverged_nodes_exit_3(self, capsys):
+        """Coranks at iterates that are not minimizers certify nothing."""
+        code = main(["perturb", "--builtin", "example31", "--trials", "2", "-r", "5",
+                     "--max-iter", "0"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert "error: 42 nodes failed to converge" in err
+        assert "[ok]" not in out
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_empty_sweep_exits_2(self, capsys, trials):
         assert main(["perturb", "--builtin", "example31", "--trials", trials, "-r", "5"]) == 2
@@ -333,11 +345,16 @@ class TestLocate:
 
 
 def test_console_script_runs():
+    # The child imports the package this test imported, also where only
+    # pytest's own pythonpath setting put it on the path.
+    src = str(Path(pareto_atlas.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pareto_atlas.cli", "solve", "--builtin",
          "example31", "-w", "0.2,0.3,0.5", "--json"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -11,16 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from conftest import fixture_problems
+from conftest import fixture_problems, interior_weights, softplus_problem
 from pareto_atlas import (
     GenericQuadratic,
+    LinearPerturbation,
     SimplexGrid,
+    SolverConfig,
     build_atlas,
     build_problem,
     builtin_problem,
+    certify_corank_on_atlas,
     dominating_pairs,
+    genericity_experiment,
     injectivity_scan,
+    minimize_weighted,
+    perturb_problem,
+    stability_experiment,
 )
+from pareto_atlas.solver import row_norms
 
 # ---------------------------------------------------------------------------
 # References
@@ -130,6 +138,13 @@ def test_grid_matches_the_loop_reference(m, r):
     ref_order, ref_parent = ref.bfs_order()
     assert order.tolist() == ref_order
     assert parent.tolist() == [ref_parent[i] for i in range(grid.node_count)]
+    depth = {}
+    for i in ref_order:
+        depth[i] = 0 if ref_parent[i] < 0 else depth[ref_parent[i]] + 1
+    levels, level_parent = grid.levels()
+    assert [level.tolist() for level in levels] == [
+        [i for i in ref_order if depth[i] == d] for d in range(max(depth.values()) + 1)]
+    assert np.array_equal(level_parent, parent)
 
 
 def test_grid_with_forty_objectives():
@@ -211,3 +226,66 @@ def test_certificates_stay_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Perturbations as a per-node linear term, against one perturbed problem each
+# ---------------------------------------------------------------------------
+
+
+def _perturbation_problems():
+    """Three quadratics, solved in one Newton step, and two softplus
+    families that take several; the steep one backtracks (9 times in the
+    genericity test at max_iter 200, 6 times in the row-by-row test)."""
+    return [("example31", builtin_problem("example31")),
+            ("example32", builtin_problem("example32")),
+            ("remark_g", builtin_problem("remark_g")),
+            ("softplus", softplus_problem()),
+            ("steep_softplus", softplus_problem(3, steepness=10.0))]
+
+
+@pytest.mark.parametrize("max_iter", [200, 1, 0])
+@pytest.mark.parametrize("name,problem", _perturbation_problems())
+def test_batched_genericity_matches_one_atlas_per_trial(name, problem, max_iter):
+    config = SolverConfig(max_iter=max_iter)
+    tols = (1e-7, 1e-8, 1e-9)
+    report = genericity_experiment(problem, 3, 0.3, 6, rank_tols=tols, seed=5, config=config)
+    for trial in report.results:
+        pi = LinearPerturbation.draw(problem.n, problem.m, trial.seed, 0.3)
+        atlas = build_atlas(perturb_problem(problem, pi), 6, config)
+        assert trial.failures == atlas.failures
+        assert trial.max_kkt_residual == max(pt.kkt_residual for pt in atlas.points)
+        for tol in tols:
+            want, got = certify_corank_on_atlas(atlas, tol), trial.certificates[tol]
+            assert np.array_equal(got.coranks, want.coranks)
+            assert (got.witnesses, got.min_gap) == (want.witnesses, want.min_gap)
+    if max_iter == 0:
+        assert all(trial.failures for trial in report.results)
+
+
+@pytest.mark.parametrize("name,problem", _perturbation_problems())
+def test_linear_term_matches_the_perturbed_problem_row_by_row(name, problem):
+    """Two perturbations in one batch, every node started at (-3, ..., -3)."""
+    weights = interior_weights(problem.m, 6, seed=4)
+    pis = [LinearPerturbation.draw(problem.n, problem.m, seed, 0.5) for seed in (1, 2)]
+    linear = np.repeat([pi.coefficients for pi in pis], len(weights), axis=0)
+    start = np.full(problem.n, -3.0)
+    got = minimize_weighted(problem, np.vstack([weights, weights]), x0=start, linear=linear)
+    want = [minimize_weighted(perturb_problem(problem, pi), weights, x0=start) for pi in pis]
+    for field, rows in zip(got, zip(*want)):
+        assert np.array_equal(field, np.concatenate(rows))
+    assert got.iterations.max() >= 1
+
+
+@pytest.mark.parametrize("name,problem", _perturbation_problems())
+def test_stability_matches_one_batch_per_scale(name, problem):
+    scales = [0.1, 0.01, 0.0]
+    report = stability_experiment(problem, scales, 5, seed=3)
+    base = build_atlas(problem, 5)
+    base_x = base.x_array()
+    for scale, row in zip(scales, report.rows):
+        pi = LinearPerturbation.draw(problem.n, problem.m, 3, scale)
+        moved = minimize_weighted(perturb_problem(problem, pi), base.grid.weights, x0=base_x)
+        gaps = row_norms(moved.x - base_x)
+        assert (row.sup_displacement, row.mean_displacement) == (gaps.max(), gaps.mean())
+    assert stability_experiment(problem, [], 5).rows == []

@@ -10,7 +10,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .atlas import (
     FaceConsistencyReport,
@@ -36,6 +35,16 @@ __all__ = [
     "ridge_path",
     "write_ridge_csv",
 ]
+
+
+def __getattr__(name):
+    # ``apps.linprog`` stays resolvable because perfbench/tracing.py patches
+    # it; the package imports linprog only where an LP is solved, so that
+    # SciPy loads only there.
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +77,8 @@ def _hull_violation(points: np.ndarray, x: np.ndarray) -> float:
 
     Minimizes t subject to |P^T lam - x|_inf <= t over barycentric lam.
     """
+    from scipy.optimize import linprog
+
     m, n = points.shape
     c = np.zeros(m + 1)
     c[-1] = 1.0

@@ -16,7 +16,6 @@ from itertools import chain, combinations
 from math import comb
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .ordering import DOMINANCE_TOL, dominating_pairs
 from .problems import Weight, restrict
@@ -180,21 +179,75 @@ def _pair_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
-def _min_pair_distance(xs: np.ndarray) -> float:
-    """Smallest distance between two rows of ``xs`` (inf for fewer than two).
+def _close_pairs(xs: np.ndarray, radius: float, shrink: bool = False):
+    """Candidate pairs of rows of ``xs`` for distance ``radius``: index arrays
+    a < b and the ``_pair_distances`` of each pair.
 
-    A k-d tree finds each row's nearest neighbour; every pair within a hair
-    of the smallest tree distance is then measured again with
-    ``_pair_distances``, whose rounding decides the minimum.
+    Every pair at distance <= ``radius`` is among them.  Sort and sweep
+    (Friedman, Baskett & Shustek 1975): the rows are sorted by their
+    projection p on the leading principal axis, and sorted row i meets row
+    i + k, k = 1, 2, ..., while p[i + k] - p[i] stays within the radius plus
+    the rounding bound below.  That gap only grows with k, so a row that
+    leaves the sweep never comes back and the work is O(N + candidates).
+    The projection on the second axis screens the candidates before their
+    distances are taken: the remark_g atlas at r = 100 has 2,601 rows on
+    one plane orthogonal to the first axis.  With ``shrink`` the radius
+    follows the smallest distance found, and the sweep stops at 0.
     """
-    if len(xs) < 2:
-        return np.inf
-    tree = cKDTree(xs)
-    nearest = float(tree.query(xs, k=2)[0][:, 1].min())
-    if nearest == 0.0:
-        return 0.0
-    near = tree.query_pairs(nearest * (1.0 + 1e-9), output_type="ndarray")
-    return float(_pair_distances(xs[near[:, 0]], xs[near[:, 1]]).min())
+    if not np.isfinite(xs).all():
+        raise ValueError("pair search needs finite rows")
+    count, n = xs.shape
+    none = np.empty(0, dtype=int)
+    found = [(none, none, np.empty(0))]
+    if count < 2 or radius < 0.0:
+        return found[0]
+    lead, *rest = np.linalg.svd(xs - xs.mean(axis=0), full_matrices=False)[2]
+
+    def project(axis):  # one column at a time, so equal rows project equally
+        p = np.zeros(count)
+        for a_c, col in zip(axis, xs.T):
+            p += a_c * col
+        return p
+
+    proj = project(lead)
+    order = np.argsort(proj, kind="stable")
+    proj, screen, rows = proj[order], project(rest[0] if rest else lead)[order], xs[order]
+    # A projection is a sum of n rounded products, off by at most
+    # n * eps/2 * |x_i|.  |x_i - x_j| exceeds its _pair_distances by at most
+    # a factor 1 + (n + 2) * eps/2, plus sqrt(n * smallest subnormal) where
+    # the squares underflow.  gap_limit covers all three with room.
+    slack = 2.0 * (n + 2) * np.finfo(float).eps
+    floor = 2.0 * np.sqrt(n * np.finfo(float).smallest_subnormal)
+    norm = float(row_norms(xs).max())
+
+    def gap_limit(r):
+        return r + slack * (r + norm) + floor
+
+    active = np.arange(count - 1)  # sorted positions still in the sweep
+    for k in range(1, count):
+        limit = gap_limit(radius)
+        active = active[:np.searchsorted(active, count - k)]
+        active = active[proj[active + k] - proj[active] <= limit]
+        if not active.size:
+            break
+        near = active[np.abs(screen[active + k] - screen[active]) <= limit]
+        d = _pair_distances(rows[near], rows[near + k])
+        if shrink and d.size:
+            radius = min(radius, float(d.min()))
+            limit = gap_limit(radius)
+        keep = d <= limit
+        found.append((near[keep], near[keep] + k, d[keep]))
+        if shrink and radius == 0.0:
+            break
+    i, j, d = (np.concatenate(part) for part in zip(*found))
+    a, b = order[i], order[j]
+    return np.minimum(a, b), np.maximum(a, b), d
+
+
+def _min_pair_distance(xs: np.ndarray, radius: float = np.inf) -> float:
+    """Smallest ``_pair_distances`` between two rows of ``xs`` (inf for fewer
+    than two); ``radius``, the distance of some pair, starts the search."""
+    return float(_close_pairs(xs, radius, shrink=True)[2].min(initial=np.inf))
 
 
 def _face_label(face: tuple[int, ...]) -> str:
@@ -215,6 +268,8 @@ class AtlasSummary:
     def as_dict(self) -> dict:
         d = self.__dict__.copy()
         d["corank_histogram"] = {str(k): v for k, v in self.corank_histogram.items()}
+        if self.node_count < 2:  # no pair, and JSON has no Infinity
+            d["min_pairwise_x_distance"] = None
         return d
 
 
@@ -247,6 +302,7 @@ class ParetoAtlas:
         xs = self.x_array()
         adj = self.grid.adjacency
         adjacent = row_norms(xs[adj[:, 0]] - xs[adj[:, 1]])
+        nearest = _min_pair_distance(xs, float(adjacent.min(initial=np.inf)))
         return AtlasSummary(
             node_count=self.grid.node_count,
             resolution=self.grid.resolution,
@@ -254,7 +310,7 @@ class ParetoAtlas:
             max_kkt_residual=max(pt.kkt_residual for pt in self.points),
             corank_histogram=hist,
             dominance_violations=len(dominating_pairs(self.f_array(), DOMINANCE_TOL)),
-            min_pairwise_x_distance=_min_pair_distance(xs),
+            min_pairwise_x_distance=nearest,
             max_adjacent_x_distance=float(adjacent.max(initial=0.0)),
         )
 
@@ -437,13 +493,8 @@ def injectivity_scan(atlas: ParetoAtlas, collapse_tol: float = 1e-6) -> Injectiv
     xs = atlas.x_array()
     ws = atlas.grid.weights
     threshold = 2.0 * atlas.grid.step * (1.0 + 1e-9)
-    # The tree's distances may differ from _pair_distances in the last bit,
-    # so search a hair wider and decide on the recomputed distances.
-    radius = max(collapse_tol, 0.0) * (1.0 + 1e-9)
-    near = cKDTree(xs).query_pairs(radius, output_type="ndarray")
-    a, b = near[:, 0], near[:, 1]
-    keep = (_pair_distances(xs[a], xs[b]) <= collapse_tol) & (
-        _pair_distances(ws[a], ws[b]) > threshold)
+    a, b, d = _close_pairs(xs, collapse_tol)
+    keep = (d <= collapse_tol) & (_pair_distances(ws[a], ws[b]) > threshold)
     a, b = a[keep], b[keep]
     order = np.lexsort((b, a))
     pairs = list(zip(a[order].tolist(), b[order].tolist()))

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .atlas import SimplexGrid, build_atlas, solve_grid
 from .diagnostics import (
@@ -303,6 +302,8 @@ def _interior_intersection(cok: np.ndarray):
     k = cok.shape[1]
     if k == 0:
         return False, -np.inf, None
+    from scipy.optimize import linprog
+
     c_obj = np.zeros(k + 1)
     c_obj[-1] = -1.0  # maximize t
     a_ub = np.hstack([-cok, np.ones((cok.shape[0], 1))])

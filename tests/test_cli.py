@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import pareto_atlas
-from pareto_atlas import DistanceSquared, build_problem, serialize_problem
+from conftest import fixture_problems
+from pareto_atlas import DistanceSquared, RidgePair, build_problem, serialize_problem
 from pareto_atlas.cli import main
 
 
@@ -169,6 +170,7 @@ class TestVerify:
         verdicts = {name: c["ok"] for name, c in doc["certificates"].items()}
         assert verdicts == {"corank": True, "face-consistency": None,
                             "injectivity": None, "non-domination": None}
+        assert doc["summary"]["min_pairwise_x_distance"] is None  # JSON has no Infinity
         assert main(["verify", str(path), "-r", "4"]) == 0
         out = capsys.readouterr().out
         for name in ("face-consistency", "injectivity", "non-domination"):
@@ -344,18 +346,116 @@ class TestLocate:
         assert "distance_squared" in capsys.readouterr().err
 
 
-def test_console_script_runs():
-    # The child imports the package this test imported, also where only
-    # pytest's own pythonpath setting put it on the path.
+def _strict_json(text: str):
+    """json.loads that rejects NaN and Infinity, as JSON itself does."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def _json_runs(problem, path: Path, out: Path):
+    """Every --json invocation that applies to ``problem`` (stored at ``path``),
+    each with the export files it writes."""
+    runs = [(["solve", str(path), "-w", ",".join(["1"] + ["0"] * (problem.m - 1))], []),
+            (["atlas", str(path), "-r", "3", "--out", str(out / "atlas")],
+             [out / "atlas.json"]),
+            (["verify", str(path), "-r", "3"], []),
+            (["perturb", str(path), "--trials", "2", "-r", "3"], []),
+            (["perturb", str(path), "--stability", "-r", "3"], [])]
+    if problem.n == problem.m == 4:
+        runs.append((["perturb", str(path), "--track"], []))
+    if isinstance(problem.family, DistanceSquared):
+        runs.append((["locate", str(path), "-r", "3", "--out", str(out / "loc")],
+                     [out / "loc.json"]))
+    if isinstance(problem.family, RidgePair):
+        data = out / "ridge.csv"
+        family = problem.family
+        np.savetxt(data, np.column_stack([family.x_data, family.y_data]), delimiter=",")
+        runs.append((["ridge", str(data), "--mu", repr(family.mu), "-r", "5"], []))
+    return runs
+
+
+_SINGLE_NODE = ("single_node", build_problem(DistanceSquared(np.array([[0.0, 0.0]]))))
+
+
+@pytest.mark.parametrize("name,problem", fixture_problems() + [_SINGLE_NODE])
+def test_every_json_output_is_standard_json(name, problem, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(serialize_problem(problem))
+    for argv, exports in _json_runs(problem, path, tmp_path):
+        code = main(argv + ["--json"])
+        assert code in (0, 1), argv
+        doc = _strict_json(capsys.readouterr().out)
+        assert doc["exit_status"] == code
+        for export in exports:
+            _strict_json(export.read_text())
+
+
+def _child_env() -> dict:
+    """Environment for a child that imports the package this test imported,
+    also where only pytest's own pythonpath setting put it on the path."""
     src = str(Path(pareto_atlas.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+
+
+def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "pareto_atlas.cli", "solve", "--builtin",
          "example31", "-w", "0.2,0.3,0.5", "--json"],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_child_env(),
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["command"] == "solve"
+
+
+# Runs each argv through cli.main in one fresh interpreter and prints, per
+# run, the exit code and the scipy modules loaded so far.
+_MODULES_AFTER = """
+import contextlib, io, json, sys
+from pareto_atlas.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out.append((code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+if "scipy.optimize" in sys.modules:
+    import pareto_atlas.apps, scipy.optimize
+    out.append(pareto_atlas.apps.linprog is scipy.optimize.linprog)
+print(json.dumps(out))
+"""
+
+
+def _modules_after(runs):
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, json.dumps(runs)],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_only_the_lp_commands_import_scipy(tmp_path):
+    """SciPy costs most of the start-up time; only locate and perturb --track load it."""
+    data = tmp_path / "ridge.csv"
+    data.write_text("1,0,1\n0,1,2\n1,1,3\n")
+    points = tmp_path / "points.json"
+    points.write_text('{"family": "distance_squared", "points": [[0, 0], [1, 0], [0, 1]]}')
+    runs = [["verify", "--builtin", "example32", "-r", "5"],
+            ["perturb", "--builtin", "example31", "--trials", "2", "-r", "5"],
+            ["perturb", "--builtin", "example32", "--stability"],
+            ["solve", "--builtin", "example31", "-w", "0.2,0.3,0.5"],
+            ["atlas", "--builtin", "example32", "-r", "3", "--out", str(tmp_path / "atlas")],
+            ["ridge", str(data), "--mu", "0.1", "-r", "5"]]
+    runs += [[command, "--help"]
+             for command in ("solve", "atlas", "verify", "perturb", "ridge", "locate")]
+    assert _modules_after(runs) == [[0, []]] * len(runs)
+    for lp_run in (["locate", str(points), "-r", "3"],
+                   ["perturb", "--builtin", "remark_g", "--track"]):
+        (code, modules), same_linprog = _modules_after([lp_run])
+        assert code == 0 and "scipy.optimize" in modules
+        assert same_linprog

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import fd_gradients, fd_hessians, fixture_problems, random_quadratic
@@ -13,10 +15,12 @@ from pareto_atlas import (
     DistanceSquared,
     Example31,
     Example31Perturbed,
+    Example32,
     GenericQuadratic,
     ObjectiveProblem,
     Phenotypic,
     ProblemFormatError,
+    RemarkG,
     RidgePair,
     Weight,
     build_problem,
@@ -26,6 +30,7 @@ from pareto_atlas import (
     restrict,
     serialize_problem,
 )
+from pareto_atlas.problems import WEIGHT_SUM_TOL
 
 FIXTURES = fixture_problems()
 IDS = [name for name, _ in FIXTURES]
@@ -163,6 +168,41 @@ class TestWeight:
         coords = np.array([1, 7, 2], dtype=float) / 10.0
         Weight.of(coords)  # no raise
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 5))
+    def test_valid_iff_finite_nonnegative_summing_to_one_and_on_the_face(self, data, m):
+        """Grid-like weights on a random face, then at most one corruption."""
+        face = tuple(data.draw(st.sets(st.integers(0, m - 1))))
+        off_face = [i for i in range(m) if i not in face]
+        coords = np.array(data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)),
+                          dtype=float)
+        coords[off_face] = 0.0
+        coords /= coords.sum() or 1.0
+        i = data.draw(st.integers(0, m - 1))
+        corruption = data.draw(st.sampled_from(
+            ["none", "nan", "inf", "negative", "moved", "scaled"]))
+        if corruption == "nan":
+            coords[i] = np.nan
+        elif corruption == "inf":
+            coords[i] = data.draw(st.sampled_from([np.inf, -np.inf]))
+        elif corruption == "negative":
+            coords[i] = -data.draw(st.sampled_from([1e-300, 1e-13, 0.25]))
+        elif corruption == "moved":  # shift mass onto coordinate i, keeping the sum
+            j = data.draw(st.integers(0, m - 1))
+            coords[j] -= coords[j] / 2.0
+            coords[i] += coords[j]
+        elif corruption == "scaled":
+            coords *= 1.0 + data.draw(st.sampled_from([1e-15, 1e-13, 1e-11, -1e-11]))
+        with np.errstate(invalid="ignore"):
+            valid = bool(np.isfinite(coords).all() and (coords >= 0.0).all()
+                         and abs(coords.sum() - 1.0) <= WEIGHT_SUM_TOL
+                         and not coords[off_face].any())
+        if valid:
+            assert Weight(coords, face).face == face
+        else:
+            with pytest.raises(ValueError):
+                Weight(coords, face)
+
 
 class TestValidation:
     def test_rejects_asymmetric_quadratic(self):
@@ -216,7 +256,48 @@ class TestValidation:
             build_problem(spec)
 
 
+@st.composite
+def family_specs(draw):
+    """A spec of every family, with random sizes and seeded random data."""
+    tag = draw(st.sampled_from(["generic_quadratic", "example31", "example31_perturbed",
+                                "example32", "remark_g", "distance_squared", "phenotypic",
+                                "ridge_pair"]))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+
+    def spd(count):
+        a = gen.normal(size=(count, n, n))
+        q = a @ a.transpose(0, 2, 1) + np.eye(n)
+        return 0.5 * (q + q.transpose(0, 2, 1))
+
+    if tag == "generic_quadratic":
+        return GenericQuadratic(spd(m), scale * gen.normal(size=(m, n)), gen.normal(size=m))
+    if tag == "example31_perturbed":
+        return Example31Perturbed(scale * gen.normal())
+    if tag == "distance_squared":
+        return DistanceSquared(scale * gen.normal(size=(m, n)))
+    if tag == "phenotypic":
+        return Phenotypic(spd(m), scale * gen.normal(size=(m, n)))
+    if tag == "ridge_pair":
+        rows = draw(st.integers(1, 6))
+        return RidgePair(scale * gen.normal(size=(rows, n)), gen.normal(size=rows),
+                         float(gen.uniform(0.01, 2.0)))
+    return {"example31": Example31, "example32": Example32, "remark_g": RemarkG}[tag]()
+
+
 class TestSerialization:
+    @settings(max_examples=200, deadline=None)
+    @given(spec=family_specs(), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_is_bit_identical(self, spec, seed):
+        text = serialize_problem(spec)
+        clone = parse_problem(text)
+        assert serialize_problem(clone) == text
+        problem = build_problem(spec)
+        xs = np.random.default_rng(seed).normal(size=(5, problem.n))
+        for got, want in zip(build_problem(clone).evaluate(xs), problem.evaluate(xs)):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("problem", PROBLEMS, ids=IDS)
     def test_round_trip_preserves_evaluation(self, problem, rng):
         text = serialize_problem(problem)

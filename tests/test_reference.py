@@ -7,12 +7,14 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from conftest import fixture_problems, interior_weights, softplus_problem
 from pareto_atlas import (
+    DistanceSquared,
     GenericQuadratic,
     LinearPerturbation,
     SimplexGrid,
@@ -28,6 +30,8 @@ from pareto_atlas import (
     perturb_problem,
     stability_experiment,
 )
+from pareto_atlas import atlas as pa_atlas
+from pareto_atlas.atlas import _close_pairs, _min_pair_distance, _pair_distances
 from pareto_atlas.solver import row_norms
 
 # ---------------------------------------------------------------------------
@@ -121,6 +125,29 @@ def ref_collapsed_pairs(atlas, collapse_tol: float = 1e-6) -> list[tuple[int, in
     return list(zip(rows.tolist(), cols.tolist()))
 
 
+def ref_tree_min(xs) -> float:
+    """Smallest pair distance by k-d tree: each row's nearest neighbour, then
+    every pair within a hair of the smallest tree distance measured again."""
+    if len(xs) < 2:
+        return np.inf
+    tree = cKDTree(xs)
+    nearest = float(tree.query(xs, k=2)[0][:, 1].min())
+    if nearest == 0.0:
+        return 0.0
+    near = tree.query_pairs(nearest * (1.0 + 1e-9), output_type="ndarray")
+    return float(_pair_distances(xs[near[:, 0]], xs[near[:, 1]]).min())
+
+
+def ref_tree_pairs(xs, collapse_tol: float) -> list[tuple[int, int]]:
+    """Pairs i < j at distance <= collapse_tol: k-d tree candidates a hair
+    wider, decided on the recomputed distances."""
+    radius = max(collapse_tol, 0.0) * (1.0 + 1e-9)
+    near = cKDTree(xs).query_pairs(radius, output_type="ndarray")
+    a, b = near[:, 0], near[:, 1]
+    keep = _pair_distances(xs[a], xs[b]) <= collapse_tol
+    return sorted(zip(a[keep].tolist(), b[keep].tolist()))
+
+
 # ---------------------------------------------------------------------------
 # Grid
 # ---------------------------------------------------------------------------
@@ -207,6 +234,91 @@ def test_collapsed_diagonal_matches_the_dense_reference():
     pairs = injectivity_scan(atlas).collapsed_pairs
     assert len(pairs) > 10 and pairs == ref_collapsed_pairs(atlas)
     assert atlas.summary.min_pairwise_x_distance == ref_distances(atlas)[0]
+
+
+@st.composite
+def point_sets(draw):
+    """Rows on a lattice of step 1e-6 or 1e-3 (many distances exactly at a
+    collapse tolerance), on one line, or anywhere; then some rows repeated."""
+    n = draw(st.integers(1, 4))
+    count = draw(st.one_of(st.integers(0, 3), st.integers(4, 40)))
+    step = draw(st.sampled_from([1e-6, 1e-3, 0.25]))
+    offset = draw(st.sampled_from([0.0, 1.0, -300.0]))
+    kind = draw(st.sampled_from(["lattice", "line", "anywhere"]))
+    if kind == "lattice":
+        ticks = draw(st.lists(st.integers(-3, 3), min_size=count * n, max_size=count * n))
+        xs = offset + step * np.array(ticks, dtype=float).reshape(count, n)
+    elif kind == "line":
+        ticks = draw(st.lists(st.integers(-20, 20), min_size=count, max_size=count))
+        direction = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)),
+                             dtype=float)
+        xs = offset + step * np.outer(ticks, direction)
+    else:
+        values = draw(st.lists(st.floats(-2.0, 2.0), min_size=count * n, max_size=count * n))
+        xs = np.array(values, dtype=float).reshape(count, n)
+    repeats = draw(st.lists(st.integers(0, max(count - 1, 0)), max_size=count))
+    return np.vstack([xs, xs[repeats]]) if count else xs
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=point_sets(), pick=st.integers(0, 10**6))
+@example(xs=np.array([[0.0], [0.0], [2.2250738585072014e-308]]), pick=0)  # squares underflow
+def test_pair_search_matches_the_tree_reference(xs, pick):
+    want = ref_tree_min(xs)
+    assert _min_pair_distance(xs) == want
+    if len(xs) >= 2:  # any pair's distance starts the search, rounded either way
+        i, j = pick % len(xs), (pick // len(xs)) % (len(xs) - 1)
+        j += j >= i
+        start = xs[i:i + 1] - xs[j:j + 1]
+        assert _min_pair_distance(xs, float(row_norms(start)[0])) == want
+    for tol in (1e-6, 1e-3, 0.0, -1.0):
+        a, b, d = _close_pairs(xs, tol)
+        assert np.all(a < b)
+        assert np.array_equal(d, _pair_distances(xs[a], xs[b]))
+        assert sorted(zip(a[d <= tol].tolist(), b[d <= tol].tolist())) == ref_tree_pairs(xs, tol)
+
+
+def test_min_distance_is_the_recomputed_one_not_the_start_radius():
+    """The locate benchmark input of seed 1 (r = 20): the closest pair is
+    also a grid edge, whose row norm is 1 ulp below its pair distance."""
+    points = np.random.default_rng(1).standard_normal((4, 8))
+    atlas = build_atlas(build_problem(DistanceSquared(points)), 20)
+    xs, adj = atlas.x_array(), atlas.grid.adjacency
+    assert row_norms(xs[adj[:, 0]] - xs[adj[:, 1]]).min() == 0.11875214178033713
+    assert atlas.summary.min_pairwise_x_distance == 0.11875214178033715 == ref_tree_min(xs)
+
+
+def test_identical_rows_stop_the_search_at_zero(monkeypatch):
+    """20,000 equal rows: 2 x 10^8 pairs at distance 0; the first sweep step
+    measures the 19,999 neighbours in sorted order and ends the search."""
+    measured = []
+
+    def counted(u, v):
+        measured.append(len(u))
+        return _pair_distances(u, v)
+
+    monkeypatch.setattr(pa_atlas, "_pair_distances", counted)
+    xs = np.tile([0.25, -1.5, 3.0], (20_000, 1))
+    tracemalloc.start()
+    try:
+        assert pa_atlas._min_pair_distance(xs, 1.0) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert measured == [19_999]
+    assert peak < 16 * xs.nbytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pair_search_rejects_non_finite_rows(bad):
+    xs = np.zeros((4, 2))
+    xs[2, 1] = bad
+    with pytest.raises(ValueError):
+        _min_pair_distance(xs)
+    with pytest.raises(ValueError):
+        _close_pairs(xs, 1e-6)
+    with pytest.raises(ValueError):
+        cKDTree(xs)
 
 
 def test_certificates_stay_in_linear_memory():

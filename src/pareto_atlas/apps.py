@@ -143,9 +143,8 @@ def location_pareto_set(
     """
     problem = build_problem(DistanceSquared(instance.points))
     atlas = build_atlas(problem, resolution, config)
-    ws = atlas.w_array()
-    xs = atlas.x_array()
-    expected = ws @ instance.points
+    xs = atlas.x
+    expected = atlas.grid.weights @ instance.points
     bary_err = float(np.linalg.norm(xs - expected, axis=1).max())
     hull = max(_hull_violation(instance.points, x) for x in xs)
     cert = certify_corank_on_atlas(atlas, rank_tol)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
@@ -25,7 +26,7 @@ from .solver import (
     ParetoPoint,
     SolverConfig,
     minimize_weighted,
-    pareto_points,
+    pareto_columns,
     raise_unconverged,
     row_norms,
 )
@@ -112,8 +113,14 @@ class SimplexGrid:
     def face_of(self, i: int) -> tuple[int, ...]:
         return tuple(int(j) for j in np.nonzero(self.nodes[i])[0])
 
-    def weight_of(self, i: int) -> Weight:
-        return Weight(self.weights[i], self.face_of(i))
+    def faces(self) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """The distinct node supports (0-based faces) in order of first
+        appearance, and for each node the index of its support in that list."""
+        masks, first, which = np.unique(self.nodes > 0, axis=0, return_index=True,
+                                        return_inverse=True)
+        order = np.argsort(first)
+        return ([tuple(np.flatnonzero(masks[k]).tolist()) for k in order],
+                np.argsort(order)[which])
 
     def neighbors(self, i: int) -> list[int]:
         row = self._neighbors[i]
@@ -274,63 +281,62 @@ class AtlasSummary:
 
 
 class ParetoAtlas:
-    """Solved grid: one Pareto point per node, index-aligned with the grid."""
+    """Solved grid, one row per node in every column, aligned with ``grid.nodes``.
 
-    def __init__(self, problem, grid: SimplexGrid, points: list[ParetoPoint],
-                 config: SolverConfig, failures: list[int]):
+    Columns: ``x`` (N, n) minimizers, ``f`` (N, m) values, ``residual`` and
+    ``grad_tol`` (the final gradient norm and the scaled tolerance it was
+    held to), ``iterations``, ``sv`` (N, min(m, n)) Jacobian singular
+    values, ``corank`` (-1 where unconverged) and ``converged``.
+    """
+
+    def __init__(self, problem, grid: SimplexGrid, result: NewtonResult, config: SolverConfig):
         self.problem = problem
         self.grid = grid
-        self.points = points
         self.config = config
-        self.failures = failures
+        self.x, self.residual, self.iterations, self.grad_tol = result
+        self.f, self.sv, self.corank, self.converged = pareto_columns(problem, result,
+                                                                      config.rank_tol)
+        self.failures = np.flatnonzero(~self.converged).tolist()
 
-    def w_array(self) -> np.ndarray:
-        return self.grid.weights.copy()
+    @property
+    def points(self) -> list[ParetoPoint]:
+        """One ParetoPoint per node, built from the columns on every call.
 
-    def x_array(self) -> np.ndarray:
-        return np.array([pt.x for pt in self.points])
-
-    def f_array(self) -> np.ndarray:
-        return np.array([pt.fx for pt in self.points])
+        Kept for readers of the per-node form outside the package (the
+        benchmark tracer sums ``iterations`` through it); the package
+        itself reads the columns.
+        """
+        columns = (self.x, self.f, self.residual.tolist(), self.sv, self.corank.tolist(),
+                   self.iterations.tolist(), self.grad_tol.tolist(), self.converged.tolist())
+        return [ParetoPoint(Weight(w, self.grid.face_of(i)), *row)
+                for i, (w, *row) in enumerate(zip(self.grid.weights, *columns))]
 
     @cached_property
     def summary(self) -> AtlasSummary:
-        coranks = [pt.corank for pt in self.points]
-        hist: dict[int, int] = {}
-        for c in coranks:
-            hist[c] = hist.get(c, 0) + 1
-        xs = self.x_array()
-        adj = self.grid.adjacency
+        xs, adj = self.x, self.grid.adjacency
         adjacent = row_norms(xs[adj[:, 0]] - xs[adj[:, 1]])
         nearest = _min_pair_distance(xs, float(adjacent.min(initial=np.inf)))
         return AtlasSummary(
             node_count=self.grid.node_count,
             resolution=self.grid.resolution,
             unconverged=len(self.failures),
-            max_kkt_residual=max(pt.kkt_residual for pt in self.points),
-            corank_histogram=hist,
-            dominance_violations=len(dominating_pairs(self.f_array(), DOMINANCE_TOL)),
+            max_kkt_residual=float(self.residual.max()),
+            # keys in order of first appearance, the order the run documents list them in
+            corank_histogram=dict(Counter(self.corank.tolist())),
+            dominance_violations=len(dominating_pairs(self.f, DOMINANCE_TOL)),
             min_pairwise_x_distance=nearest,
             max_adjacent_x_distance=float(adjacent.max(initial=0.0)),
         )
 
     def report_dict(self) -> dict:
         fam = getattr(self.problem, "family", None)
-        nodes = []
-        for i, pt in enumerate(self.points):
-            nodes.append(
-                {
-                    "node": i,
-                    "w": pt.weight.coordinates.tolist(),
-                    "face": [j + 1 for j in self.grid.face_of(i)],
-                    "x": pt.x.tolist(),
-                    "f": pt.fx.tolist(),
-                    "kkt_residual": pt.kkt_residual,
-                    "singular_values": pt.jacobian_sv.tolist(),
-                    "corank": pt.corank,
-                    "converged": pt.converged,
-                }
-            )
+        faces, which = self.grid.faces()
+        keys = ("node", "w", "face", "x", "f", "kkt_residual", "singular_values", "corank",
+                "converged")
+        columns = (range(self.grid.node_count), self.grid.weights.tolist(),
+                   [[j + 1 for j in faces[k]] for k in which.tolist()], self.x.tolist(),
+                   self.f.tolist(), self.residual.tolist(), self.sv.tolist(),
+                   self.corank.tolist(), self.converged.tolist())
         return {
             "schema": "pareto-atlas/atlas-v1",
             "family": getattr(fam, "tag", None),
@@ -343,7 +349,7 @@ class ParetoAtlas:
             },
             "summary": self.summary.as_dict(),
             "failures": self.failures,
-            "nodes": nodes,
+            "nodes": [dict(zip(keys, row)) for row in zip(*columns)],
         }
 
     def to_json(self, path) -> None:
@@ -363,18 +369,16 @@ class ParetoAtlas:
             + [f"f_{i + 1}" for i in range(m)]
             + ["kkt_residual", "corank", "face"]
         )
+        faces, which = self.grid.faces()
+        labels = [_face_label(face) for face in faces]
+        numbers = np.hstack([self.grid.weights, self.x, self.f, self.residual[:, None]])
+        width = numbers.shape[1]
+        text = [format(v, ".17g") for v in numbers.ravel().tolist()]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for i, pt in enumerate(self.points):
-                row = (
-                    [f"{v:.17g}" for v in pt.weight.coordinates]
-                    + [f"{v:.17g}" for v in pt.x]
-                    + [f"{v:.17g}" for v in pt.fx]
-                    + [f"{pt.kkt_residual:.17g}", str(pt.corank),
-                       _face_label(self.grid.face_of(i))]
-                )
-                writer.writerow(row)
+            writer.writerows(text[i * width:(i + 1) * width] + [str(c), labels[k]]
+                             for i, (c, k) in enumerate(zip(self.corank.tolist(), which.tolist())))
 
 
 def solve_grid(problem, grid: SimplexGrid, config: SolverConfig = DEFAULT_CONFIG,
@@ -409,11 +413,7 @@ def build_atlas(problem, resolution: int, config: SolverConfig = DEFAULT_CONFIG)
     (corank -1), not raised.
     """
     grid = SimplexGrid(problem.m, resolution)
-    result = solve_grid(problem, grid, config)
-    weights = [grid.weight_of(i) for i in range(grid.node_count)]
-    points = pareto_points(problem, weights, result, config.rank_tol)
-    failures = np.flatnonzero(result.residual > result.tol).tolist()
-    return ParetoAtlas(problem, grid, points, config, failures)
+    return ParetoAtlas(problem, grid, solve_grid(problem, grid, config), config)
 
 
 @dataclass
@@ -439,29 +439,29 @@ def face_consistency(atlas: ParetoAtlas, config: SolverConfig | None = None) -> 
     """
     config = config or atlas.config
     grid = atlas.grid
-    boundary = np.flatnonzero((grid.nodes == 0).any(axis=1))
-    faces: dict[tuple[int, ...], list[int]] = {}
-    for i in boundary.tolist():
-        faces.setdefault(grid.face_of(i), []).append(i)
-    xs = atlas.x_array()
+    faces, which = grid.faces()
     gaps = np.zeros(grid.node_count)
     per_face: dict[tuple[int, ...], float] = {}
-    tolerance = 0.0
-    for face, nodes in faces.items():
+    tolerance, checked = 0.0, 0
+    for k, face in enumerate(faces):
+        if len(face) == grid.m:
+            continue  # interior nodes
+        nodes = np.flatnonzero(which == k)
         sub = minimize_weighted(restrict(atlas.problem, face), grid.weights[np.ix_(nodes, face)],
                                 config)
         raise_unconverged(sub)
-        gaps[nodes] = row_norms(xs[nodes] - sub.x)
+        gaps[nodes] = row_norms(atlas.x[nodes] - sub.x)
         per_face[face] = float(gaps[nodes].max())
-        worst_tol = max(max(atlas.points[i].grad_tol for i in nodes), float(sub.tol.max()))
+        worst_tol = max(float(atlas.grad_tol[nodes].max()), float(sub.tol.max()))
         tolerance = max(tolerance, 10.0 * worst_tol)
+        checked += nodes.size
     worst = float(gaps.max())
     worst_node = int(np.argmax(gaps)) if worst > 0.0 else None
     return FaceConsistencyReport(
         consistent=worst <= tolerance,
         max_discrepancy=worst,
         tolerance=tolerance,
-        checked=int(boundary.size),
+        checked=checked,
         worst_node=worst_node,
         per_face=per_face,
     )
@@ -490,8 +490,7 @@ def injectivity_scan(atlas: ParetoAtlas, collapse_tol: float = 1e-6) -> Injectiv
     so only pairs with weight distance above twice the grid step count as
     collapses.
     """
-    xs = atlas.x_array()
-    ws = atlas.grid.weights
+    xs, ws = atlas.x, atlas.grid.weights
     threshold = 2.0 * atlas.grid.step * (1.0 + 1e-9)
     a, b, d = _close_pairs(xs, collapse_tol)
     keep = (d <= collapse_tol) & (_pair_distances(ws[a], ws[b]) > threshold)

@@ -176,7 +176,6 @@ def cmd_atlas(args, parser) -> int:
         f"{s.unconverged} unconverged, max KKT residual {s.max_kkt_residual:.3e}"
     )
     lines.append(f"corank histogram: {s.corank_histogram}")
-    outputs = []
     csv_path, json_path = f"{args.out}.csv", f"{args.out}.json"
     atlas.to_csv(csv_path)
     atlas.to_json(json_path)
@@ -254,7 +253,7 @@ def cmd_verify(args, parser) -> int:
             f"corank={corank.coranks[idx]}"
         )
     for a, b in inject.collapsed_pairs[:10]:
-        gap = float(np.linalg.norm(atlas.points[a].x - atlas.points[b].x))
+        gap = float(np.linalg.norm(atlas.x[a] - atlas.x[b]))
         lines.append(
             f"       collapse: w={_fmt_vec(atlas.grid.weights[a])} vs "
             f"w={_fmt_vec(atlas.grid.weights[b])} |dx|={gap:.3e}"

@@ -123,7 +123,7 @@ def certify_corank_on_atlas(atlas, tol: float = DEFAULT_RANK_TOL) -> CorankCerti
     Independent of whatever the solver stored: this evaluates the Jacobians
     at the stored minimizers and takes fresh SVDs, all nodes in one batch.
     """
-    jac = atlas.problem.evaluate(atlas.x_array())[1]
+    jac = atlas.problem.evaluate(atlas.x)[1]
     return corank_certificate(np.linalg.svd(jac, compute_uv=False), tol)
 
 

@@ -429,7 +429,7 @@ def stability_experiment(
     pis = np.array([LinearPerturbation.draw(problem.n, problem.m, seed, scale).coefficients
                     for scale in scales]).reshape(-1, problem.m, problem.n)
     count = base.grid.node_count
-    base_x = np.tile(base.x_array(), (len(scales), 1))
+    base_x = np.tile(base.x, (len(scales), 1))
     moved = minimize_weighted(problem, np.tile(base.grid.weights, (len(scales), 1)), config,
                               x0=base_x, linear=np.repeat(pis, count, axis=0))
     raise_unconverged(moved)

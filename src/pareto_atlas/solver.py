@@ -237,30 +237,17 @@ def raise_unconverged(result: NewtonResult) -> None:
                               int(result.iterations[i]), float(result.tol[i]))
 
 
-def pareto_points(problem, weights: list[Weight], result: NewtonResult,
-                  rank_tol: float) -> list[ParetoPoint]:
-    """ParetoPoints for a stacked result, with one batched SVD for the coranks.
+def pareto_columns(problem, result: NewtonResult, rank_tol: float):
+    """Values, Jacobian singular values, coranks and convergence flags of a
+    stacked result, from one batched evaluate and one batched SVD.
 
-    A node that did not converge gets corank -1 and ``converged=False``.
+    A node that did not converge gets corank -1.
     """
     values, jac, _ = problem.evaluate(result.x)
     sv = np.linalg.svd(jac, compute_uv=False)
     converged = result.residual <= result.tol
     coranks = np.where(converged, min(problem.m, problem.n) - numerical_rank(sv, rank_tol), -1)
-    return [
-        ParetoPoint(
-            weight=weight,
-            x=result.x[i],
-            fx=values[i],
-            kkt_residual=float(result.residual[i]),
-            jacobian_sv=sv[i],
-            corank=int(coranks[i]),
-            iterations=int(result.iterations[i]),
-            grad_tol=float(result.tol[i]),
-            converged=bool(converged[i]),
-        )
-        for i, weight in enumerate(weights)
-    ]
+    return values, sv, coranks, converged
 
 
 def scalarize(problem, weight, config: SolverConfig = DEFAULT_CONFIG, x0=None) -> ParetoPoint:
@@ -276,7 +263,9 @@ def scalarize(problem, weight, config: SolverConfig = DEFAULT_CONFIG, x0=None) -
         raise ValueError(f"weight has {weight.m} coordinates, problem has m={problem.m}")
     result = minimize_weighted(problem, weight.coordinates[None, :], config, x0=x0)
     raise_unconverged(result)
-    return pareto_points(problem, [weight], result, config.rank_tol)[0]
+    values, sv, coranks, _ = pareto_columns(problem, result, config.rank_tol)
+    return ParetoPoint(weight, result.x[0], values[0], float(result.residual[0]), sv[0],
+                       int(coranks[0]), int(result.iterations[0]), float(result.tol[0]))
 
 
 def subproblem_solve(problem, indices, face_weight, config: SolverConfig = DEFAULT_CONFIG, x0=None) -> ParetoPoint:

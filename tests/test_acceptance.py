@@ -67,10 +67,10 @@ def test_c02_diagonal_collapse_and_corank_two_at_origin():
     diagonal = np.flatnonzero(nodes[:, 1] == nodes[:, 2])
     assert diagonal.size == 11
     for idx in diagonal:
-        assert np.linalg.norm(atlas.points[idx].x) <= 1e-7
+        assert np.linalg.norm(atlas.x[idx]) <= 1e-7
     assert not injectivity_scan(atlas).injective_on_sample
     assert corank_at(problem, np.zeros(3)).corank == 2
-    assert max(atlas.points[idx].corank for idx in diagonal) == 2
+    assert atlas.corank[diagonal].max() == 2
 
 
 def test_c03_perturbed_family_verifies_clean_at_three_epsilons():
@@ -249,7 +249,7 @@ def test_c12_property_bundle_on_all_fixtures():
     fine_index = {tuple(node): i for i, node in enumerate(fine.grid.nodes)}
     for i, node in enumerate(coarse.grid.nodes):
         j = fine_index[tuple(2 * node)]
-        assert np.linalg.norm(coarse.points[i].x - fine.points[j].x) <= 1e-10
+        assert np.linalg.norm(coarse.x[i] - fine.x[j]) <= 1e-10
 
     # boundary nodes agree with the subproblem restricted to their face
     for problem in builtins:
@@ -263,8 +263,7 @@ def test_c12_property_bundle_on_all_fixtures():
         if problem.n < problem.m:
             continue
         atlas = build_atlas(problem, resolution[problem.m])
-        for pt in atlas.points:
-            sv = pt.jacobian_sv
+        for sv in atlas.sv:
             assert sv[problem.m - 1] <= 1e-8 * max(sv[0], 1.0), name
 
     # at interior corank-1 points the cokernel is exactly the weight line

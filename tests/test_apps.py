@@ -43,7 +43,7 @@ class TestLocation:
         assert instance.general_position
         report = location_pareto_set(instance, resolution=4)
         assert report.atlas.grid.node_count == 1
-        assert_allclose(report.atlas.points[0].x, [3.0, -1.0, 2.0], atol=1e-12)
+        assert_allclose(report.atlas.x[0], [3.0, -1.0, 2.0], atol=1e-12)
         assert report.max_hull_violation <= 1e-12
 
     def test_pareto_set_fills_the_hull(self, rng):

@@ -83,9 +83,9 @@ class TestSimplexGrid:
 class TestBuildAtlas:
     def test_matches_independent_cold_solves(self, example32):
         atlas = build_atlas(example32, 6)
-        for i, pt in enumerate(atlas.points):
-            cold = scalarize(example32, atlas.grid.weight_of(i))
-            assert_allclose(pt.x, cold.x, atol=1e-11)
+        for i, x in enumerate(atlas.x):
+            cold = scalarize(example32, atlas.grid.weights[i])
+            assert_allclose(x, cold.x, atol=1e-11)
 
     def test_refinement_agrees_on_shared_nodes(self, example32):
         coarse = build_atlas(example32, 5)
@@ -93,7 +93,7 @@ class TestBuildAtlas:
         lookup = {tuple(k): i for i, k in enumerate(fine.grid.nodes.tolist())}
         for i, k in enumerate(coarse.grid.nodes.tolist()):
             j = lookup[tuple(2 * v for v in k)]
-            assert_allclose(coarse.points[i].x, fine.points[j].x, atol=1e-10)
+            assert_allclose(coarse.x[i], fine.x[j], atol=1e-10)
 
     def test_summary_counts(self, example31):
         atlas = build_atlas(example31, 10)
@@ -110,7 +110,8 @@ class TestBuildAtlas:
         problem = build_problem(DistanceSquared(np.array([[5.0, 5.0], [6.0, 5.0]])))
         atlas = build_atlas(problem, 4, SolverConfig(max_iter=0))
         assert atlas.failures == list(range(atlas.grid.node_count))
-        assert all(not pt.converged for pt in atlas.points)
+        assert not atlas.converged.any()
+        assert (atlas.corank == -1).all()
         assert atlas.summary.unconverged == atlas.grid.node_count
 
 
@@ -129,33 +130,30 @@ class TestNonQuadraticFamily:
         """Each converged node is what it would be if solved on its own from the
         same warm start (its BFS parent's minimizer)."""
         _, parent = atlas.grid.bfs_order()
-        for i, pt in enumerate(atlas.points):
-            if i in atlas.failures:
-                continue
-            warm = atlas.points[parent[i]].x if parent[i] >= 0 else None
-            alone = scalarize(problem, atlas.grid.weight_of(i), config, x0=warm)
-            assert pt.converged and pt.iterations == alone.iterations
-            assert_allclose(pt.x, alone.x, rtol=0.0, atol=1e-12)
+        for i in np.flatnonzero(atlas.converged):
+            warm = atlas.x[parent[i]] if parent[i] >= 0 else None
+            alone = scalarize(problem, atlas.grid.weights[i], config, x0=warm)
+            assert atlas.iterations[i] == alone.iterations
+            assert_allclose(atlas.x[i], alone.x, rtol=0.0, atol=1e-12)
 
     def test_atlas_matches_single_node_solves(self):
         problem = softplus_problem()
         atlas = build_atlas(problem, 10)
         assert atlas.failures == []
-        assert max(pt.iterations for pt in atlas.points) > 1
+        assert atlas.converged.all() and atlas.iterations.max() > 1
         self.assert_nodes_match_single_solves(problem, atlas, atlas.config)
-        for pt in atlas.points:
-            stationarity = pt.weight.coordinates @ problem.gradients(pt.x)
-            assert np.linalg.norm(stationarity) <= pt.grad_tol
+        for w, x, tol in zip(atlas.grid.weights, atlas.x, atlas.grad_tol):
+            assert np.linalg.norm(w @ problem.gradients(x)) <= tol
 
     def test_unconverged_node_does_not_disturb_the_others(self):
         problem = softplus_problem()
         config = SolverConfig(max_iter=2)
         atlas = build_atlas(problem, 10, config)
         assert 0 < len(atlas.failures) < atlas.grid.node_count
-        for i in atlas.failures:
-            pt = atlas.points[i]
-            assert not pt.converged and pt.corank == -1
-            assert pt.iterations == 2 and pt.kkt_residual > pt.grad_tol
+        failed = atlas.failures
+        assert failed == np.flatnonzero(~atlas.converged).tolist()
+        assert (atlas.corank[failed] == -1).all() and (atlas.iterations[failed] == 2).all()
+        assert (atlas.residual[failed] > atlas.grad_tol[failed]).all()
         self.assert_nodes_match_single_solves(problem, atlas, config)
 
 
@@ -173,10 +171,10 @@ class TestExports:
         assert len(rows) == 1 + atlas.grid.node_count
         first = rows[1]
         assert_allclose([float(v) for v in first[:3]], atlas.grid.weights[0])
-        assert_allclose([float(v) for v in first[3:6]], atlas.points[0].x)
+        assert_allclose([float(v) for v in first[3:6]], atlas.x[0])
         assert first[-1] == "3"  # vertex face, 1-based
         # full-precision round trip
-        assert float(first[3]) == atlas.points[0].x[0]
+        assert float(first[3]) == atlas.x[0, 0]
 
     def test_json_schema_and_values(self, example32, tmp_path):
         atlas = build_atlas(example32, 4)
@@ -189,7 +187,7 @@ class TestExports:
         assert len(doc["nodes"]) == atlas.grid.node_count
         node = doc["nodes"][1]
         assert node["face"] == [2, 3]
-        assert_allclose(node["x"], atlas.points[1].x)
+        assert_allclose(node["x"], atlas.x[1])
         assert set(node) >= {"w", "f", "kkt_residual", "singular_values",
                              "corank", "converged"}
         assert doc["summary"]["dominance_violations"] == 0
@@ -216,7 +214,7 @@ class TestFaceConsistency:
                 for axis, v in zip(face, k):
                     embedded[axis] = v
                 j = lookup[tuple(embedded)]
-                assert_allclose(sub_atlas.points[i].x, atlas.points[j].x, atol=1e-10)
+                assert_allclose(sub_atlas.x[i], atlas.x[j], atol=1e-10)
 
 
 class TestInjectivity:

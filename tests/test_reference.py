@@ -1,7 +1,10 @@
-"""The array-built grid and the O(N)-memory certificates against the plain
-loop and dense-matrix implementations they replaced, kept here as references."""
+"""The array-built grid, the O(N)-memory certificates and the columnar
+atlas exports against the plain loop, dense-matrix and per-node
+implementations they replaced, kept here as references."""
 from __future__ import annotations
 
+import csv
+import json
 import tracemalloc
 from collections import deque
 
@@ -12,18 +15,20 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from conftest import fixture_problems, interior_weights, softplus_problem
+from conftest import fixture_problems, interior_weights, random_quadratic, softplus_problem
 from pareto_atlas import (
     DistanceSquared,
     GenericQuadratic,
     LinearPerturbation,
     SimplexGrid,
     SolverConfig,
+    Weight,
     build_atlas,
     build_problem,
     builtin_problem,
     certify_corank_on_atlas,
     dominating_pairs,
+    face_consistency,
     genericity_experiment,
     injectivity_scan,
     minimize_weighted,
@@ -106,7 +111,7 @@ def ref_dominating_pairs(values, tol: float = 1e-9) -> list[tuple[int, int]]:
 
 def ref_distances(atlas) -> tuple[float, float]:
     """(min pairwise, max adjacent) minimizer distance from a dense matrix."""
-    xs = atlas.x_array()
+    xs = atlas.x
     dx = cdist(xs, xs)
     np.fill_diagonal(dx, np.inf)
     min_pair = float(dx.min()) if atlas.grid.node_count > 1 else np.inf
@@ -117,7 +122,7 @@ def ref_distances(atlas) -> tuple[float, float]:
 
 
 def ref_collapsed_pairs(atlas, collapse_tol: float = 1e-6) -> list[tuple[int, int]]:
-    xs = atlas.x_array()
+    xs = atlas.x
     ws = atlas.grid.weights
     threshold = 2.0 * atlas.grid.step * (1.0 + 1e-9)
     mask = np.triu((cdist(xs, xs) <= collapse_tol) & (cdist(ws, ws) > threshold), k=1)
@@ -146,6 +151,75 @@ def ref_tree_pairs(xs, collapse_tol: float) -> list[tuple[int, int]]:
     a, b = near[:, 0], near[:, 1]
     keep = _pair_distances(xs[a], xs[b]) <= collapse_tol
     return sorted(zip(a[keep].tolist(), b[keep].tolist()))
+
+
+def ref_summary_dict(atlas) -> dict:
+    """``summary.as_dict()`` with the per-node fields counted node by node."""
+    points = atlas.points
+    hist: dict[int, int] = {}
+    for pt in points:
+        hist[pt.corank] = hist.get(pt.corank, 0) + 1
+    doc = atlas.summary.as_dict()
+    doc.update(unconverged=sum(not pt.converged for pt in points),
+               max_kkt_residual=max(pt.kkt_residual for pt in points),
+               corank_histogram={str(k): v for k, v in hist.items()})
+    return doc
+
+
+def ref_report_dict(atlas) -> dict:
+    """The atlas JSON document built one ParetoPoint at a time."""
+    fam = getattr(atlas.problem, "family", None)
+    nodes = []
+    for i, pt in enumerate(atlas.points):
+        nodes.append(
+            {
+                "node": i,
+                "w": pt.weight.coordinates.tolist(),
+                "face": [j + 1 for j in atlas.grid.face_of(i)],
+                "x": pt.x.tolist(),
+                "f": pt.fx.tolist(),
+                "kkt_residual": pt.kkt_residual,
+                "singular_values": pt.jacobian_sv.tolist(),
+                "corank": pt.corank,
+                "converged": pt.converged,
+            }
+        )
+    return {
+        "schema": "pareto-atlas/atlas-v1",
+        "family": getattr(fam, "tag", None),
+        "n": atlas.problem.n,
+        "m": atlas.problem.m,
+        "resolution": atlas.grid.resolution,
+        "tolerances": {
+            "grad_tol": atlas.config.grad_tol,
+            "rank_tol": atlas.config.rank_tol,
+        },
+        "summary": ref_summary_dict(atlas),
+        "failures": [i for i, pt in enumerate(atlas.points) if not pt.converged],
+        "nodes": nodes,
+    }
+
+
+def ref_to_csv(atlas, path) -> None:
+    """The atlas CSV written one ParetoPoint at a time."""
+    m, n = atlas.problem.m, atlas.problem.n
+    header = (
+        [f"w_{i + 1}" for i in range(m)]
+        + [f"x_{i + 1}" for i in range(n)]
+        + [f"f_{i + 1}" for i in range(m)]
+        + ["kkt_residual", "corank", "face"]
+    )
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i, pt in enumerate(atlas.points):
+            writer.writerow(
+                [f"{v:.17g}" for v in pt.weight.coordinates]
+                + [f"{v:.17g}" for v in pt.x]
+                + [f"{v:.17g}" for v in pt.fx]
+                + [f"{pt.kkt_residual:.17g}", str(pt.corank),
+                   ";".join(str(j + 1) for j in atlas.grid.face_of(i))]
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +297,7 @@ def test_summary_and_injectivity_match_dense_references(name, problem, resolutio
     atlas = build_atlas(problem, resolution)
     s = atlas.summary
     assert (s.min_pairwise_x_distance, s.max_adjacent_x_distance) == ref_distances(atlas)
-    assert s.dominance_violations == len(ref_dominating_pairs(atlas.f_array()))
+    assert s.dominance_violations == len(ref_dominating_pairs(atlas.f))
     for tol in (1e-6, 1e-3, 0.0, -1.0):
         assert injectivity_scan(atlas, tol).collapsed_pairs == ref_collapsed_pairs(atlas, tol)
 
@@ -283,7 +357,7 @@ def test_min_distance_is_the_recomputed_one_not_the_start_radius():
     also a grid edge, whose row norm is 1 ulp below its pair distance."""
     points = np.random.default_rng(1).standard_normal((4, 8))
     atlas = build_atlas(build_problem(DistanceSquared(points)), 20)
-    xs, adj = atlas.x_array(), atlas.grid.adjacency
+    xs, adj = atlas.x, atlas.grid.adjacency
     assert row_norms(xs[adj[:, 0]] - xs[adj[:, 1]]).min() == 0.11875214178033713
     assert atlas.summary.min_pairwise_x_distance == 0.11875214178033715 == ref_tree_min(xs)
 
@@ -341,6 +415,80 @@ def test_certificates_stay_in_linear_memory():
 
 
 # ---------------------------------------------------------------------------
+# Columnar atlas against the per-node exports
+# ---------------------------------------------------------------------------
+
+
+def _far_points():
+    """Two demand points far from the origin, where every solve starts."""
+    return build_problem(DistanceSquared(np.array([[5.0, 5.0], [6.0, 5.0]])))
+
+
+def _export_cases():
+    """Every family, plus an atlas where no node converged, one where some
+    did not (corank histogram {0, -1}: its keys are not in sorted order),
+    a one-node atlas (no pair distance) and the example31 pinch."""
+    cases = [(name, problem, 6, SolverConfig()) for name, problem in fixture_problems()]
+    return cases + [
+        ("no_convergence", _far_points(), 4, SolverConfig(max_iter=0)),
+        ("some_unconverged", softplus_problem(), 10, SolverConfig(max_iter=2)),
+        ("one_objective", random_quadratic(3, m=1), 4, SolverConfig()),
+        ("example31_r10", builtin_problem("example31"), 10, SolverConfig()),
+    ]
+
+
+@pytest.mark.parametrize("name,problem,resolution,config", _export_cases())
+def test_exports_match_the_per_node_references(name, problem, resolution, config, tmp_path):
+    atlas = build_atlas(problem, resolution, config)
+    atlas.to_csv(tmp_path / "atlas.csv")
+    ref_to_csv(atlas, tmp_path / "ref.csv")
+    assert (tmp_path / "atlas.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    atlas.to_json(tmp_path / "atlas.json")
+    with open(tmp_path / "ref.json", "w") as fh:
+        json.dump(ref_report_dict(atlas), fh, indent=2)
+    assert (tmp_path / "atlas.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def test_export_cases_hold_what_they_pin():
+    none = build_atlas(_far_points(), 4, SolverConfig(max_iter=0))
+    assert none.failures == list(range(none.grid.node_count))
+    assert (none.corank == -1).all() and not none.converged.any()
+    some = build_atlas(softplus_problem(), 10, SolverConfig(max_iter=2))
+    assert list(some.summary.corank_histogram) == [0, -1]
+    one = build_atlas(random_quadratic(3, m=1), 4)
+    assert one.summary.as_dict()["min_pairwise_x_distance"] is None
+
+
+def test_atlas_layers_build_no_weight_per_node(monkeypatch, tmp_path):
+    """The atlas, its certificates and its exports read the grid's weight
+    rows; only the compatibility ``points`` builds a Weight per node, and it
+    holds the columns row by row."""
+    def refuse(self):
+        raise AssertionError("a Weight was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Weight, "__post_init__", refuse)
+        atlas = build_atlas(softplus_problem(), 6, SolverConfig(max_iter=2))
+        atlas.summary
+        face_consistency(atlas, SolverConfig())
+        injectivity_scan(atlas)
+        atlas.to_csv(tmp_path / "atlas.csv")
+        atlas.to_json(tmp_path / "atlas.json")
+    assert 0 < len(atlas.failures) < atlas.grid.node_count
+    columns = (atlas.grid.weights, atlas.x, atlas.f, atlas.residual, atlas.sv, atlas.corank,
+               atlas.iterations, atlas.grad_tol, atlas.converged)
+    points = atlas.points
+    assert len(points) == atlas.grid.node_count
+    for i, pt in enumerate(points):
+        assert pt.weight.face == atlas.grid.face_of(i)
+        row = (pt.weight.coordinates, pt.x, pt.fx, pt.kkt_residual, pt.jacobian_sv, pt.corank,
+               pt.iterations, pt.grad_tol, pt.converged)
+        assert all(np.array_equal(got, col[i]) for got, col in zip(row, columns))
+        assert [type(v) for v in row[5:]] == [int, int, float, bool]
+        assert type(pt.kkt_residual) is float
+
+
+# ---------------------------------------------------------------------------
 # Perturbations as a per-node linear term, against one perturbed problem each
 # ---------------------------------------------------------------------------
 
@@ -366,7 +514,7 @@ def test_batched_genericity_matches_one_atlas_per_trial(name, problem, max_iter)
         pi = LinearPerturbation.draw(problem.n, problem.m, trial.seed, 0.3)
         atlas = build_atlas(perturb_problem(problem, pi), 6, config)
         assert trial.failures == atlas.failures
-        assert trial.max_kkt_residual == max(pt.kkt_residual for pt in atlas.points)
+        assert trial.max_kkt_residual == atlas.residual.max()
         for tol in tols:
             want, got = certify_corank_on_atlas(atlas, tol), trial.certificates[tol]
             assert np.array_equal(got.coranks, want.coranks)
@@ -394,7 +542,7 @@ def test_stability_matches_one_batch_per_scale(name, problem):
     scales = [0.1, 0.01, 0.0]
     report = stability_experiment(problem, scales, 5, seed=3)
     base = build_atlas(problem, 5)
-    base_x = base.x_array()
+    base_x = base.x
     for scale, row in zip(scales, report.rows):
         pi = LinearPerturbation.draw(problem.n, problem.m, 3, scale)
         moved = minimize_weighted(perturb_problem(problem, pi), base.grid.weights, x0=base_x)

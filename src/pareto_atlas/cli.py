@@ -84,35 +84,80 @@ def _config(args) -> SolverConfig:
 
 
 def _load_problem(args, parser):
-    """Problem plus provenance (label, sha256 of the defining JSON)."""
-    if getattr(args, "builtin", None):
-        if getattr(args, "problem", None):
+    """Problem, its ``input`` fields (label, sha256 of the defining JSON) and header line."""
+    if args.builtin:
+        if args.problem:
             parser.error("give either a problem file or --builtin, not both")
         problem = builtin_problem(args.builtin, epsilon=args.epsilon)
-        text = serialize_problem(problem)
-        return problem, f"builtin:{args.builtin}", hashlib.sha256(text.encode()).hexdigest()
-    if not getattr(args, "problem", None):
-        parser.error("a problem file or --builtin is required")
-    raw = Path(args.problem).read_bytes()
-    spec = parse_problem(raw.decode())
-    return build_problem(spec), str(args.problem), hashlib.sha256(raw).hexdigest()
-
-
-def _report(args, doc: dict, lines: list[str]) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(doc, indent=2))
+        label, raw = f"builtin:{args.builtin}", serialize_problem(problem).encode()
     else:
-        for line in lines:
-            print(line)
-    out = getattr(args, "out_report", None)
-    if out:
+        if not args.problem:
+            parser.error("a problem file or --builtin is required")
+        raw = Path(args.problem).read_bytes()
+        problem, label = build_problem(parse_problem(raw.decode())), str(args.problem)
+    digest = hashlib.sha256(raw).hexdigest()
+    header = f"problem: {label} (n={problem.n}, m={problem.m}) sha256={digest[:16]}"
+    return problem, {"problem": label, "sha256": digest}, [header]
+
+
+def _report(args, lines: list[str], command: str, status: int, **fields) -> int:
+    """Print ``lines``, or with --json the run-v1 document (keys: schema, command,
+    ``fields`` in keyword order, exit_status); write the document to --out-report too."""
+    doc = {"schema": "pareto-atlas/run-v1", "command": command, **fields,
+           "exit_status": status}
+    print(json.dumps(doc, indent=2) if args.json else "\n".join(lines))
+    if out := getattr(args, "out_report", None):
         with open(out, "w") as fh:
             json.dump(doc, fh, indent=2)
+    return status
+
+
+def _options(args, *names: str) -> dict:
+    return {name: getattr(args, name) for name in names}
 
 
 def _cert_line(name: str, ok: bool | None, detail: str) -> str:
     """One certificate verdict; ``ok`` is None when its sample is empty."""
     return f"[{'n/a' if ok is None else 'ok' if ok else 'FAIL'}] {name}: {detail}"
+
+
+def _verdicts(checks, lines: list[str]) -> int:
+    """Append a verdict line per ``(name, (ok, detail))``; CERT_FAIL if any ok is false."""
+    status = OK
+    for name, (ok, detail) in checks:
+        lines.append(_cert_line(name, ok, detail))
+        if not (ok or ok is None):
+            status = CERT_FAIL
+    return status
+
+
+def _spot_check(args, problem, lines: list[str]) -> bool:
+    """Sampled strong convexity; on failure the lines so far and an error go to stderr."""
+    if args.spot_check <= 0:
+        return True
+    cert = check_strong_convexity(problem, count=args.spot_check, seed=args.seed)
+    lines.append(cert.describe())
+    if not cert.ok:
+        print("\n".join(lines), file=sys.stderr)
+        print("error: sampled Hessian not positive definite", file=sys.stderr)
+    return cert.ok
+
+
+def _unconverged(count: int) -> int:
+    """SOLVER_ERROR, announced on stderr, when ``count`` nodes failed to converge."""
+    if count:
+        print(f"error: {count} nodes failed to converge", file=sys.stderr)
+        return SOLVER_ERROR
+    return OK
+
+
+def _export(atlas, prefix: str, lines: list[str]) -> list[str]:
+    """Write the atlas to ``prefix``.csv and ``prefix``.json; return both paths."""
+    csv_path, json_path = f"{prefix}.csv", f"{prefix}.json"
+    atlas.to_csv(csv_path)
+    atlas.to_json(json_path)
+    lines.append(f"wrote {csv_path} and {json_path}")
+    return [csv_path, json_path]
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +166,9 @@ def _cert_line(name: str, ok: bool | None, detail: str) -> str:
 
 
 def cmd_solve(args, parser) -> int:
-    problem, label, digest = _load_problem(args, parser)
+    problem, source, lines = _load_problem(args, parser)
     config = _config(args)
     points = []
-    lines = [f"problem: {label} (n={problem.n}, m={problem.m}) sha256={digest[:16]}"]
     for spec in args.weight:
         w = np.array([float(t) for t in spec.split(",")])
         pt = scalarize(problem, w, config)
@@ -142,81 +186,41 @@ def cmd_solve(args, parser) -> int:
             f"w={_fmt_vec(pt.weight.coordinates)} x={_fmt_vec(pt.x)} "
             f"f={_fmt_vec(pt.fx)} kkt={pt.kkt_residual:.3e} corank={pt.corank}"
         )
-    doc = {
-        "schema": "pareto-atlas/run-v1",
-        "command": "solve",
-        "input": {"problem": label, "sha256": digest},
-        "points": points,
-        "exit_status": OK,
-    }
-    _report(args, doc, lines)
-    return OK
-
-
-def _convexity_line(problem, count: int, seed: int):
-    cert = check_strong_convexity(problem, count=count, seed=seed)
-    return cert, cert.describe()
+    return _report(args, lines, "solve", OK, input=source, points=points)
 
 
 def cmd_atlas(args, parser) -> int:
-    problem, label, digest = _load_problem(args, parser)
-    config = _config(args)
-    lines = [f"problem: {label} (n={problem.n}, m={problem.m}) sha256={digest[:16]}"]
-    if args.spot_check > 0:
-        cert, text = _convexity_line(problem, args.spot_check, args.seed)
-        lines.append(text)
-        if not cert.ok:
-            print("\n".join(lines), file=sys.stderr)
-            print("error: sampled Hessian not positive definite", file=sys.stderr)
-            return INPUT_ERROR
-    atlas = build_atlas(problem, args.resolution, config)
+    problem, source, lines = _load_problem(args, parser)
+    if not _spot_check(args, problem, lines):
+        return INPUT_ERROR
+    atlas = build_atlas(problem, args.resolution, _config(args))
     s = atlas.summary
     lines.append(
         f"atlas: resolution {s.resolution}, {s.node_count} nodes, "
         f"{s.unconverged} unconverged, max KKT residual {s.max_kkt_residual:.3e}"
     )
     lines.append(f"corank histogram: {s.corank_histogram}")
-    csv_path, json_path = f"{args.out}.csv", f"{args.out}.json"
-    atlas.to_csv(csv_path)
-    atlas.to_json(json_path)
-    outputs = [csv_path, json_path]
-    lines.append(f"wrote {csv_path} and {json_path}")
-    status = SOLVER_ERROR if atlas.failures else OK
-    doc = {
-        "schema": "pareto-atlas/run-v1",
-        "command": "atlas",
-        "input": {"problem": label, "sha256": digest},
-        "options": {"resolution": args.resolution, "grad_tol": args.grad_tol,
-                    "rank_tol": args.rank_tol},
-        "summary": s.as_dict(),
-        "outputs": outputs,
-        "exit_status": status,
-    }
-    _report(args, doc, lines)
-    if atlas.failures:
-        print(f"error: {len(atlas.failures)} nodes failed to converge", file=sys.stderr)
-    return status
+    outputs = _export(atlas, args.out, lines)
+    return _report(args, lines, "atlas", _unconverged(len(atlas.failures)), input=source,
+                   options=_options(args, "resolution", "grad_tol", "rank_tol"),
+                   summary=s.as_dict(), outputs=outputs)
 
 
 def cmd_verify(args, parser) -> int:
-    problem, label, digest = _load_problem(args, parser)
+    problem, source, lines = _load_problem(args, parser)
+    if not _spot_check(args, problem, lines):
+        return INPUT_ERROR
     config = _config(args)
-    lines = [f"problem: {label} (n={problem.n}, m={problem.m}) sha256={digest[:16]}"]
-    if args.spot_check > 0:
-        cert, text = _convexity_line(problem, args.spot_check, args.seed)
-        lines.append(text)
-        if not cert.ok:
-            print("\n".join(lines), file=sys.stderr)
-            return INPUT_ERROR
     atlas = build_atlas(problem, args.resolution, config)
-    if atlas.failures:
-        print(f"error: {len(atlas.failures)} nodes failed to converge", file=sys.stderr)
-        return SOLVER_ERROR
     s = atlas.summary
     lines.append(
         f"atlas: resolution {s.resolution}, {s.node_count} nodes, "
         f"max KKT residual {s.max_kkt_residual:.3e}"
     )
+    options = _options(args, "resolution", "grad_tol", "rank_tol", "collapse_tol")
+    if atlas.failures:
+        return _report(args, lines, "verify", _unconverged(len(atlas.failures)),
+                       input=source, options=options, summary=s.as_dict())
 
     corank = certify_corank_on_atlas(atlas, args.rank_tol)
     faces = face_consistency(atlas, config)
@@ -245,8 +249,7 @@ def cmd_verify(args, parser) -> int:
             f"{s.dominance_violations} dominating pairs among node values",
         ) if s.node_count > 1 else no_pairs,
     }
-    for name, (ok, detail) in checks.items():
-        lines.append(_cert_line(name, ok, detail))
+    status = _verdicts(checks.items(), lines)
     for idx in corank.witnesses[:10]:
         lines.append(
             f"       corank witness: node {idx} w={_fmt_vec(atlas.grid.weights[idx])} "
@@ -258,34 +261,19 @@ def cmd_verify(args, parser) -> int:
             f"       collapse: w={_fmt_vec(atlas.grid.weights[a])} vs "
             f"w={_fmt_vec(atlas.grid.weights[b])} |dx|={gap:.3e}"
         )
-    status = OK if all(ok is not False for ok, _ in checks.values()) else CERT_FAIL
     lines.append(f"verify: {'all certificates pass' if status == OK else 'FAILED'}")
-    doc = {
-        "schema": "pareto-atlas/run-v1",
-        "command": "verify",
-        "input": {"problem": label, "sha256": digest},
-        "options": {
-            "resolution": args.resolution,
-            "grad_tol": args.grad_tol,
-            "rank_tol": args.rank_tol,
-            "collapse_tol": args.collapse_tol,
-        },
-        "certificates": {
-            name: {"ok": ok, "detail": detail} for name, (ok, detail) in checks.items()
-        },
-        "corank_witnesses": corank.witnesses,
-        "collapsed_pairs": inject.collapsed_pairs,
-        "summary": s.as_dict(),
-        "exit_status": status,
-    }
-    _report(args, doc, lines)
-    return status
+    return _report(
+        args, lines, "verify", status, input=source, options=options,
+        certificates={name: {"ok": ok, "detail": detail}
+                      for name, (ok, detail) in checks.items()},
+        corank_witnesses=corank.witnesses, collapsed_pairs=inject.collapsed_pairs,
+        summary=s.as_dict(),
+    )
 
 
 def cmd_perturb(args, parser) -> int:
-    problem, label, digest = _load_problem(args, parser)
+    problem, source, lines = _load_problem(args, parser)
     config = _config(args)
-    lines = [f"problem: {label} (n={problem.n}, m={problem.m}) sha256={digest[:16]}"]
 
     if args.track:
         pi = (
@@ -294,51 +282,36 @@ def cmd_perturb(args, parser) -> int:
             else LinearPerturbation.zero(problem.n, problem.m)
         )
         rep = corank2_tracker(problem, pi, config, rank_tol=args.rank_tol)
-        ok = rep.corank == 2 and rep.meets_simplex_interior
         lines.append(
             f"tracker: x_hat={_fmt_vec(rep.x_hat)} |E|={rep.e_norm:.3e} "
             f"({rep.iterations} iterations, scale {args.scale:g}, seed {args.seed})"
         )
-        lines.append(_cert_line("corank-2 persistence", ok,
-                                f"corank {rep.corank}, interior margin {rep.interior_margin:.6g}"))
+        status = _verdicts([("corank-2 persistence", (
+            rep.corank == 2 and rep.meets_simplex_interior,
+            f"corank {rep.corank}, interior margin {rep.interior_margin:.6g}",
+        ))], lines)
         if rep.interior_witness is not None:
             lines.append(f"       interior weight: {_fmt_vec(rep.interior_witness)}")
-        doc = {
-            "schema": "pareto-atlas/run-v1",
-            "command": "perturb",
-            "mode": "track",
-            "input": {"problem": label, "sha256": digest},
-            "options": {"scale": args.scale, "seed": args.seed, "rank_tol": args.rank_tol},
-            "tracker": rep.as_dict(),
-            "exit_status": OK if ok else CERT_FAIL,
-        }
-        _report(args, doc, lines)
-        return OK if ok else CERT_FAIL
+        return _report(args, lines, "perturb", status, mode="track", input=source,
+                       options=_options(args, "scale", "seed", "rank_tol"),
+                       tracker=rep.as_dict())
 
     if args.stability:
         scales = sorted((finite(t) for t in args.scales.split(",")), reverse=True)
         rep = stability_experiment(problem, scales, args.resolution, args.seed, config)
         sups = [row.sup_displacement for row in rep.rows]
-        monotone = all(a >= b - 1e-15 for a, b in zip(sups, sups[1:]))
         lines.append(f"stability: resolution {args.resolution}, seed {args.seed}")
         for row in rep.rows:
             lines.append(
                 f"  scale {row.scale:<10g} sup displacement {row.sup_displacement:.6e} "
                 f"mean {row.mean_displacement:.6e}"
             )
-        lines.append(_cert_line("stability", monotone,
-                                "sup displacement decreases with the scale"))
-        doc = {
-            "schema": "pareto-atlas/run-v1",
-            "command": "perturb",
-            "mode": "stability",
-            "input": {"problem": label, "sha256": digest},
-            "options": {"resolution": args.resolution, "seed": args.seed},
-            "stability": rep.as_dict(),
-            "exit_status": OK if monotone else CERT_FAIL,
-        }
-        _report(args, doc, lines)
-        return OK if monotone else CERT_FAIL
+        status = _verdicts([("stability", (
+            all(a >= b - 1e-15 for a, b in zip(sups, sups[1:])),
+            "sup displacement decreases with the scale",
+        ))], lines)
+        return _report(args, lines, "perturb", status, mode="stability", input=source,
+                       options=_options(args, "resolution", "seed"), stability=rep.as_dict())
 
     tols = tuple(args.rank_tols) if args.rank_tols else (args.rank_tol,)
     rep = genericity_experiment(
@@ -350,41 +323,22 @@ def cmd_perturb(args, parser) -> int:
         seed=args.seed,
         config=config,
     )
-    failures = sum(len(t.failures) for t in rep.results)
-    if failures:
-        print(f"error: {failures} nodes failed to converge", file=sys.stderr)
-        return SOLVER_ERROR
-    ok = all(rep.all_simplicial(t) for t in tols)
     lines.append(
         f"genericity: {args.trials} trials, scale {args.scale:g}, "
         f"resolution {args.resolution}, seeds {args.seed}..{args.seed + args.trials - 1}"
     )
-    for tol in tols:
-        bad = rep.corank2_trials(tol)
-        lines.append(
-            _cert_line(
-                f"corank <= 1 at tol {tol:g}",
-                not bad,
-                f"{len(bad)} trial(s) with corank >= 2" + (f": {bad}" if bad else ""),
-            )
-        )
-    doc = {
-        "schema": "pareto-atlas/run-v1",
-        "command": "perturb",
-        "mode": "genericity",
-        "input": {"problem": label, "sha256": digest},
-        "options": {
-            "trials": args.trials,
-            "scale": args.scale,
-            "resolution": args.resolution,
-            "seed": args.seed,
-            "rank_tols": list(tols),
-        },
-        "genericity": rep.as_dict(),
-        "exit_status": OK if ok else CERT_FAIL,
-    }
-    _report(args, doc, lines)
-    return OK if ok else CERT_FAIL
+    status = _unconverged(sum(len(t.failures) for t in rep.results))
+    if status == OK:
+        checks = []
+        for tol in tols:
+            bad = rep.corank2_trials(tol)
+            checks.append((f"corank <= 1 at tol {tol:g}", (
+                not bad, f"{len(bad)} trial(s) with corank >= 2" + (f": {bad}" if bad else ""))))
+        status = _verdicts(checks, lines)
+    options = {**_options(args, "trials", "scale", "resolution", "seed"),
+               "rank_tols": list(tols)}
+    return _report(args, lines, "perturb", status, mode="genericity", input=source,
+                   options=options, genericity=rep.as_dict())
 
 
 def cmd_ridge(args, parser) -> int:
@@ -395,33 +349,23 @@ def cmd_ridge(args, parser) -> int:
         f"ridge path: {len(rep.rows)} rows, mu={args.mu:g}, resolution {args.resolution}",
         f"lambda range: [{rep.rows[0].lam:.6g}, {rep.rows[-1].lam:.6g}]",
         f"|theta| range: [{norms.min():.6g}, {norms.max():.6g}]",
-        _cert_line(
-            "normal-equations oracle",
-            rep.max_oracle_gap <= args.oracle_tol,
-            f"max gap {rep.max_oracle_gap:.3e} (tol {args.oracle_tol:g})",
-        ),
     ]
+    status = _verdicts([("normal-equations oracle", (
+        rep.max_oracle_gap <= args.oracle_tol,
+        f"max gap {rep.max_oracle_gap:.3e} (tol {args.oracle_tol:g})",
+    ))], lines)
     outputs = []
     if args.out:
         write_ridge_csv(rep, args.out)
         outputs.append(args.out)
         lines.append(f"wrote {args.out}")
-    ok = rep.max_oracle_gap <= args.oracle_tol
-    doc = {
-        "schema": "pareto-atlas/run-v1",
-        "command": "ridge",
-        "input": {"data": args.data, "mu": args.mu},
-        "options": {"resolution": args.resolution, "oracle_tol": args.oracle_tol},
-        "max_oracle_gap": rep.max_oracle_gap,
-        "outputs": outputs,
-        "exit_status": OK if ok else CERT_FAIL,
-    }
-    _report(args, doc, lines)
-    return OK if ok else CERT_FAIL
+    return _report(args, lines, "ridge", status, input={"data": args.data, "mu": args.mu},
+                   options=_options(args, "resolution", "oracle_tol"),
+                   max_oracle_gap=rep.max_oracle_gap, outputs=outputs)
 
 
 def cmd_locate(args, parser) -> int:
-    problem, label, digest = _load_problem(args, parser)
+    problem, source, lines = _load_problem(args, parser)
     family = getattr(problem, "family", None)
     if not isinstance(family, DistanceSquared):
         raise ProblemFormatError("locate requires a distance_squared problem")
@@ -446,32 +390,12 @@ def cmd_locate(args, parser) -> int:
             rep.corank_certificate.simplicial_on_sample,
             f"max corank {rep.corank_certificate.max_corank}",
         )
-    lines = [
-        f"problem: {label} (n={problem.n}, m={problem.m}) sha256={digest[:16]}",
-        f"demand points in general position: {rep.general_position}",
-    ]
-    for name, (ok, detail) in checks.items():
-        lines.append(_cert_line(name, ok, detail))
-    outputs = []
-    if args.out:
-        csv_path, json_path = f"{args.out}.csv", f"{args.out}.json"
-        rep.atlas.to_csv(csv_path)
-        rep.atlas.to_json(json_path)
-        outputs = [csv_path, json_path]
-        lines.append(f"wrote {csv_path} and {json_path}")
-    status = OK if all(ok is not False for ok, _ in checks.values()) else CERT_FAIL
-    doc = {
-        "schema": "pareto-atlas/run-v1",
-        "command": "locate",
-        "input": {"problem": label, "sha256": digest},
-        "options": {"resolution": args.resolution, "bary_tol": args.bary_tol,
-                    "hull_tol": args.hull_tol},
-        "report": rep.as_dict(),
-        "outputs": outputs,
-        "exit_status": status,
-    }
-    _report(args, doc, lines)
-    return status
+    lines.append(f"demand points in general position: {rep.general_position}")
+    status = _verdicts(checks.items(), lines)
+    outputs = _export(rep.atlas, args.out, lines) if args.out else []
+    return _report(args, lines, "locate", status, input=source,
+                   options=_options(args, "resolution", "bary_tol", "hull_tol"),
+                   report=rep.as_dict(), outputs=outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ import pytest
 import pareto_atlas
 from conftest import fixture_problems
 from pareto_atlas import DistanceSquared, RidgePair, build_problem, serialize_problem
+from pareto_atlas import cli
 from pareto_atlas.cli import main
+from pareto_atlas.problems import ConvexityCertificate
 
 
 def run_json(capsys, argv):
@@ -197,18 +199,30 @@ class TestAtlas:
         path = tmp_path / "saddle.json"
         spec = {
             "family": "generic_quadratic",
-            "n": 2,
-            "m": 1,
-            "payload": {
-                "qs": [[[1.0, 0.0], [0.0, -1.0]]],
-                "bs": [[0.0, 0.0]],
-                "cs": [0.0],
-            },
+            "q": [[[1.0, 0.0], [0.0, -1.0]]],
+            "b": [[0.0, 0.0]],
+            "c": [0.0],
         }
         path.write_text(json.dumps(spec))
         # validation already rejects an indefinite quadratic on load
         assert main(["atlas", str(path), "-r", "3"]) == 2
-        assert "error" in capsys.readouterr().err
+        assert "positive definite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["atlas", "verify"])
+def test_failed_spot_check_exits_2(command, monkeypatch, tmp_path, capsys):
+    """Every parsed family already checks positive definiteness, so the sampled
+    certificate is forced to fail here."""
+    failing = ConvexityCertificate(beta_min=-1.0, ok=False, witness_point=np.zeros(3),
+                                   witness_objective=0, count=10, radius=2.0)
+    monkeypatch.setattr(cli, "check_strong_convexity", lambda *args, **kwargs: failing)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--builtin", "example32", "-r", "3", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "FAILED (non-convex sample)" in err
+    assert err.endswith("error: sampled Hessian not positive definite\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestPerturb:
@@ -389,6 +403,70 @@ def test_every_json_output_is_standard_json(name, problem, tmp_path, capsys):
         assert doc["exit_status"] == code
         for export in exports:
             _strict_json(export.read_text())
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (["verify", "--builtin", "example31", "-r", "5"], "summary"),
+    (["perturb", "--builtin", "example31", "--trials", "2", "-r", "5"], "genericity"),
+])
+def test_unconverged_runs_still_write_their_document(argv, payload, tmp_path, capsys):
+    """Exit 3 reports what was computed before the certificates, as atlas does."""
+    report = tmp_path / "report.json"
+    code = main(argv + ["--max-iter", "0", "--json", "--out-report", str(report)])
+    out, err = capsys.readouterr()
+    doc = _strict_json(out)
+    assert code == doc["exit_status"] == 3
+    assert [key for key in doc if key not in ("schema", "command", "mode")] == [
+        "input", "options", payload, "exit_status"]
+    assert _strict_json(report.read_text()) == doc
+    assert err.endswith("nodes failed to converge\n")
+    assert main(argv + ["--max-iter", "0"]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("problem: builtin:example31 ")
+    assert "[ok]" not in out and "[FAIL]" not in out
+
+
+_RIDGE_DATA = "1,0,0.5,1\n0,1,0.2,2\n1,1,0.1,3\n0.5,0.2,1,1.5\n"
+_TRIANGLE = '{"family": "distance_squared", "points": [[0, 0], [1, 0], [0, 1]]}'
+_LAYOUTS = {
+    "solve": (["solve", "--builtin", "example31", "-w", "1,0,0"],
+              ["input", "points"], None),
+    "atlas": (["atlas", "--builtin", "example32", "-r", "3", "--out", "atlas"],
+              ["input", "options", "summary", "outputs"],
+              ["resolution", "grad_tol", "rank_tol"]),
+    "verify": (["verify", "--builtin", "example32", "-r", "3"],
+               ["input", "options", "certificates", "corank_witnesses", "collapsed_pairs",
+                "summary"],
+               ["resolution", "grad_tol", "rank_tol", "collapse_tol"]),
+    "perturb-genericity": (["perturb", "--builtin", "example31", "--trials", "1", "-r", "3"],
+                           ["mode", "input", "options", "genericity"],
+                           ["trials", "scale", "resolution", "seed", "rank_tols"]),
+    "perturb-track": (["perturb", "--builtin", "remark_g", "--track"],
+                      ["mode", "input", "options", "tracker"], ["scale", "seed", "rank_tol"]),
+    "perturb-stability": (["perturb", "--builtin", "example32", "--stability", "-r", "3"],
+                          ["mode", "input", "options", "stability"], ["resolution", "seed"]),
+    "ridge": (["ridge", "ridge.csv", "--mu", "0.1", "-r", "5"],
+              ["input", "options", "max_oracle_gap", "outputs"], ["resolution", "oracle_tol"]),
+    "locate": (["locate", "triangle.json", "-r", "3"],
+               ["input", "options", "report", "outputs"],
+               ["resolution", "bary_tol", "hull_tol"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_LAYOUTS))
+def test_run_document_key_order(name, monkeypatch, tmp_path, capsys):
+    """The run-v1 layout per command and mode, keys in the order they are written."""
+    argv, fields, options = _LAYOUTS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ridge.csv").write_text(_RIDGE_DATA)
+    (tmp_path / "triangle.json").write_text(_TRIANGLE)
+    code, doc = run_json(capsys, argv + ["--json"])
+    assert code == 0
+    assert list(doc) == ["schema", "command", *fields, "exit_status"]
+    assert doc["schema"] == "pareto-atlas/run-v1"
+    assert doc["command"] == name.split("-")[0]
+    assert (list(doc["options"]) if "options" in doc else None) == options
+    assert list(doc["input"]) == (["data", "mu"] if name == "ridge" else ["problem", "sha256"])
 
 
 def _child_env() -> dict:

@@ -1,10 +1,9 @@
 """Atlas of Pareto points over a barycentric grid on the weight simplex.
 
 The grid puts nodes at integer combinations k/r (k nonnegative integers
-summing to r).  Nodes are solved level by level in breadth-first order from
-the barycenter, each level as one batch, so that each solve warm-starts from
-an already-solved neighbor; for the quadratic families this makes every
-solve a single Newton step.
+summing to r).  Every node is its own strongly convex problem, solved cold
+from the same start, so a node's minimizer depends on its weight alone; the
+nodes go through the Newton solver in fixed-size batches.
 """
 from __future__ import annotations
 
@@ -30,6 +29,10 @@ from .solver import (
     raise_unconverged,
     row_norms,
 )
+
+# Cap on rows * m * n^2 in one Newton batch of ``solve_grid``: the entries of
+# a stack of per-row, per-objective Hessians.
+BLOCK_ENTRIES = 2 ** 20
 
 __all__ = [
     "SimplexGrid",
@@ -141,7 +144,7 @@ class SimplexGrid:
         One level at a time: the frontier's neighbour rows, read in visit
         order, list the next level's nodes in the order a FIFO queue would
         first reach them, and the row a node is first reached from is its
-        parent.
+        parent.  The solver does not use it: every node is solved cold.
         """
         center = np.full(self.m, 1.0 / self.m)
         start = int(np.argmin(np.linalg.norm(self.weights - center, axis=1)))
@@ -159,17 +162,6 @@ class SimplexGrid:
             frontier = reached[first]
             parent[frontier] = reached_from[first]
         return np.concatenate(levels), parent
-
-    def levels(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """``bfs_order`` split into its levels, and each node's parent.
-
-        A node's level is its distance from the start, which is half the L1
-        distance between their compositions: every move shifts one unit
-        from one coordinate to another.
-        """
-        order, parent = self.bfs_order()
-        depth = np.abs(self.nodes - self.nodes[order[0]]).sum(axis=1) // 2
-        return np.split(order, np.flatnonzero(np.diff(depth[order])) + 1), parent
 
 
 def _pair_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -383,31 +375,31 @@ class ParetoAtlas:
 
 def solve_grid(problem, grid: SimplexGrid, config: SolverConfig = DEFAULT_CONFIG,
                linear: np.ndarray | None = None) -> NewtonResult:
-    """Minimizers at every grid node, one breadth-first level at a time.
+    """Minimizers at every grid node, each solved cold (``minimize_weighted``
+    with no start point).
 
-    Each level of ``SimplexGrid.levels`` is one Newton batch, warm-started
-    from the parents' minimizers.  With ``linear`` of shape (T, m, n) the
-    grid is solved for each of the T problems f_i + linear[t, i] . x, every
-    level still one batch, and the result has T * N rows, problem-major.
+    With ``linear`` of shape (T, m, n) the grid is solved for each of the T
+    problems f_i + linear[t, i] . x, and the result has T * N rows,
+    problem-major.  The rows go through the solver in blocks of at most
+    ``BLOCK_ENTRIES`` // (m n^2) rows, so memory stays bounded as the grid
+    grows; no row depends on which block it is in.
     """
-    levels, parents = grid.levels()
-    terms = 1 if linear is None else len(linear)
-    shape = (terms, grid.node_count)
-    x = np.empty(shape + (problem.n,))
-    res, tol = np.empty(shape), np.empty(shape)
-    iterations = np.empty(shape, dtype=int)
-    for level in levels:
-        warm = x[:, parents[level]].reshape(-1, problem.n) if parents[level[0]] >= 0 else None
-        rows = None if linear is None else np.repeat(linear, len(level), axis=0)
-        result = minimize_weighted(problem, np.tile(grid.weights[level], (terms, 1)), config,
-                                   x0=warm, linear=rows)
-        for out, got in zip((x, res, iterations, tol), result):
-            out[:, level] = got.reshape((terms, len(level)) + got.shape[1:])
-    return NewtonResult(x.reshape(-1, problem.n), res.ravel(), iterations.ravel(), tol.ravel())
+    total = grid.node_count * (1 if linear is None else len(linear))
+    size = max(1, BLOCK_ENTRIES // (problem.m * problem.n ** 2))
+    out = NewtonResult(np.empty((total, problem.n)), np.empty(total),
+                       np.empty(total, dtype=int), np.empty(total))
+    for first in range(0, total, size):
+        rows = np.arange(first, min(first + size, total))
+        block = minimize_weighted(
+            problem, grid.weights[rows % grid.node_count], config,
+            linear=None if linear is None else linear[rows // grid.node_count])
+        for field, got in zip(out, block):
+            field[rows] = got
+    return out
 
 
 def build_atlas(problem, resolution: int, config: SolverConfig = DEFAULT_CONFIG) -> ParetoAtlas:
-    """Solve every grid node, one breadth-first level at a time (``solve_grid``).
+    """Solve every grid node cold (``solve_grid``).
 
     Nodes that exhaust the iteration budget are recorded in ``failures``
     (corank -1), not raised.
@@ -431,11 +423,14 @@ class FaceConsistencyReport:
 def face_consistency(atlas: ParetoAtlas, config: SolverConfig | None = None) -> FaceConsistencyReport:
     """Re-solve every boundary node as a subproblem of its face.
 
-    The subproblem solves start cold (no warm start from the atlas), so the
-    comparison is a genuinely independent route to the same minimizer; each
-    proper face is one Newton batch.  The acceptance tolerance is 10x the
-    scaled gradient tolerance: for strongly convex objectives the minimizer
-    displacement is bounded by the residual over the convexity constant.
+    The atlas solves the full problem with zero weights off the face; the
+    re-solve drops those objectives (``restrict``) and keeps only the face's
+    weights, so the check is that the restricted problem has the same
+    minimizer.  Both start cold from the same point, so the start is not
+    what differs.  Each proper face is one Newton batch.  The acceptance
+    tolerance is 10x the scaled gradient tolerance: for strongly convex
+    objectives the minimizer displacement is bounded by the residual over
+    the convexity constant.
     """
     config = config or atlas.config
     grid = atlas.grid

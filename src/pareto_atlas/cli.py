@@ -371,6 +371,10 @@ def cmd_locate(args, parser) -> int:
         raise ProblemFormatError("locate requires a distance_squared problem")
     instance = LocationInstance(family.points)
     rep = location_pareto_set(instance, args.resolution, _config(args), args.rank_tol)
+    options = _options(args, "resolution", "bary_tol", "hull_tol")
+    if rep.atlas.failures:
+        return _report(args, lines, "locate", _unconverged(len(rep.atlas.failures)),
+                       input=source, options=options, summary=rep.atlas.summary.as_dict())
     checks = {
         "barycentric closed form": (
             rep.max_barycentric_error <= args.bary_tol,
@@ -393,8 +397,7 @@ def cmd_locate(args, parser) -> int:
     lines.append(f"demand points in general position: {rep.general_position}")
     status = _verdicts(checks.items(), lines)
     outputs = _export(rep.atlas, args.out, lines) if args.out else []
-    return _report(args, lines, "locate", status, input=source,
-                   options=_options(args, "resolution", "bary_tol", "hull_tol"),
+    return _report(args, lines, "locate", status, input=source, options=options,
                    report=rep.as_dict(), outputs=outputs)
 
 
@@ -451,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank-tols", type=finite, action="append",
                    help="repeatable rank tolerance sweep (default: --rank-tol)")
     p.add_argument("--track", action="store_true",
-                   help="track the corank-2 point of a square 4 -> 4 mapping")
+                   help="track the corank-2 point of a square 4 -> 4 mapping; it stops "
+                   "at |E| <= 1e-12 or after --max-iter steps (--grad-tol does not apply)")
     p.add_argument("--stability", action="store_true",
                    help="sup-displacement table over --scales")
     p.add_argument("--scales", default="0.1,0.01,0.001",

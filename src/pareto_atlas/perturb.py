@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import SimplexGrid, build_atlas, solve_grid
+from .atlas import SimplexGrid, solve_grid
+from .atlas import build_atlas  # noqa: F401 -- unused here; perfbench/tracing.py patches it
 from .diagnostics import (
     DEFAULT_RANK_TOL,
     CorankCertificate,
@@ -21,14 +22,7 @@ from .diagnostics import (
     corank_certificate,
 )
 from .problems import ProblemBase
-from .solver import (
-    DEFAULT_CONFIG,
-    SolverConfig,
-    minimize_weighted,
-    raise_unconverged,
-    row_norms,
-    with_linear,
-)
+from .solver import DEFAULT_CONFIG, SolverConfig, raise_unconverged, row_norms, with_linear
 
 __all__ = [
     "LinearPerturbation",
@@ -177,10 +171,10 @@ def genericity_experiment(
     """Atlas + corank sweep for ``trials`` seeded random perturbations.
 
     Trial t draws its perturbation with seed ``seed + t``, so runs are
-    reproducible point by point.  Every trial solves the same grid, so each
-    breadth-first level is one Newton batch over all trials, and one SVD
-    batch gives every trial's coranks.  Raises ValueError for
-    ``trials < 1``: a sweep over no trials certifies nothing.
+    reproducible point by point.  One ``solve_grid`` call solves every
+    trial's grid, each node cold, and one SVD batch gives every trial's
+    coranks.  Raises ValueError for ``trials < 1``: a sweep over no trials
+    certifies nothing.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -331,15 +325,16 @@ def corank2_tracker(
     config: SolverConfig = DEFAULT_CONFIG,
     rank_tol: float = DEFAULT_RANK_TOL,
     e_tol: float = 1e-12,
-    max_iter: int = 60,
 ) -> TrackerReport:
     """Track the corank-2 point of a square 4 -> 4 mapping under perturbation.
 
     Newton-solves E(x, pi) = 0 for the Schur complement of ``corank2_system``
-    starting from the configured initial point (default: origin).  Reports
-    the corank and cokernel at the root and whether the cokernel meets the
-    open weight simplex, which is what makes the degenerate point a genuine
-    obstruction rather than an invisible one.
+    starting from the configured initial point (default: origin), for at most
+    ``config.max_iter`` iterations; it stops at |E| <= ``e_tol``, and
+    ``config.grad_tol`` does not apply.  Reports the corank and cokernel at
+    the root and whether the cokernel meets the open weight simplex, which is
+    what makes the degenerate point a genuine obstruction rather than an
+    invisible one.
     """
     if perturbation is None:
         perturbation = LinearPerturbation.zero(problem.n, problem.m)
@@ -351,7 +346,7 @@ def corank2_tracker(
     )
     e, de = corank2_system(target, x)
     iterations = 0
-    while np.linalg.norm(e) > e_tol and iterations < max_iter:
+    while np.linalg.norm(e) > e_tol and iterations < config.max_iter:
         jac = de.transpose(1, 2, 0).reshape(4, 4)
         try:
             step = np.linalg.solve(jac, -e.reshape(4))
@@ -363,7 +358,7 @@ def corank2_tracker(
     e_norm = float(np.linalg.norm(e))
     if e_norm > e_tol:
         raise TrackerDiverged(
-            f"no root after {max_iter} iterations (|E| = {e_norm:.3e})"
+            f"no root after {config.max_iter} iterations (|E| = {e_norm:.3e})"
         )
     rep = corank_at(target, x, rank_tol)
     cok = cokernel_basis(target, x, rank_tol)
@@ -421,19 +416,17 @@ def stability_experiment(
 
     All scales reuse the same seed, so they perturb along a single direction
     with decreasing magnitude; displacements should decrease accordingly.
-    All scales are one Newton batch over the grid, every node warm-started
-    at its unperturbed minimizer.
+    One ``solve_grid`` call solves the grid for the linear terms
+    [0, pi_1, ..., pi_k], the unperturbed problem first, every node cold.
     """
-    base = build_atlas(problem, resolution, config)
     scales = [float(scale) for scale in scales]
     pis = np.array([LinearPerturbation.draw(problem.n, problem.m, seed, scale).coefficients
-                    for scale in scales]).reshape(-1, problem.m, problem.n)
-    count = base.grid.node_count
-    base_x = np.tile(base.x, (len(scales), 1))
-    moved = minimize_weighted(problem, np.tile(base.grid.weights, (len(scales), 1)), config,
-                              x0=base_x, linear=np.repeat(pis, count, axis=0))
-    raise_unconverged(moved)
-    gaps = row_norms(moved.x - base_x).reshape(len(scales), count)
+                    for scale in [0.0, *scales]])
+    grid = SimplexGrid(problem.m, resolution)
+    result = solve_grid(problem, grid, config, pis)
+    raise_unconverged(result)
+    x = result.x.reshape(len(pis), grid.node_count, problem.n)
+    gaps = row_norms((x[1:] - x[0]).reshape(-1, problem.n)).reshape(len(scales), grid.node_count)
     rows = [
         StabilityRow(
             scale=scale,

@@ -116,6 +116,12 @@ class Weight:
 # ---------------------------------------------------------------------------
 
 
+def _rowwise(mat: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """mat @ xs[k] for each row k, with ``mat`` one matrix or an (N, ...) stack
+    of one per row; one product per row, so rows round alike in any batch."""
+    return np.matmul(mat, xs[:, :, None])[:, :, 0]
+
+
 def _constant(hessians) -> np.ndarray:
     """Read-only (1, m, n, n) view of Hessians that do not depend on x."""
     hessians = np.asarray(hessians, dtype=float)
@@ -155,7 +161,7 @@ class GenericQuadratic:
 
     def evaluate(self, xs):
         qx = np.einsum("kij,Nj->Nki", self.qs, xs)
-        values = 0.5 * np.einsum("Ni,Nki->Nk", xs, qx) + xs @ self.bs.T + self.cs
+        values = 0.5 * np.einsum("Ni,Nki->Nk", xs, qx) + _rowwise(self.bs, xs) + self.cs
         return values, qx + self.bs, _constant(self.qs)
 
     def payload(self) -> dict:
@@ -441,10 +447,10 @@ class RidgePair:
             raise ProblemFormatError("mu must be positive")
 
     def evaluate(self, xs):
-        resid = xs @ self.x_data.T - self.y_data
+        resid = _rowwise(self.x_data, xs) - self.y_data
         sq = np.einsum("Ni,Ni->N", xs, xs)
         values = np.stack([np.einsum("Ni,Ni->N", resid, resid) + self.mu * sq, sq], axis=1)
-        jac = np.stack([2.0 * (resid @ self.x_data) + 2.0 * self.mu * xs, 2.0 * xs], axis=1)
+        jac = np.stack([2.0 * (_rowwise(self.x_data.T, resid) + self.mu * xs), 2.0 * xs], axis=1)
         eye = np.eye(self.n)
         h1 = 2.0 * (self.x_data.T @ self.x_data) + 2.0 * self.mu * eye
         return values, jac, _constant([h1, 2.0 * eye])

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import DEFAULT_RANK_TOL, numerical_rank
-from .problems import Weight, restrict
+from .problems import Weight, _rowwise, restrict
 
 __all__ = [
     "SolverConfig",
@@ -114,7 +114,7 @@ def with_linear(values: np.ndarray, jac: np.ndarray, linear: np.ndarray, xs: np.
     one per row; either way each product pi x is taken row by row, so the
     two forms round alike.
     """
-    return values + np.matmul(linear, xs[:, :, None])[:, :, 0], jac + linear
+    return values + _rowwise(linear, xs), jac + linear
 
 
 def _scalarized(problem, weights: np.ndarray, xs: np.ndarray, linear: np.ndarray | None = None):

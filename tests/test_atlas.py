@@ -1,4 +1,4 @@
-"""Grid enumeration, warm-started sweeps, exports, face and injectivity scans."""
+"""Grid enumeration, cold grid solves, exports, face and injectivity scans."""
 from __future__ import annotations
 
 import csv
@@ -127,14 +127,11 @@ class TestNonQuadraticFamily:
 
     @staticmethod
     def assert_nodes_match_single_solves(problem, atlas, config):
-        """Each converged node is what it would be if solved on its own from the
-        same warm start (its BFS parent's minimizer)."""
-        _, parent = atlas.grid.bfs_order()
+        """Each converged node is what it would be if solved on its own, cold."""
         for i in np.flatnonzero(atlas.converged):
-            warm = atlas.x[parent[i]] if parent[i] >= 0 else None
-            alone = scalarize(problem, atlas.grid.weights[i], config, x0=warm)
+            alone = scalarize(problem, atlas.grid.weights[i], config)
             assert atlas.iterations[i] == alone.iterations
-            assert_allclose(atlas.x[i], alone.x, rtol=0.0, atol=1e-12)
+            assert np.array_equal(atlas.x[i], alone.x)
 
     def test_atlas_matches_single_node_solves(self):
         problem = softplus_problem()

@@ -278,6 +278,10 @@ class TestPerturb:
         assert code == 0
         assert "[ok] corank-2 persistence" in capsys.readouterr().out
 
+    def test_track_honours_max_iter(self, capsys):
+        assert main(["perturb", "--builtin", "remark_g", "--track", "--max-iter", "0"]) == 3
+        assert "no root after 0 iterations" in capsys.readouterr().err
+
     def test_track_needs_square_mapping(self, capsys):
         assert main(["perturb", "--builtin", "example31", "--track"]) == 2
         assert "error" in capsys.readouterr().err
@@ -354,6 +358,31 @@ class TestLocate:
         assert code == doc["exit_status"] == 0
         assert main(["locate", str(path), "-r", "3"]) == 0
         assert "[n/a] injectivity: " in capsys.readouterr().out
+
+    def test_unconverged_nodes_exit_3(self, tmp_path, capsys):
+        """Certificates at iterates that are not minimizers certify nothing."""
+        path = tmp_path / "four.json"
+        points = np.random.default_rng(5).standard_normal((4, 3))
+        path.write_text(serialize_problem(build_problem(DistanceSquared(points))))
+        argv = ["locate", str(path), "-r", "4", "--max-iter", "0"]
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert err == "error: 35 nodes failed to converge\n"
+        assert out.startswith("problem: ") and "[ok]" not in out and "[FAIL]" not in out
+        code, doc = run_json(capsys, argv + ["--json"])
+        assert code == doc["exit_status"] == 3
+        assert list(doc) == ["schema", "command", "input", "options", "summary", "exit_status"]
+        assert doc["summary"]["unconverged"] == 35
+
+    def test_far_from_the_origin(self, tmp_path, capsys):
+        """Demand points near 1e6: a cold start scales each node's tolerance
+        with its gradient norm at the origin, which grows with |x*|."""
+        points = 1e6 + np.random.default_rng(0).standard_normal((3, 4))
+        path = tmp_path / "far.json"
+        path.write_text(serialize_problem(build_problem(DistanceSquared(points))))
+        assert main(["verify", str(path), "-r", "20"]) == 0
+        assert main(["perturb", str(path), "--stability", "-r", "10"]) == 0
+        capsys.readouterr()
 
     def test_wrong_family_exits_2(self, capsys):
         assert main(["locate", "--builtin", "example31"]) == 2

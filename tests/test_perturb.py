@@ -9,6 +9,7 @@ from scipy.linalg import subspace_angles
 from conftest import fd_gradients
 from pareto_atlas import (
     LinearPerturbation,
+    SolverConfig,
     build_atlas,
     certify_corank_on_atlas,
     corank2_system,
@@ -197,7 +198,7 @@ class TestTracker:
     def test_budget_exhaustion_raises(self, remark_g):
         pi = LinearPerturbation.draw(4, 4, seed=0, scale=1e-3)
         with pytest.raises(TrackerDiverged, match="no root"):
-            corank2_tracker(remark_g, pi, max_iter=0)
+            corank2_tracker(remark_g, pi, SolverConfig(max_iter=0))
 
 
 class TestStability:

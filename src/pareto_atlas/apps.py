@@ -19,7 +19,7 @@ from .atlas import (
     face_consistency,
     injectivity_scan,
 )
-from .diagnostics import DEFAULT_RANK_TOL, CorankCertificate, certify_corank_on_atlas
+from .diagnostics import CorankCertificate, certify_corank_on_atlas
 from .problems import DistanceSquared, Phenotypic, RidgePair, build_problem
 from .solver import DEFAULT_CONFIG, SolverConfig, minimize_weighted, raise_unconverged
 
@@ -106,12 +106,14 @@ def _hull_violation(points: np.ndarray, x: np.ndarray) -> float:
 
 @dataclass
 class LocationReport:
+    """The atlas and its checks; the checks are None when a node failed to converge."""
+
     atlas: ParetoAtlas
     general_position: bool
-    max_barycentric_error: float  # |x(w) - sum_i w_i p_i|, max over nodes
-    max_hull_violation: float  # LP hull membership, max over nodes
-    corank_certificate: CorankCertificate
-    injectivity: InjectivityReport
+    max_barycentric_error: float | None  # |x(w) - sum_i w_i p_i|, max over nodes
+    max_hull_violation: float | None  # LP hull membership, max over nodes
+    corank_certificate: CorankCertificate | None
+    injectivity: InjectivityReport | None
 
     def as_dict(self) -> dict:
         return {
@@ -133,29 +135,27 @@ def location_pareto_set(
     instance: LocationInstance,
     resolution: int,
     config: SolverConfig = DEFAULT_CONFIG,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> LocationReport:
     """Atlas for a location instance, checked two independent ways.
 
     The minimizer for weight w has the closed form sum_i w_i p_i, so every
     atlas point is compared against that barycenter and, separately, run
     through an LP membership test for the convex hull of the demand points.
+    If any node fails to converge the report stops at the atlas: no check
+    is run and their fields are None.
     """
     problem = build_problem(DistanceSquared(instance.points))
     atlas = build_atlas(problem, resolution, config)
+    report = LocationReport(atlas, instance.general_position, None, None, None, None)
+    if atlas.failures:
+        return report
     xs = atlas.x
     expected = atlas.grid.weights @ instance.points
-    bary_err = float(np.linalg.norm(xs - expected, axis=1).max())
-    hull = max(_hull_violation(instance.points, x) for x in xs)
-    cert = certify_corank_on_atlas(atlas, rank_tol)
-    return LocationReport(
-        atlas=atlas,
-        general_position=instance.general_position,
-        max_barycentric_error=bary_err,
-        max_hull_violation=float(hull),
-        corank_certificate=cert,
-        injectivity=injectivity_scan(atlas),
-    )
+    report.max_barycentric_error = float(np.linalg.norm(xs - expected, axis=1).max())
+    report.max_hull_violation = float(max(_hull_violation(instance.points, x) for x in xs))
+    report.corank_certificate = certify_corank_on_atlas(atlas)
+    report.injectivity = injectivity_scan(atlas)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +194,6 @@ def phenotypic_pareto_set(
     points,
     resolution: int,
     config: SolverConfig = DEFAULT_CONFIG,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> PhenotypicReport:
     """Atlas plus per-instance certificates for anisotropic distances.
 
@@ -204,8 +203,8 @@ def phenotypic_pareto_set(
     """
     problem = build_problem(Phenotypic(np.asarray(mats, float), np.asarray(points, float)))
     atlas = build_atlas(problem, resolution, config)
-    cert = certify_corank_on_atlas(atlas, rank_tol)
-    faces = face_consistency(atlas, config)
+    cert = certify_corank_on_atlas(atlas)
+    faces = face_consistency(atlas)
     return PhenotypicReport(
         atlas=atlas,
         corank_certificate=cert,

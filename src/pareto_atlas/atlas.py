@@ -420,19 +420,19 @@ class FaceConsistencyReport:
     per_face: dict[tuple[int, ...], float]
 
 
-def face_consistency(atlas: ParetoAtlas, config: SolverConfig | None = None) -> FaceConsistencyReport:
+def face_consistency(atlas: ParetoAtlas) -> FaceConsistencyReport:
     """Re-solve every boundary node as a subproblem of its face.
 
     The atlas solves the full problem with zero weights off the face; the
     re-solve drops those objectives (``restrict``) and keeps only the face's
     weights, so the check is that the restricted problem has the same
-    minimizer.  Both start cold from the same point, so the start is not
-    what differs.  Each proper face is one Newton batch.  The acceptance
+    minimizer.  The re-solves use ``atlas.config`` and start cold from the
+    origin, as the atlas did, so neither the settings nor the start is what
+    differs.  Each proper face is one Newton batch.  The acceptance
     tolerance is 10x the scaled gradient tolerance: for strongly convex
     objectives the minimizer displacement is bounded by the residual over
     the convexity constant.
     """
-    config = config or atlas.config
     grid = atlas.grid
     faces, which = grid.faces()
     gaps = np.zeros(grid.node_count)
@@ -443,7 +443,7 @@ def face_consistency(atlas: ParetoAtlas, config: SolverConfig | None = None) -> 
             continue  # interior nodes
         nodes = np.flatnonzero(which == k)
         sub = minimize_weighted(restrict(atlas.problem, face), grid.weights[np.ix_(nodes, face)],
-                                config)
+                                atlas.config)
         raise_unconverged(sub)
         gaps[nodes] = row_norms(atlas.x[nodes] - sub.x)
         per_face[face] = float(gaps[nodes].max())

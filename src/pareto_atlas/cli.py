@@ -23,6 +23,7 @@ from .apps import (
 from .atlas import build_atlas, face_consistency, injectivity_scan
 from .diagnostics import DEFAULT_RANK_TOL, certify_corank_on_atlas
 from .perturb import (
+    E_TOL,
     DBlockSingular,
     LinearPerturbation,
     TrackerDiverged,
@@ -210,8 +211,7 @@ def cmd_verify(args, parser) -> int:
     problem, source, lines = _load_problem(args, parser)
     if not _spot_check(args, problem, lines):
         return INPUT_ERROR
-    config = _config(args)
-    atlas = build_atlas(problem, args.resolution, config)
+    atlas = build_atlas(problem, args.resolution, _config(args))
     s = atlas.summary
     lines.append(
         f"atlas: resolution {s.resolution}, {s.node_count} nodes, "
@@ -222,8 +222,8 @@ def cmd_verify(args, parser) -> int:
         return _report(args, lines, "verify", _unconverged(len(atlas.failures)),
                        input=source, options=options, summary=s.as_dict())
 
-    corank = certify_corank_on_atlas(atlas, args.rank_tol)
-    faces = face_consistency(atlas, config)
+    corank = certify_corank_on_atlas(atlas)
+    faces = face_consistency(atlas)
     inject = injectivity_scan(atlas, args.collapse_tol)
     nondom = s.dominance_violations == 0
     no_pairs = (None, f"{s.node_count} node, no pairs to compare")
@@ -281,7 +281,7 @@ def cmd_perturb(args, parser) -> int:
             if args.scale > 0
             else LinearPerturbation.zero(problem.n, problem.m)
         )
-        rep = corank2_tracker(problem, pi, config, rank_tol=args.rank_tol)
+        rep = corank2_tracker(problem, pi, config)
         lines.append(
             f"tracker: x_hat={_fmt_vec(rep.x_hat)} |E|={rep.e_norm:.3e} "
             f"({rep.iterations} iterations, scale {args.scale:g}, seed {args.seed})"
@@ -313,13 +313,12 @@ def cmd_perturb(args, parser) -> int:
         return _report(args, lines, "perturb", status, mode="stability", input=source,
                        options=_options(args, "resolution", "seed"), stability=rep.as_dict())
 
-    tols = tuple(args.rank_tols) if args.rank_tols else (args.rank_tol,)
     rep = genericity_experiment(
         problem,
         trials=args.trials,
         scale=args.scale,
         resolution=args.resolution,
-        rank_tols=tols,
+        rank_tols=args.rank_tols,
         seed=args.seed,
         config=config,
     )
@@ -330,13 +329,13 @@ def cmd_perturb(args, parser) -> int:
     status = _unconverged(sum(len(t.failures) for t in rep.results))
     if status == OK:
         checks = []
-        for tol in tols:
+        for tol in rep.rank_tols:
             bad = rep.corank2_trials(tol)
             checks.append((f"corank <= 1 at tol {tol:g}", (
                 not bad, f"{len(bad)} trial(s) with corank >= 2" + (f": {bad}" if bad else ""))))
         status = _verdicts(checks, lines)
     options = {**_options(args, "trials", "scale", "resolution", "seed"),
-               "rank_tols": list(tols)}
+               "rank_tols": list(rep.rank_tols)}
     return _report(args, lines, "perturb", status, mode="genericity", input=source,
                    options=options, genericity=rep.as_dict())
 
@@ -370,7 +369,7 @@ def cmd_locate(args, parser) -> int:
     if not isinstance(family, DistanceSquared):
         raise ProblemFormatError("locate requires a distance_squared problem")
     instance = LocationInstance(family.points)
-    rep = location_pareto_set(instance, args.resolution, _config(args), args.rank_tol)
+    rep = location_pareto_set(instance, args.resolution, _config(args))
     options = _options(args, "resolution", "bary_tol", "hull_tol")
     if rep.atlas.failures:
         return _report(args, lines, "locate", _unconverged(len(rep.atlas.failures)),
@@ -455,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeatable rank tolerance sweep (default: --rank-tol)")
     p.add_argument("--track", action="store_true",
                    help="track the corank-2 point of a square 4 -> 4 mapping; it stops "
-                   "at |E| <= 1e-12 or after --max-iter steps (--grad-tol does not apply)")
+                   f"at |E| <= {E_TOL:g} or after --max-iter steps (--grad-tol does not apply)")
     p.add_argument("--stability", action="store_true",
                    help="sup-displacement table over --scales")
     p.add_argument("--scales", default="0.1,0.01,0.001",

@@ -117,14 +117,16 @@ def corank_certificate(sv: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> CorankC
     )
 
 
-def certify_corank_on_atlas(atlas, tol: float = DEFAULT_RANK_TOL) -> CorankCertificate:
-    """Recompute Jacobian coranks at every atlas node.
+def certify_corank_on_atlas(atlas) -> CorankCertificate:
+    """Corank certificate over every atlas node at ``atlas.config.rank_tol``.
 
-    Independent of whatever the solver stored: this evaluates the Jacobians
-    at the stored minimizers and takes fresh SVDs, all nodes in one batch.
+    Evaluates the Jacobians at the stored minimizers and takes their SVDs,
+    all nodes in one batch: the same evaluate and SVD that filled
+    ``atlas.sv``, so its coranks equal ``atlas.corank`` at every converged
+    node.
     """
     jac = atlas.problem.evaluate(atlas.x)[1]
-    return corank_certificate(np.linalg.svd(jac, compute_uv=False), tol)
+    return corank_certificate(np.linalg.svd(jac, compute_uv=False), atlas.config.rank_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import numpy as np
 from .atlas import SimplexGrid, solve_grid
 from .atlas import build_atlas  # noqa: F401 -- unused here; perfbench/tracing.py patches it
 from .diagnostics import (
-    DEFAULT_RANK_TOL,
     CorankCertificate,
     certify_corank_on_atlas,  # noqa: F401 -- unused here; perfbench/tracing.py patches it
     cokernel_basis,
@@ -164,7 +163,7 @@ def genericity_experiment(
     trials: int,
     scale: float,
     resolution: int,
-    rank_tols=(DEFAULT_RANK_TOL,),
+    rank_tols=None,
     seed: int = 0,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> GenericityReport:
@@ -173,12 +172,17 @@ def genericity_experiment(
     Trial t draws its perturbation with seed ``seed + t``, so runs are
     reproducible point by point.  One ``solve_grid`` call solves every
     trial's grid, each node cold, and one SVD batch gives every trial's
-    coranks.  Raises ValueError for ``trials < 1``: a sweep over no trials
-    certifies nothing.
+    coranks at each of ``rank_tols`` (default ``(config.rank_tol,)``).
+    Raises ValueError for ``trials < 1`` or an empty ``rank_tols``: a sweep
+    over no trials or no tolerance certifies nothing.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if rank_tols is None:
+        rank_tols = (config.rank_tol,)
     tols = tuple(float(t) for t in np.atleast_1d(rank_tols))
+    if not tols:
+        raise ValueError("rank_tols must name at least one tolerance")
     pis = np.array([LinearPerturbation.draw(problem.n, problem.m, seed + t, scale).coefficients
                     for t in range(trials)])
     grid = SimplexGrid(problem.m, resolution)
@@ -211,6 +215,9 @@ def genericity_experiment(
 # ---------------------------------------------------------------------------
 # Corank-2 tracker for square (n = m = 4) mappings
 # ---------------------------------------------------------------------------
+
+
+E_TOL = 1e-12  # the tracker stops at |E| <= E_TOL
 
 
 class DBlockSingular(RuntimeError):
@@ -323,30 +330,23 @@ def corank2_tracker(
     problem,
     perturbation: LinearPerturbation | None = None,
     config: SolverConfig = DEFAULT_CONFIG,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    e_tol: float = 1e-12,
 ) -> TrackerReport:
     """Track the corank-2 point of a square 4 -> 4 mapping under perturbation.
 
     Newton-solves E(x, pi) = 0 for the Schur complement of ``corank2_system``
-    starting from the configured initial point (default: origin), for at most
-    ``config.max_iter`` iterations; it stops at |E| <= ``e_tol``, and
-    ``config.grad_tol`` does not apply.  Reports the corank and cokernel at
-    the root and whether the cokernel meets the open weight simplex, which is
-    what makes the degenerate point a genuine obstruction rather than an
-    invisible one.
+    starting from the origin, for at most ``config.max_iter`` iterations; it
+    stops at |E| <= ``E_TOL``, and ``config.grad_tol`` does not apply.
+    Reports the corank (at ``config.rank_tol``) and cokernel at the root and
+    whether the cokernel meets the open weight simplex, which is what makes
+    the degenerate point a genuine obstruction rather than an invisible one.
     """
     if perturbation is None:
         perturbation = LinearPerturbation.zero(problem.n, problem.m)
     target = perturb_problem(problem, perturbation)
-    x = (
-        np.array(config.initial_point, dtype=float)
-        if config.initial_point is not None
-        else np.zeros(4)
-    )
+    x = np.zeros(4)
     e, de = corank2_system(target, x)
     iterations = 0
-    while np.linalg.norm(e) > e_tol and iterations < config.max_iter:
+    while np.linalg.norm(e) > E_TOL and iterations < config.max_iter:
         jac = de.transpose(1, 2, 0).reshape(4, 4)
         try:
             step = np.linalg.solve(jac, -e.reshape(4))
@@ -356,12 +356,12 @@ def corank2_tracker(
         e, de = corank2_system(target, x)
         iterations += 1
     e_norm = float(np.linalg.norm(e))
-    if e_norm > e_tol:
+    if e_norm > E_TOL:
         raise TrackerDiverged(
             f"no root after {config.max_iter} iterations (|E| = {e_norm:.3e})"
         )
-    rep = corank_at(target, x, rank_tol)
-    cok = cokernel_basis(target, x, rank_tol)
+    rep = corank_at(target, x, config.rank_tol)
+    cok = cokernel_basis(target, x, config.rank_tol)
     meets, margin, witness = _interior_intersection(cok)
     return TrackerReport(
         x_hat=x,

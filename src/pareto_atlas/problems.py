@@ -176,8 +176,28 @@ class GenericQuadratic:
         )
 
 
+class _FixedQuadratic:
+    """A parameter-free quadratic family: ``_quadratic`` holds its data, so
+    its JSON payload is empty and there is nothing to validate."""
+
+    _quadratic: GenericQuadratic
+
+    def validate(self):
+        pass
+
+    def evaluate(self, xs):
+        return self._quadratic.evaluate(xs)
+
+    def payload(self) -> dict:
+        return {}
+
+    @classmethod
+    def from_payload(cls, data: dict):
+        return cls()
+
+
 @dataclass(frozen=True)
-class Example31:
+class Example31(_FixedQuadratic):
     """Three quadratics on R^3 whose optimal set pinches to a point.
 
     f_1 = |x|^2, f_2 = x_1 + x_2 + |x|^2, f_3 = -(x_1 + x_2) + |x|^2 + x_2^2.
@@ -198,23 +218,10 @@ class Example31:
         np.zeros(3),
     )
 
-    def validate(self):
-        pass
-
-    def evaluate(self, xs):
-        return self._quadratic.evaluate(xs)
-
     def minimizer(self, w2: float, w3: float) -> np.ndarray:
         """Closed-form scalarized minimizer, parametrized by (w2, w3)."""
         d = w2 - w3
         return np.array([-d / 2.0, -d / (2.0 * (1.0 + w3)), 0.0])
-
-    def payload(self) -> dict:
-        return {}
-
-    @classmethod
-    def from_payload(cls, data: dict) -> "Example31":
-        return cls()
 
 
 @dataclass(frozen=True)
@@ -252,7 +259,7 @@ class Example31Perturbed:
 
 
 @dataclass(frozen=True)
-class Example32:
+class Example32(_FixedQuadratic):
     """Three coupled quadratics on R^3 with corank 1 along the whole optimal set.
 
     f_1 = x_1^2 + (x_1 - x_2)^2 + x_3^2, f_2 = 2 (x_1 - 1)^2 + (x_1 - x_2 - 1)^2
@@ -275,22 +282,9 @@ class Example32:
         [0.0, 3.0, 8.0],
     )
 
-    def validate(self):
-        pass
-
-    def evaluate(self, xs):
-        return self._quadratic.evaluate(xs)
-
-    def payload(self) -> dict:
-        return {}
-
-    @classmethod
-    def from_payload(cls, data: dict) -> "Example32":
-        return cls()
-
 
 @dataclass(frozen=True)
-class RemarkG:
+class RemarkG(_FixedQuadratic):
     """Square 4 -> 4 strongly convex map with a persistent corank-2 point.
 
     Built from two coupled quadratics
@@ -312,19 +306,6 @@ class RemarkG:
         [[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
         np.zeros(4),
     )
-
-    def validate(self):
-        pass
-
-    def evaluate(self, xs):
-        return self._quadratic.evaluate(xs)
-
-    def payload(self) -> dict:
-        return {}
-
-    @classmethod
-    def from_payload(cls, data: dict) -> "RemarkG":
-        return cls()
 
 
 @dataclass(frozen=True)

@@ -58,14 +58,13 @@ class MaxIterExceeded(SolverError):
 class SolverConfig:
     grad_tol: float = 1e-10  # scaled by max(1, initial gradient norm)
     max_iter: int = 200
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    initial_point: np.ndarray | None = None
-    rank_tol: float = DEFAULT_RANK_TOL
+    rank_tol: float = DEFAULT_RANK_TOL  # every rank decision made on a run's output
 
 
 DEFAULT_CONFIG = SolverConfig()
 _EPS = np.finfo(float).eps
+ARMIJO_C = 1e-4  # sufficient-decrease fraction of the directional derivative
+ARMIJO_SHRINK = 0.5  # step-length factor per rejected trial
 
 
 @dataclass
@@ -139,30 +138,25 @@ def _spd_solve(mats: np.ndarray, rhs: np.ndarray, where: str = "") -> np.ndarray
 
 def minimize_weighted(problem, weights, config: SolverConfig = DEFAULT_CONFIG, x0=None,
                       linear=None):
-    """Minimize sum_i weights_i f_i by damped Newton, for one weight or a stack.
+    """Minimize sum_i weights_i f_i by damped Newton for each row of a stack.
 
-    ``weights`` is a nonnegative, nonzero length-m vector (the minimizer is
-    invariant under positive scaling) or an (N, m) stack of them; ``x0`` is
-    one start point or one per weight (default ``config.initial_point``,
-    else the origin).  ``linear``, an (N, m, n) stack, gives node k its own
-    problem f_i + linear[k, i] . x, so nodes of differently perturbed
+    ``weights`` is an (N, m) stack of nonnegative, nonzero weights (each
+    minimizer is invariant under positive scaling of its row; ``scalarize``
+    takes a single weight).  ``x0`` is one start point or one per row,
+    default the origin.  ``linear``, an (N, m, n) stack, gives node k its
+    own problem f_i + linear[k, i] . x, so nodes of differently perturbed
     problems share one batch.  Every node stops on its own tolerance,
     ``grad_tol`` scaled by max(1, its initial gradient norm).
 
-    Returns a NewtonResult.  For a stack, a node converged exactly when
+    Returns a NewtonResult of stacked fields.  A node converged exactly when
     residual <= tol; one that did not carries its best iterate and
-    ``max_iter`` iterations.  For a single vector the fields are scalars and
-    non-convergence raises MaxIterExceeded.  Raises SingularNewtonSystem
-    when a mixed Hessian is not positive definite.
+    ``max_iter`` iterations (``raise_unconverged`` turns that into
+    MaxIterExceeded).  Raises SingularNewtonSystem when a mixed Hessian is
+    not positive definite.
     """
     w = np.asarray(weights, dtype=float)
-    if w.ndim == 1:
-        result = minimize_weighted(problem, w[None, :], config, x0, linear)
-        raise_unconverged(result)
-        x, res, iters, tol = result
-        return NewtonResult(x[0], float(res[0]), int(iters[0]), float(tol[0]))
     if w.ndim != 2 or w.shape[1] != problem.m:
-        raise ValueError(f"expected {problem.m} weights, got shape {w.shape}")
+        raise ValueError(f"expected an (N, {problem.m}) stack of weights, got shape {w.shape}")
     if not np.isfinite(w).all() or (w < 0).any() or not w.any(axis=1).all():
         raise ValueError("weights must be finite, nonnegative and not all zero")
 
@@ -170,11 +164,9 @@ def minimize_weighted(problem, weights, config: SolverConfig = DEFAULT_CONFIG, x
     if linear is not None and np.shape(linear) != (count, problem.m, problem.n):
         raise ValueError(f"expected linear terms of shape {(count, problem.m, problem.n)}, "
                          f"got {np.shape(linear)}")
-    start = x0 if x0 is not None else config.initial_point
     # C order whatever the start's shape: stacked products round by layout,
     # and a row must round alike in every batch.
-    x = np.array(np.broadcast_to(0.0 if start is None else start, (count, problem.n)), float,
-                 order="C")
+    x = np.array(np.broadcast_to(0.0 if x0 is None else x0, (count, problem.n)), float, order="C")
 
     value, grad, hess = _scalarized(problem, w, x, linear)
     res = row_norms(grad)
@@ -212,7 +204,7 @@ def minimize_weighted(problem, weights, config: SolverConfig = DEFAULT_CONFIG, x
             t_value, t_grad, t_hess = _scalarized(
                 problem, w[nodes], trial, None if linear is None else linear[nodes])
             t_res = row_norms(t_grad)
-            decrease = config.armijo_c * alpha[trying] * slope[trying]
+            decrease = ARMIJO_C * alpha[trying] * slope[trying]
             unresolved = np.abs(decrease) <= 8.0 * _EPS * np.maximum(1.0, np.abs(value[nodes]))
             ok = np.where(unresolved, t_res < res[nodes], t_value <= value[nodes] + decrease)
             moved = nodes[ok]
@@ -220,7 +212,7 @@ def minimize_weighted(problem, weights, config: SolverConfig = DEFAULT_CONFIG, x
                 trial[ok], t_value[ok], t_grad[ok], t_hess[ok])
             res[moved] = t_res[ok]
             searching[trying[ok]] = False
-            alpha[trying[~ok]] *= config.armijo_shrink
+            alpha[trying[~ok]] *= ARMIJO_SHRINK
         running[active[alpha <= 1e-14]] = False  # no acceptable step
 
     failed = res > tol
@@ -250,8 +242,8 @@ def pareto_columns(problem, result: NewtonResult, rank_tol: float):
     return values, sv, coranks, converged
 
 
-def scalarize(problem, weight, config: SolverConfig = DEFAULT_CONFIG, x0=None) -> ParetoPoint:
-    """Pareto point for a simplex weight.
+def scalarize(problem, weight, config: SolverConfig = DEFAULT_CONFIG) -> ParetoPoint:
+    """Pareto point for a simplex weight, solved from the origin.
 
     Accepts a Weight or a raw coordinate vector (validated on the way in).
     The returned point stores the Jacobian singular values and corank at the
@@ -261,14 +253,14 @@ def scalarize(problem, weight, config: SolverConfig = DEFAULT_CONFIG, x0=None) -
         weight = Weight.of(weight)
     if weight.m != problem.m:
         raise ValueError(f"weight has {weight.m} coordinates, problem has m={problem.m}")
-    result = minimize_weighted(problem, weight.coordinates[None, :], config, x0=x0)
+    result = minimize_weighted(problem, weight.coordinates[None, :], config)
     raise_unconverged(result)
     values, sv, coranks, _ = pareto_columns(problem, result, config.rank_tol)
     return ParetoPoint(weight, result.x[0], values[0], float(result.residual[0]), sv[0],
                        int(coranks[0]), int(result.iterations[0]), float(result.tol[0]))
 
 
-def subproblem_solve(problem, indices, face_weight, config: SolverConfig = DEFAULT_CONFIG, x0=None) -> ParetoPoint:
+def subproblem_solve(problem, indices, face_weight, config: SolverConfig = DEFAULT_CONFIG) -> ParetoPoint:
     """Pareto point of the restricted problem keeping objectives ``indices``.
 
     ``face_weight`` may be given in face coordinates (length = len(indices))
@@ -285,7 +277,7 @@ def subproblem_solve(problem, indices, face_weight, config: SolverConfig = DEFAU
         w = w[list(sub.indices)]
     if w.shape != (sub.m,):
         raise ValueError(f"face weight must have length {sub.m} or {problem.m}")
-    return scalarize(sub, Weight.of(w), config, x0)
+    return scalarize(sub, Weight.of(w), config)
 
 
 def x_star_derivative(problem, point: ParetoPoint) -> np.ndarray:

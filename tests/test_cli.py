@@ -374,6 +374,20 @@ class TestLocate:
         assert list(doc) == ["schema", "command", "input", "options", "summary", "exit_status"]
         assert doc["summary"]["unconverged"] == 35
 
+    def test_unconverged_run_solves_no_hull_lp(self, tmp_path, capsys, monkeypatch):
+        """With a node unconverged, ``location_pareto_set`` stops at the atlas:
+        no hull LP, corank certificate or injectivity scan is run."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check ran on an unconverged atlas")
+
+        for name in ("_hull_violation", "certify_corank_on_atlas", "injectivity_scan"):
+            monkeypatch.setattr(pareto_atlas.apps, name, refuse)
+        path = tmp_path / "four.json"
+        points = np.random.default_rng(5).standard_normal((4, 3))
+        path.write_text(serialize_problem(build_problem(DistanceSquared(points))))
+        assert main(["locate", str(path), "-r", "4", "--max-iter", "0"]) == 3
+        assert capsys.readouterr().err == "error: 35 nodes failed to converge\n"
+
     def test_far_from_the_origin(self, tmp_path, capsys):
         """Demand points near 1e6: a cold start scales each node's tolerance
         with its gradient norm at the origin, which grows with |x*|."""

@@ -5,19 +5,28 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import interior_weights, random_quadratic
+from conftest import interior_weights, phenotypic_instance, random_quadratic
 from pareto_atlas import (
+    LinearPerturbation,
+    LocationInstance,
     NoRegularMinor,
     NotCorankOne,
+    SolverConfig,
     build_atlas,
     certify_corank_on_atlas,
     cokernel_alignment,
     cokernel_basis,
+    corank2_tracker,
     corank_at,
     fold_check,
+    genericity_experiment,
+    location_pareto_set,
+    perturb_problem,
+    phenotypic_pareto_set,
     rank_report,
     scalarize,
 )
+from pareto_atlas.diagnostics import corank_certificate
 
 
 class TestRankReport:
@@ -70,7 +79,7 @@ class TestCorank:
     def test_certificate_on_smooth_atlas(self, example32):
         atlas = build_atlas(example32, 10)
         for tol in (1e-7, 1e-8, 1e-9):
-            cert = certify_corank_on_atlas(atlas, tol)
+            cert = corank_certificate(atlas.sv, tol)
             assert cert.max_corank == 1
             assert cert.simplicial_on_sample
             assert cert.witnesses == []
@@ -78,8 +87,42 @@ class TestCorank:
 
     def test_certificate_recomputation_matches_solver(self, example32):
         atlas = build_atlas(example32, 6)
-        cert = certify_corank_on_atlas(atlas, atlas.config.rank_tol)
+        cert = certify_corank_on_atlas(atlas)
         assert np.array_equal(cert.coranks, atlas.corank)
+
+
+def test_every_layer_judges_corank_at_the_config_rank_tol(example31, remark_g):
+    """One rank tolerance per run: each certificate is judged at
+    ``config.rank_tol`` and agrees with the coranks its atlas stored."""
+    config = SolverConfig(rank_tol=1e-3)
+
+    def assert_judged_like_the_atlas(cert, atlas):
+        assert cert.tolerance == 1e-3
+        assert np.array_equal(cert.coranks, atlas.corank)
+
+    # near-collinear demand points: rank 1 at 1e-3, rank 2 at the default
+    near = location_pareto_set(LocationInstance([[0, 0], [1, 1], [2, 2 + 1e-5]]), 6, config)
+    assert near.atlas.summary.corank_histogram == {1: 28}
+    assert near.corank_certificate.max_corank == 1
+    assert_judged_like_the_atlas(near.corank_certificate, near.atlas)
+
+    atlas = build_atlas(example31, 10, config)
+    assert_judged_like_the_atlas(certify_corank_on_atlas(atlas), atlas)
+
+    family = phenotypic_instance(seed=7).family
+    pheno = phenotypic_pareto_set(family.mats, family.points, 6, config)
+    assert_judged_like_the_atlas(pheno.corank_certificate, pheno.atlas)
+
+    rep = corank2_tracker(remark_g, config=config)
+    assert rep.corank == corank_at(remark_g, rep.x_hat, 1e-3).corank == 2
+
+    sweep = genericity_experiment(example31, 2, 0.1, 6, seed=3, config=config)
+    assert sweep.rank_tols == (1e-3,)
+    pi = LinearPerturbation.draw(3, 3, 3, 0.1)
+    trial_atlas = build_atlas(perturb_problem(example31, pi), 6, config)
+    assert_judged_like_the_atlas(sweep.results[0].certificates[1e-3], trial_atlas)
+    with pytest.raises(ValueError, match="rank_tols"):
+        genericity_experiment(example31, 2, 0.1, 6, rank_tols=(), config=config)
 
 
 class TestCokernel:

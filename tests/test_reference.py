@@ -26,7 +26,6 @@ from pareto_atlas import (
     build_atlas,
     build_problem,
     builtin_problem,
-    certify_corank_on_atlas,
     dominating_pairs,
     face_consistency,
     genericity_experiment,
@@ -38,6 +37,7 @@ from pareto_atlas import (
 )
 from pareto_atlas import atlas as pa_atlas
 from pareto_atlas.atlas import _close_pairs, _min_pair_distance, _pair_distances
+from pareto_atlas.diagnostics import corank_certificate
 from pareto_atlas.solver import row_norms
 
 # ---------------------------------------------------------------------------
@@ -464,7 +464,7 @@ def test_atlas_layers_build_no_weight_per_node(monkeypatch, tmp_path):
         patch.setattr(Weight, "__post_init__", refuse)
         atlas = build_atlas(softplus_problem(), 6, SolverConfig(max_iter=2))
         atlas.summary
-        face_consistency(atlas, SolverConfig())
+        face_consistency(build_atlas(softplus_problem(), 6))
         injectivity_scan(atlas)
         atlas.to_csv(tmp_path / "atlas.csv")
         atlas.to_json(tmp_path / "atlas.json")
@@ -531,7 +531,7 @@ def test_batched_genericity_matches_one_atlas_per_trial(name, problem, max_iter)
         assert trial.failures == atlas.failures
         assert trial.max_kkt_residual == atlas.residual.max()
         for tol in tols:
-            want, got = certify_corank_on_atlas(atlas, tol), trial.certificates[tol]
+            want, got = corank_certificate(atlas.sv, tol), trial.certificates[tol]
             assert np.array_equal(got.coranks, want.coranks)
             assert (got.witnesses, got.min_gap) == (want.witnesses, want.min_gap)
     if max_iter == 0:

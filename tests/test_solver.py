@@ -40,7 +40,7 @@ def quadratic_oracle(problem, w) -> np.ndarray:
 class TestMinimize:
     def test_matches_pinch_closed_form(self, example31):
         for w in interior_weights(3, 25, seed=5):
-            x, res, _, tol = minimize_weighted(example31, w)
+            (x,), (res,), _, (tol,) = minimize_weighted(example31, w[None])
             assert res <= tol
             assert_allclose(x, closed_form_example31(w[1], w[2]), atol=1e-12)
 
@@ -48,7 +48,7 @@ class TestMinimize:
         for seed in range(10):
             problem = random_quadratic(seed)
             for w in interior_weights(3, 5, seed=seed + 100):
-                x, _, _, _ = minimize_weighted(problem, w)
+                (x,), _, _, _ = minimize_weighted(problem, w[None])
                 assert_allclose(x, quadratic_oracle(problem, w), atol=1e-10)
 
     def test_quadratics_converge_in_one_newton_step(self, example32):
@@ -58,38 +58,44 @@ class TestMinimize:
 
     def test_invariant_under_weight_scaling(self, example32):
         w = np.array([0.2, 0.5, 0.3])
-        x1, _, _, _ = minimize_weighted(example32, w)
-        x2, _, _, _ = minimize_weighted(example32, 7.5 * w)
+        (x1, x2), _, _, _ = minimize_weighted(example32, np.array([w, 7.5 * w]))
         assert_allclose(x1, x2, atol=1e-12)
 
     def test_boundary_weight_solves_subset_objective(self, example32):
         # weight on a vertex minimizes that objective alone
-        x, _, _, _ = minimize_weighted(example32, np.array([1.0, 0.0, 0.0]))
+        (x,), _, _, _ = minimize_weighted(example32, np.array([[1.0, 0.0, 0.0]]))
         assert_allclose(x, [0.0, 0.0, 0.0], atol=1e-12)
 
     def test_warm_start_changes_nothing(self, example32, rng):
         w = np.array([0.25, 0.5, 0.25])
-        baseline, _, _, _ = minimize_weighted(example32, w)
+        (baseline,), _, _, _ = minimize_weighted(example32, w[None])
         for _ in range(5):
-            x, _, _, _ = minimize_weighted(example32, w, x0=rng.normal(size=3) * 3.0)
+            (x,), _, _, _ = minimize_weighted(example32, w[None], x0=rng.normal(size=3) * 3.0)
             assert_allclose(x, baseline, atol=1e-10)
 
     def test_weight_shape_checked(self, example32):
         with pytest.raises(ValueError, match="weights"):
-            minimize_weighted(example32, np.array([0.5, 0.5]))
+            minimize_weighted(example32, np.array([[0.5, 0.5]]))
+
+    def test_single_weight_vector_rejected(self, example32):
+        """A single weight goes through ``scalarize``; the batch solver
+        takes only an (N, m) stack."""
+        with pytest.raises(ValueError, match=r"\(N, 3\) stack"):
+            minimize_weighted(example32, np.array([0.2, 0.4, 0.4]))
 
     def test_negative_weights_rejected(self, example32):
         with pytest.raises(ValueError, match="nonnegative"):
-            minimize_weighted(example32, np.array([1.5, -0.25, -0.25]))
+            minimize_weighted(example32, np.array([[1.5, -0.25, -0.25]]))
 
     def test_zero_weights_rejected(self, example32):
         with pytest.raises(ValueError, match="not all zero"):
-            minimize_weighted(example32, np.zeros(3))
+            minimize_weighted(example32, np.zeros((1, 3)))
 
     def test_iteration_budget_raises_with_best_iterate(self, example32):
         cfg = SolverConfig(max_iter=0)
+        result = minimize_weighted(example32, np.array([[0.2, 0.4, 0.4]]), cfg)
         with pytest.raises(MaxIterExceeded) as err:
-            minimize_weighted(example32, np.array([0.2, 0.4, 0.4]), cfg)
+            raise_unconverged(result)
         assert err.value.x.shape == (3,)
         assert err.value.residual > 0.0
         assert err.value.iterations == 0
@@ -101,7 +107,7 @@ class TestMinimize:
         )
         broken = ObjectiveProblem(spec)  # bypasses build_problem validation
         with pytest.raises(SingularNewtonSystem):
-            minimize_weighted(broken, np.array([1.0]))
+            minimize_weighted(broken, np.array([[1.0]]))
 
 
 class TestBatch:
@@ -112,7 +118,7 @@ class TestBatch:
         assert x.shape == (8, 2) and res.shape == iters.shape == tol.shape == (8,)
         assert (res <= tol).all() and iters.max() > 1
         for k, w in enumerate(weights):
-            x1, res1, iters1, tol1 = minimize_weighted(problem, w)
+            (x1,), (res1,), (iters1,), (tol1,) = minimize_weighted(problem, w[None])
             assert_allclose(x[k], x1, rtol=0.0, atol=1e-15)
             assert (iters[k], tol[k]) == (iters1, tol1)
 

@@ -50,6 +50,14 @@ def test_rejects_non_matrix_input():
         dominating_pairs(np.zeros(4))
 
 
+@pytest.mark.parametrize("a,b", [([0, 0], [1]), ([0.0], [1, 2, 3]),
+                                 ([[0, 0], [0, 0]], [1, 1]), (0.0, 1.0)])
+def test_dominates_rejects_vectors_that_do_not_match(a, b):
+    """Broadcasting would compare these and answer True."""
+    with pytest.raises(ValueError, match="1-D vectors of equal length"):
+        dominates(a, b)
+
+
 def test_invariance_under_increasing_transforms(rng):
     """Dominance only uses the order on each axis, so strictly increasing
     componentwise maps preserve it (the weakly-simplicial reparametrization

@@ -26,6 +26,7 @@ from pareto_atlas import (
     build_atlas,
     build_problem,
     builtin_problem,
+    dominates,
     dominating_pairs,
     face_consistency,
     genericity_experiment,
@@ -108,6 +109,30 @@ def ref_dominating_pairs(values, tol: float = 1e-9) -> list[tuple[int, int]]:
     np.fill_diagonal(dom, False)
     rows, cols = np.nonzero(dom)
     return list(zip(rows.tolist(), cols.tolist()))
+
+
+def ref_blocked_dominating_pairs(values, tol: float = 1e-9) -> list[tuple[int, int]]:
+    """Blocks of about 2^22 // N rows, each compared with every row not
+    below its componentwise minimum by more than ``tol``."""
+    f = np.asarray(values, dtype=float)
+    upper, lower = f + tol, f - tol
+    height = max(1, (1 << 22) // max(1, len(f)))
+    rows, cols = [], []
+    for start in range(0, len(f), height):
+        block = f[start:start + height]
+        cand = np.flatnonzero((upper >= np.fmin.reduce(block, axis=0)).all(axis=1))
+        le = np.ones((len(block), len(cand)), dtype=bool)
+        lt = np.zeros_like(le)
+        for c in range(f.shape[1]):
+            le &= block[:, c, None] <= upper[None, cand, c]
+            lt |= block[:, c, None] < lower[None, cand, c]
+        r, c = np.nonzero(le & lt)
+        keep = r + start != cand[c]
+        rows.append(r[keep] + start)
+        cols.append(cand[c[keep]])
+    if not rows:
+        return []
+    return list(zip(np.concatenate(rows).tolist(), np.concatenate(cols).tolist()))
 
 
 def ref_distances(atlas) -> tuple[float, float]:
@@ -272,12 +297,52 @@ def test_dominance_single_row_empty_and_nan():
 
 
 def test_dominance_over_several_blocks():
-    """About 2,100 rows: more than one block of 2^22 comparisons."""
+    """About 2,100 rows on an eighth-step lattice, so many k-d leaves hold
+    ties and duplicates, and the row comparison spans several blocks."""
     rng = np.random.default_rng(3)
     f = np.round(rng.random((2100, 3)) * 8) / 8
     f[::7] = f[1::7][: len(f[::7])]
     pairs = dominating_pairs(f)
     assert pairs and pairs == ref_dominating_pairs(f)
+
+
+TOLERANCES = [0.0, 1e-9, -0.1, 1e300, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.one_of(st.integers(0, 3), st.integers(4, 250)), m=st.integers(1, 5),
+       tol=st.sampled_from(TOLERANCES), front=st.booleans(), duplicates=st.booleans(),
+       special=st.sampled_from([0.0, 0.01, 0.2]), seed=st.integers(0, 2**32 - 1))
+def test_kd_dominance_matches_both_references(n, m, tol, front, duplicates, special, seed):
+    """Values on a lattice of step tol/2, optionally bent onto the flat front
+    sum(f) = const, so k-d leaves meet ties at the tolerance, with duplicate
+    rows, NaN and +-inf entries and non-finite tolerances."""
+    rng = np.random.default_rng(seed)
+    step = abs(tol) / 2 if np.isfinite(tol) and tol else 0.5e-9
+    ticks = rng.integers(-4, 5, (n, m))
+    if front:
+        ticks -= rng.multinomial(40, np.full(m, 1.0 / m), size=n)
+    f = 0.5 + ticks * step
+    if duplicates:
+        f = np.vstack([f, f[rng.integers(0, max(n, 1), n // 4)]])
+    f[rng.random(f.shape) < special] = np.nan
+    f[rng.random(f.shape) < special / 2] = np.inf
+    f[rng.random(f.shape) < special / 2] = -np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf in f +- tol
+        pairs = dominating_pairs(f, tol)
+        assert pairs == ref_blocked_dominating_pairs(f, tol) == ref_dominating_pairs(f, tol)
+        assert pairs == [(i, j) for i in range(len(f)) for j in range(len(f))
+                         if i != j and dominates(f[i], f[j], tol)]
+
+
+def test_dominance_on_a_noisy_front_of_eight_thousand_rows():
+    """8,001 random points of the flat front sum(f) = 2 with 1e-3 noise:
+    hundreds of dominating pairs, all between nearby k-d leaves."""
+    rng = np.random.default_rng(5)
+    f = 1.0 - rng.dirichlet(np.ones(3), 8001) + 1e-3 * rng.standard_normal((8001, 3))
+    pairs = dominating_pairs(f)
+    assert len(pairs) > 100
+    assert pairs == ref_blocked_dominating_pairs(f)
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +454,19 @@ def test_pair_search_rejects_non_finite_rows(bad):
         cKDTree(xs)
 
 
-def test_certificates_stay_in_linear_memory():
-    """The 6 x 3 quadratic of the verify benchmark at r = 100 (5,151 nodes):
-    dense distance matrices alone would take 2 x 212 MB."""
+def _verify_benchmark_problem():
+    """The 6 x 3 quadratic of the verify benchmark, seed 1."""
     rng = np.random.default_rng(1)
     a = rng.standard_normal((3, 6, 6))
     q = a @ a.transpose(0, 2, 1) + np.eye(6)
-    problem = build_problem(GenericQuadratic(q, rng.standard_normal((3, 6)),
-                                             rng.standard_normal(3)))
-    atlas = build_atlas(problem, 100)
+    return build_problem(GenericQuadratic(q, rng.standard_normal((3, 6)),
+                                          rng.standard_normal(3)))
+
+
+def test_certificates_stay_in_linear_memory():
+    """The 6 x 3 quadratic of the verify benchmark at r = 100 (5,151 nodes):
+    dense distance matrices alone would take 2 x 212 MB."""
+    atlas = build_atlas(_verify_benchmark_problem(), 100)
     tracemalloc.start()
     try:
         atlas.summary
@@ -406,6 +475,21 @@ def test_certificates_stay_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_dominance_stays_in_bounded_memory():
+    """The verify benchmark's front at r = 200 (20,301 rows), as solved and
+    with 1e-3 noise: all pairs of rows would take 412 M comparisons."""
+    f = build_atlas(_verify_benchmark_problem(), 200).f
+    assert len(f) == 20_301
+    for values in (f, f + 1e-3 * np.random.default_rng(0).standard_normal(f.shape)):
+        tracemalloc.start()
+        try:
+            dominating_pairs(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from .diagnostics import (
 from .ordering import dominates, dominating_pairs, mutually_nondominated
 from .perturb import (
     LinearPerturbation,
-    PerturbedProblem,
     corank2_system,
     corank2_tracker,
     genericity_experiment,
@@ -55,8 +54,8 @@ from .problems import (
     Example31Perturbed,
     Example32,
     GenericQuadratic,
-    ObjectiveProblem,
     Phenotypic,
+    Problem,
     ProblemFormatError,
     RemarkG,
     RidgePair,

@@ -32,6 +32,7 @@ __all__ = [
     "RidgeInstance",
     "RidgePathRow",
     "RidgePathReport",
+    "ridge_lambda",
     "ridge_path",
     "write_ridge_csv",
 ]
@@ -288,8 +289,11 @@ def ridge_path(
     Rows go from w = (1, 0) to w = (1/r, 1 - 1/r), then the w1 = 0 vertex
     with lambda = inf and theta = 0; all rows are one Newton batch.  Every
     solved theta is compared against an independent normal-equations solve
-    of (X^T X + lambda I) theta = X^T y.
+    of (X^T X + lambda I) theta = X^T y.  Raises ValueError for a resolution
+    below 1, which would leave only the w1 = 0 vertex.
     """
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
     problem = build_problem(RidgePair(instance.x_data, instance.y_data, instance.mu))
     xtx = instance.x_data.T @ instance.x_data
     xty = instance.x_data.T @ instance.y_data

@@ -321,7 +321,6 @@ class ParetoAtlas:
         )
 
     def report_dict(self) -> dict:
-        fam = getattr(self.problem, "family", None)
         faces, which = self.grid.faces()
         keys = ("node", "w", "face", "x", "f", "kkt_residual", "singular_values", "corank",
                 "converged")
@@ -331,7 +330,7 @@ class ParetoAtlas:
                    self.corank.tolist(), self.converged.tolist())
         return {
             "schema": "pareto-atlas/atlas-v1",
-            "family": getattr(fam, "tag", None),
+            "family": getattr(self.problem.family, "tag", None),
             "n": self.problem.n,
             "m": self.problem.m,
             "resolution": self.grid.resolution,

@@ -54,13 +54,29 @@ def finite(text: str) -> float:
     return value
 
 
+def rank_tol(text: str) -> float:
+    """A relative singular value threshold: below 0 the rank test keeps exact
+    zeros, and at 1 or above it keeps nothing, so either passes any corank test."""
+    value = finite(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1)")
+    return value
+
+
+def nonnegative(text: str) -> float:
+    """A distance tolerance; below 0 no pair is ever within it."""
+    value = finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _fmt_vec(v) -> str:
     return "[" + ", ".join(f"{x:.12g}" for x in np.asarray(v).ravel()) + "]"
 
 
-def _add_problem_args(sub, positional=True):
-    if positional:
-        sub.add_argument("problem", nargs="?", help="problem JSON file")
+def _add_problem_args(sub):
+    sub.add_argument("problem", nargs="?", help="problem JSON file")
     sub.add_argument(
         "--builtin", choices=BUILTIN_NAMES, help="use a named fixture instead of a file"
     )
@@ -74,8 +90,8 @@ def _add_solver_args(sub):
     sub.add_argument("--grad-tol", type=finite, default=1e-10,
                      help="gradient tolerance, scaled by the initial gradient norm")
     sub.add_argument("--max-iter", type=int, default=200)
-    sub.add_argument("--rank-tol", type=finite, default=DEFAULT_RANK_TOL,
-                     help="relative singular value threshold for rank decisions")
+    sub.add_argument("--rank-tol", type=rank_tol, default=DEFAULT_RANK_TOL,
+                     help="relative singular value threshold for rank decisions, in [0, 1)")
 
 
 def _config(args) -> SolverConfig:
@@ -365,10 +381,9 @@ def cmd_ridge(args, parser) -> int:
 
 def cmd_locate(args, parser) -> int:
     problem, source, lines = _load_problem(args, parser)
-    family = getattr(problem, "family", None)
-    if not isinstance(family, DistanceSquared):
+    if not isinstance(problem.family, DistanceSquared):
         raise ProblemFormatError("locate requires a distance_squared problem")
-    instance = LocationInstance(family.points)
+    instance = LocationInstance(problem.family.points)
     rep = location_pareto_set(instance, args.resolution, _config(args))
     options = _options(args, "resolution", "bary_tol", "hull_tol")
     if rep.atlas.failures:
@@ -436,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p)
     _add_solver_args(p)
     p.add_argument("--resolution", "-r", type=int, default=20)
-    p.add_argument("--collapse-tol", type=finite, default=1e-6)
+    p.add_argument("--collapse-tol", type=nonnegative, default=1e-6)
     p.add_argument("--spot-check", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
@@ -450,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=finite, default=0.1)
     p.add_argument("--resolution", "-r", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rank-tols", type=finite, action="append",
-                   help="repeatable rank tolerance sweep (default: --rank-tol)")
+    p.add_argument("--rank-tols", type=rank_tol, action="append",
+                   help="repeatable rank tolerance sweep, each in [0, 1) (default: --rank-tol)")
     p.add_argument("--track", action="store_true",
                    help="track the corank-2 point of a square 4 -> 4 mapping; it stops "
                    f"at |E| <= {E_TOL:g} or after --max-iter steps (--grad-tol does not apply)")

@@ -20,12 +20,11 @@ from .diagnostics import (
     corank_at,
     corank_certificate,
 )
-from .problems import ProblemBase
-from .solver import DEFAULT_CONFIG, SolverConfig, raise_unconverged, row_norms, with_linear
+from .problems import Problem
+from .solver import DEFAULT_CONFIG, SolverConfig, raise_unconverged, row_norms
 
 __all__ = [
     "LinearPerturbation",
-    "PerturbedProblem",
     "perturb_problem",
     "GenericityTrial",
     "GenericityReport",
@@ -64,32 +63,14 @@ class LinearPerturbation:
         return cls(np.zeros((m, n)), seed=None, scale=0.0)
 
 
-class PerturbedProblem(ProblemBase):
-    """Base problem with pi_i . x added to objective i."""
-
-    def __init__(self, base, perturbation: LinearPerturbation):
-        if perturbation.coefficients.shape != (base.m, base.n):
-            raise ValueError(
-                f"perturbation shape {perturbation.coefficients.shape} does not "
-                f"match problem (m={base.m}, n={base.n})"
-            )
-        self.base = base
-        self.perturbation = perturbation
-        self.n = base.n
-        self.m = base.m
-        self.family = None
-
-    def evaluate(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        values, jac, hess = self.base.evaluate(xs)
-        return (*with_linear(values, jac, self.perturbation.coefficients, xs), hess)
-
-    def __repr__(self):
-        return f"PerturbedProblem({self.base!r}, scale={self.perturbation.scale:g})"
-
-
-def perturb_problem(problem, perturbation: LinearPerturbation) -> PerturbedProblem:
-    return PerturbedProblem(problem, perturbation)
+def perturb_problem(problem, perturbation: LinearPerturbation) -> Problem:
+    """The problem with pi_i . x added to objective i."""
+    if perturbation.coefficients.shape != (problem.m, problem.n):
+        raise ValueError(
+            f"perturbation shape {perturbation.coefficients.shape} does not "
+            f"match problem (m={problem.m}, n={problem.n})"
+        )
+    return Problem(problem, linear=perturbation.coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 __all__ = [
@@ -25,12 +23,11 @@ __all__ = [
     "DistanceSquared",
     "Phenotypic",
     "RidgePair",
-    "ProblemBase",
-    "ObjectiveProblem",
-    "RestrictedProblem",
+    "Problem",
     "ConvexityCertificate",
     "build_problem",
     "restrict",
+    "with_linear",
     "check_strong_convexity",
     "serialize_problem",
     "parse_problem",
@@ -112,7 +109,7 @@ class Weight:
 
 
 # ---------------------------------------------------------------------------
-# Problem families: each has one ``evaluate(X)`` (see ProblemBase)
+# Problem families: each has one ``evaluate(X)`` (see Problem)
 # ---------------------------------------------------------------------------
 
 
@@ -474,15 +471,49 @@ def _field(data: dict, name: str, family: str):
 # ---------------------------------------------------------------------------
 
 
-class ProblemBase:
-    """Per-point access to a batched ``evaluate``.
+def with_linear(values: np.ndarray, jac: np.ndarray, linear: np.ndarray, xs: np.ndarray):
+    """Values and Jacobians of f_i + pi_i . x, given those of f at the rows of ``xs``.
 
-    Subclasses set ``n`` and ``m`` and define ``evaluate(X)`` on an (N, n)
-    stack of points, returning F (N, m), J (N, m, n) with J[k, i] the
-    gradient of f_i at X[k], and Hessians of shape (N, m, n, n) or, when
-    they do not depend on x, (1, m, n, n).  ``values``, ``gradients`` and
-    ``hessians`` evaluate a single point through it.
+    ``linear`` is one (m, n) matrix pi for every row or an (N, m, n) stack,
+    one per row; either way each product pi x is taken row by row, so the
+    two forms round alike.
     """
+    return values + _rowwise(linear, xs), jac + linear
+
+
+class Problem:
+    """An m-tuple of strongly convex objectives, or a view derived from one.
+
+    ``base`` is a family spec or another Problem.  ``linear``, an (m, n)
+    matrix pi at the base's width, adds pi_i . x to objective i (a linear
+    perturbation); ``indices`` keeps only those objectives (a subproblem).
+    ``evaluate(X)`` takes an (N, n) stack of points and returns F (N, m),
+    J (N, m, n) with J[k, i] the gradient of f_i at X[k], and Hessians of
+    shape (N, m, n, n) or, when they do not depend on x, (1, m, n, n).
+    ``family`` is the spec of an underived problem and None for a derived
+    one.  Evaluation is pure and reentrant; instances carry no mutable state.
+    """
+
+    def __init__(self, base, indices: tuple[int, ...] | None = None, linear=None):
+        self.base = base
+        self.indices = indices
+        self.linear = linear
+        derived = isinstance(base, Problem) or indices is not None or linear is not None
+        self.family = None if derived else base
+        self.n = int(base.n)
+        self.m = int(base.m) if indices is None else len(indices)
+
+    def evaluate(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.n:
+            raise ValueError(f"expected points of shape (N, {self.n}), got {xs.shape}")
+        values, jac, hess = self.base.evaluate(xs)
+        if self.linear is not None:
+            values, jac = with_linear(values, jac, self.linear, xs)
+        if self.indices is None:
+            return values, jac, hess
+        keep = list(self.indices)
+        return values[:, keep], jac[:, keep], hess[:, keep]
 
     def _at(self, x, part: int) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -500,46 +531,10 @@ class ProblemBase:
     def hessians(self, x) -> np.ndarray:
         return self._at(x, 2)
 
-
-class ObjectiveProblem(ProblemBase):
-    """An m-tuple of strongly convex objectives with analytic derivatives.
-
-    Evaluation is pure and reentrant; instances carry no mutable state.
-    """
-
-    def __init__(self, family):
-        self.family = family
-        self.n = int(family.n)
-        self.m = int(family.m)
-
-    def evaluate(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.n:
-            raise ValueError(f"expected points of shape (N, {self.n}), got {xs.shape}")
-        return self.family.evaluate(xs)
-
     def __repr__(self):
-        tag = getattr(self.family, "tag", type(self.family).__name__)
-        return f"ObjectiveProblem({tag}, n={self.n}, m={self.m})"
-
-
-class RestrictedProblem(ProblemBase):
-    """View of a problem that keeps the objectives with the given indices."""
-
-    def __init__(self, base, indices: tuple[int, ...]):
-        self.base = base
-        self.indices = indices
-        self.n = base.n
-        self.m = len(indices)
-        self.family = None
-
-    def evaluate(self, xs):
-        values, jac, hess = self.base.evaluate(xs)
-        keep = list(self.indices)
-        return values[:, keep], jac[:, keep], hess[:, keep]
-
-    def __repr__(self):
-        return f"RestrictedProblem({self.base!r}, indices={self.indices})"
+        base = getattr(self.base, "tag", self.base)
+        return (f"Problem({base!r}, n={self.n}, m={self.m}, indices={self.indices}, "
+                f"linear={self.linear is not None})")
 
 
 def _validate(spec) -> None:
@@ -554,29 +549,32 @@ def _validate(spec) -> None:
     spec.validate()
 
 
-def build_problem(spec) -> ObjectiveProblem:
-    """Validate a family spec and wrap it as a problem.
+def build_problem(spec) -> Problem:
+    """Validate a family spec and wrap it as an underived problem.
 
     Raises ProblemFormatError for non-finite numbers, non-PD matrices,
     nonpositive ridge penalties, or inconsistent shapes.
     """
     _validate(spec)
-    return ObjectiveProblem(spec)
+    return Problem(spec)
 
 
-def restrict(problem, indices) -> RestrictedProblem:
+def restrict(problem, indices) -> Problem:
     """Subproblem keeping objectives ``indices`` (0-based, deduplicated, sorted)."""
     idx = tuple(sorted(set(int(i) for i in indices)))
     if not idx:
         raise ValueError("indices must be nonempty")
     if idx[0] < 0 or idx[-1] >= problem.m:
         raise ValueError(f"objective indices out of range for m={problem.m}")
-    return RestrictedProblem(problem, idx)
+    return Problem(problem, idx)
 
 
 # ---------------------------------------------------------------------------
 # Sampled strong-convexity certificate
 # ---------------------------------------------------------------------------
+
+
+SAMPLE_RADIUS = 2.0  # scale of the strong-convexity sample points
 
 
 @dataclass
@@ -588,37 +586,26 @@ class ConvexityCertificate:
     witness_point: np.ndarray
     witness_objective: int
     count: int
-    radius: float
 
     def describe(self) -> str:
         status = "positive" if self.ok else "FAILED (non-convex sample)"
         return (
             f"sampled strong-convexity certificate: beta_min={self.beta_min:.6g} "
-            f"over {self.count} points (radius {self.radius:g}) -- {status}; "
+            f"over {self.count} points (radius {SAMPLE_RADIUS:g}) -- {status}; "
             "sampled, not a proof"
         )
 
 
-def check_strong_convexity(
-    problem,
-    count: int = 1000,
-    radius: float = 2.0,
-    seed: int = 0,
-    sampler: Callable[[int], np.ndarray] | None = None,
-) -> ConvexityCertificate:
+def check_strong_convexity(problem, count: int = 1000, seed: int = 0) -> ConvexityCertificate:
     """Minimal Hessian eigenvalue over all objectives at sampled points.
 
-    Points default to centered normal draws scaled by ``radius``; pass a
-    ``sampler(count) -> (count, n)`` callable to override.  The certificate
-    flags failure when the sampled minimum is <= 0.
+    The points are centered normal draws scaled by ``SAMPLE_RADIUS``.  The
+    certificate flags failure when the sampled minimum is <= 0.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if sampler is None:
-        rng = np.random.default_rng(seed)
-        pts = radius * rng.standard_normal((count, problem.n))
-    else:
-        pts = np.asarray(sampler(count), dtype=float)
+    rng = np.random.default_rng(seed)
+    pts = SAMPLE_RADIUS * rng.standard_normal((count, problem.n))
     # lowest eigenvalue per (point, objective); constant Hessians give one row
     lowest = np.linalg.eigvalsh(problem.evaluate(pts)[2])[..., 0]
     point, objective = np.unravel_index(np.argmin(lowest), lowest.shape)
@@ -629,7 +616,6 @@ def check_strong_convexity(
         witness_point=np.array(pts[point]),
         witness_objective=int(objective),
         count=count,
-        radius=radius,
     )
 
 
@@ -682,7 +668,7 @@ def parse_problem(text: str):
 BUILTIN_NAMES = ("example31", "example31_perturbed", "example32", "remark_g")
 
 
-def builtin_problem(name: str, epsilon: float = 0.1) -> ObjectiveProblem:
+def builtin_problem(name: str, epsilon: float = 0.1) -> Problem:
     """Fixture problems addressable by name (CLI ``--builtin``)."""
     if name == "example31":
         return build_problem(Example31())

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import DEFAULT_RANK_TOL, numerical_rank
-from .problems import Weight, _rowwise, restrict
+from .problems import Weight, restrict, with_linear
 
 __all__ = [
     "SolverConfig",
@@ -104,16 +104,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, rounded as ``np.linalg.norm`` of the row."""
     return np.sqrt(_dot(a, a))
-
-
-def with_linear(values: np.ndarray, jac: np.ndarray, linear: np.ndarray, xs: np.ndarray):
-    """Values and Jacobians of f_i + pi_i . x, given those of f at the rows of ``xs``.
-
-    ``linear`` is one (m, n) matrix pi for every row or an (N, m, n) stack,
-    one per row; either way each product pi x is taken row by row, so the
-    two forms round alike.
-    """
-    return values + _rowwise(linear, xs), jac + linear
 
 
 def _scalarized(problem, weights: np.ndarray, xs: np.ndarray, linear: np.ndarray | None = None):

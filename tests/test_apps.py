@@ -125,6 +125,11 @@ class TestRidge:
         for r in report.rows[:-1]:
             assert r.lam == pytest.approx(ridge_lambda(r.w1, r.w2, ridge20x5.mu))
 
+    @pytest.mark.parametrize("resolution", [0, -2])
+    def test_resolution_below_one_rejected(self, ridge20x5, resolution):
+        with pytest.raises(ValueError, match="resolution must be >= 1"):
+            ridge_path(ridge20x5, resolution)
+
     def test_csv_round_trip(self, ridge20x5, tmp_path):
         report = ridge_path(ridge20x5, resolution=10)
         out = tmp_path / "path.csv"

@@ -180,6 +180,26 @@ class TestVerify:
         assert "[ok] face-consistency" not in out
 
 
+@pytest.mark.parametrize("argv, flag", [
+    # with both, example31's corank-2 pinch and its collapsed pairs would pass
+    (["verify", "--builtin", "example31", "-r", "10", "--rank-tol", "-1",
+      "--collapse-tol", "-1"], "--rank-tol"),
+    (["verify", "--builtin", "example31", "-r", "10", "--rank-tol", "1"], "--rank-tol"),
+    (["verify", "--builtin", "example31", "-r", "10", "--collapse-tol", "-1"], "--collapse-tol"),
+    (["perturb", "--builtin", "example31", "--trials", "1", "--scale", "0", "-r", "8",
+      "--rank-tols", "-1"], "--rank-tols"),
+    (["perturb", "--builtin", "example31", "--trials", "1", "--scale", "0", "-r", "8",
+      "--rank-tols", "1e-8", "--rank-tols", "1.5"], "--rank-tols"),
+])
+def test_vacuous_tolerances_rejected(argv, flag, capsys):
+    """A rank tolerance outside [0, 1) or a negative collapse tolerance would
+    make its certificate pass on any input."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
 class TestAtlas:
     def test_writes_csv_and_json(self, tmp_path, capsys):
         prefix = tmp_path / "atl"
@@ -214,7 +234,7 @@ def test_failed_spot_check_exits_2(command, monkeypatch, tmp_path, capsys):
     """Every parsed family already checks positive definiteness, so the sampled
     certificate is forced to fail here."""
     failing = ConvexityCertificate(beta_min=-1.0, ok=False, witness_point=np.zeros(3),
-                                   witness_objective=0, count=10, radius=2.0)
+                                   witness_objective=0, count=10)
     monkeypatch.setattr(cli, "check_strong_convexity", lambda *args, **kwargs: failing)
     monkeypatch.chdir(tmp_path)
     assert main([command, "--builtin", "example32", "-r", "3", "--json"]) == 2
@@ -325,6 +345,12 @@ class TestRidge:
     def test_nonpositive_mu_exits_2(self, capsys, data_csv):
         assert main(["ridge", str(data_csv), "--mu", "0"]) == 2
         assert "positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("resolution", ["0", "-2"])
+    def test_resolution_below_one_exits_2(self, capsys, data_csv, resolution):
+        # r = 0 would check the oracle at the w1 = 0 vertex alone, where theta = 0
+        assert main(["ridge", str(data_csv), "--mu", "0.1", "-r", resolution]) == 2
+        assert "resolution must be >= 1" in capsys.readouterr().err
 
 
 class TestLocate:

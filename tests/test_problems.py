@@ -1,6 +1,7 @@
 """Problem families: derivative correctness, validation, serialization."""
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -17,16 +18,19 @@ from pareto_atlas import (
     Example31Perturbed,
     Example32,
     GenericQuadratic,
-    ObjectiveProblem,
+    LinearPerturbation,
     Phenotypic,
+    Problem,
     ProblemFormatError,
     RemarkG,
     RidgePair,
     Weight,
+    build_atlas,
     build_problem,
     builtin_problem,
     check_strong_convexity,
     parse_problem,
+    perturb_problem,
     restrict,
     serialize_problem,
 )
@@ -378,17 +382,11 @@ class TestStrongConvexity:
 
     def test_flags_nonconvex_sample(self):
         q = np.array([np.diag([1.0, -1.0])])
-        p = ObjectiveProblem(GenericQuadratic(q, np.zeros((1, 2)), np.zeros(1)))
+        p = Problem(GenericQuadratic(q, np.zeros((1, 2)), np.zeros(1)))
         cert = check_strong_convexity(p, count=10, seed=0)
         assert not cert.ok
         assert cert.beta_min < 0.0
         assert cert.witness_objective == 0
-
-    def test_custom_sampler(self, example31):
-        cert = check_strong_convexity(example31, count=4,
-                                      sampler=lambda k: np.zeros((k, 3)))
-        assert cert.count == 4
-        assert_allclose(cert.beta_min, 2.0)
 
     def test_rejects_empty_sample(self, example31):
         with pytest.raises(ValueError, match="count"):
@@ -420,3 +418,41 @@ class TestRestrict:
             GenericQuadratic(p.family.qs[[1, 3]], p.family.bs[[1, 3]], p.family.cs[[1, 3]])
         )
         assert_allclose(sub.values(x), manual.values(x))
+
+
+class TestDerivedProblems:
+    """Subproblems and linear perturbations are views of one problem."""
+
+    def test_restricted_perturbation_is_the_perturbed_columns(self, example32, rng):
+        pi = LinearPerturbation.draw(3, 3, seed=2, scale=0.1)
+        perturbed = perturb_problem(example32, pi)
+        sub = restrict(perturbed, (2, 0))
+        xs = rng.normal(size=(5, 3))
+        for got, full in zip(sub.evaluate(xs), perturbed.evaluate(xs)):
+            assert np.array_equal(got, full[:, [0, 2]])
+
+    def test_restriction_of_a_restriction_is_one_restriction(self, remark_g, rng):
+        twice = restrict(restrict(remark_g, (0, 1, 3)), (0, 2))
+        once = restrict(remark_g, (0, 3))
+        assert twice.m == once.m == 2
+        xs = rng.normal(size=(5, 4))
+        for got, want in zip(twice.evaluate(xs), once.evaluate(xs)):
+            assert np.array_equal(got, want)
+
+    def test_only_underived_problems_have_a_family(self, example31):
+        assert isinstance(example31.family, Example31)
+        pi = LinearPerturbation.zero(3, 3)
+        for derived in (restrict(example31, (0, 1)), perturb_problem(example31, pi),
+                        restrict(perturb_problem(example31, pi), (1,))):
+            assert derived.family is None
+            with pytest.raises(ProblemFormatError, match="cannot serialize"):
+                serialize_problem(derived)
+
+    def test_perturbed_atlas_exports_no_family(self, example32, tmp_path):
+        pi = LinearPerturbation.draw(3, 3, seed=0, scale=0.1)
+        atlas = build_atlas(perturb_problem(example32, pi), 3)
+        atlas.to_json(tmp_path / "atlas.json")
+        doc = json.loads((tmp_path / "atlas.json").read_text())
+        assert doc["family"] is None
+        build_atlas(example32, 3).to_json(tmp_path / "base.json")
+        assert json.loads((tmp_path / "base.json").read_text())["family"] == "example32"

@@ -10,7 +10,7 @@ from conftest import SoftplusFamily, interior_weights, random_quadratic, softplu
 from pareto_atlas import (
     GenericQuadratic,
     MaxIterExceeded,
-    ObjectiveProblem,
+    Problem,
     SingularNewtonSystem,
     SolverConfig,
     Weight,
@@ -105,7 +105,7 @@ class TestMinimize:
         spec = GenericQuadratic(
             np.array([np.diag([1.0, -1.0])]), np.ones((1, 2)), np.zeros(1)
         )
-        broken = ObjectiveProblem(spec)  # bypasses build_problem validation
+        broken = Problem(spec)  # bypasses build_problem validation
         with pytest.raises(SingularNewtonSystem):
             minimize_weighted(broken, np.array([[1.0]]))
 

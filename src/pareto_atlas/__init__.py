@@ -9,10 +9,10 @@ from .apps import (
     LocationInstance,
     LocationReport,
     PhenotypicReport,
-    RidgeInstance,
     RidgePathReport,
     location_pareto_set,
     phenotypic_pareto_set,
+    read_ridge_csv,
     ridge_lambda,
     ridge_path,
     write_ridge_csv,

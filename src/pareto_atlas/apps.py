@@ -2,7 +2,8 @@
 
 These wire the atlas machinery to families with known structure, and check
 the computed sets against independent routes (closed forms, hull membership
-by linear programming, normal-equation solves).
+by linear programming, normal-equation solves).  A ridge path runs on a
+``problems.RidgePair``; ``read_ridge_csv`` reads one from a CSV file.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ __all__ = [
     "location_pareto_set",
     "PhenotypicReport",
     "phenotypic_pareto_set",
-    "RidgeInstance",
+    "read_ridge_csv",
     "RidgePathRow",
     "RidgePathReport",
     "ridge_lambda",
@@ -202,7 +203,7 @@ def phenotypic_pareto_set(
     consistency on every boundary node.  It holds for the instance at this
     resolution; it is not a statement about the family.
     """
-    problem = build_problem(Phenotypic(np.asarray(mats, float), np.asarray(points, float)))
+    problem = build_problem(Phenotypic(mats, points))
     atlas = build_atlas(problem, resolution, config)
     cert = certify_corank_on_atlas(atlas)
     faces = face_consistency(atlas)
@@ -219,35 +220,24 @@ def phenotypic_pareto_set(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RidgeInstance:
-    x_data: np.ndarray
-    y_data: np.ndarray
-    mu: float
+def read_ridge_csv(path, mu: float) -> RidgePair:
+    """The ridge family of a numeric CSV: feature columns, then the response.
 
-    def __post_init__(self):
-        object.__setattr__(self, "x_data", np.asarray(self.x_data, dtype=float))
-        object.__setattr__(self, "y_data", np.asarray(self.y_data, dtype=float))
-
-    @classmethod
-    def from_csv(cls, path, mu: float) -> "RidgeInstance":
-        """Load a numeric design matrix; last column is the response.
-
-        A non-numeric first row is treated as a header and skipped.
-        """
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows:
-            raise ValueError(f"{path}: empty file")
-        start = 0
-        try:
-            float(rows[0][0])
-        except ValueError:
-            start = 1
-        data = np.array([[float(v) for v in row] for row in rows[start:] if row])
-        if data.ndim != 2 or data.shape[1] < 2:
-            raise ValueError(f"{path}: need at least one feature column plus a response")
-        return cls(data[:, :-1], data[:, -1], mu)
+    A non-numeric first row is treated as a header and skipped.
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    start = 0
+    try:
+        float(rows[0][0])
+    except ValueError:
+        start = 1
+    data = np.array([[float(v) for v in row] for row in rows[start:] if row])
+    if data.ndim != 2 or data.shape[1] < 2:
+        raise ValueError(f"{path}: need at least one feature column plus a response")
+    return RidgePair(data[:, :-1], data[:, -1], mu)
 
 
 def ridge_lambda(w1: float, w2: float, mu: float) -> float:
@@ -280,11 +270,11 @@ class RidgePathReport:
 
 
 def ridge_path(
-    instance: RidgeInstance,
+    pair: RidgePair,
     resolution: int,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> RidgePathReport:
-    """Sweep the two-objective trade-off from pure fit to pure shrinkage.
+    """Sweep the two-objective trade-off of ``pair`` from pure fit to pure shrinkage.
 
     Rows go from w = (1, 0) to w = (1/r, 1 - 1/r), then the w1 = 0 vertex
     with lambda = inf and theta = 0; all rows are one Newton batch.  Every
@@ -294,16 +284,16 @@ def ridge_path(
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    problem = build_problem(RidgePair(instance.x_data, instance.y_data, instance.mu))
-    xtx = instance.x_data.T @ instance.x_data
-    xty = instance.x_data.T @ instance.y_data
+    problem = build_problem(pair)
+    xtx = pair.x_data.T @ pair.x_data
+    xty = pair.x_data.T @ pair.y_data
     w1 = np.append(np.arange(resolution, 0, -1) / resolution, 0.0)
     weights = np.column_stack([w1, 1.0 - w1])
     solved = minimize_weighted(problem, weights, config)
     raise_unconverged(solved)
     rows: list[RidgePathRow] = []
     for (a, b), theta, residual in zip(weights, solved.x, solved.residual):
-        lam = ridge_lambda(a, b, instance.mu) if a > 0.0 else np.inf
+        lam = ridge_lambda(a, b, pair.mu) if a > 0.0 else np.inf
         oracle = np.linalg.solve(xtx + lam * np.eye(problem.n), xty) if a > 0.0 else 0.0
         rows.append(
             RidgePathRow(
@@ -316,7 +306,7 @@ def ridge_path(
             )
         )
     return RidgePathReport(
-        mu=instance.mu,
+        mu=pair.mu,
         resolution=resolution,
         rows=rows,
         max_oracle_gap=max(r.oracle_gap for r in rows),

@@ -15,8 +15,8 @@ import numpy as np
 
 from .apps import (
     LocationInstance,
-    RidgeInstance,
     location_pareto_set,
+    read_ridge_csv,
     ridge_path,
     write_ridge_csv,
 )
@@ -63,6 +63,23 @@ def rank_tol(text: str) -> float:
     return value
 
 
+def grad_tol(text: str) -> float:
+    """A relative gradient tolerance: at 0 a solve stops only at an exact zero
+    gradient, and at 1 or above every solve stops at its start."""
+    value = finite(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not in (0, 1)")
+    return value
+
+
+def iteration_budget(text: str) -> int:
+    """A Newton step budget; below 0 a run would report a negative step count."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def nonnegative(text: str) -> float:
     """A distance tolerance; below 0 no pair is ever within it."""
     value = finite(text)
@@ -87,9 +104,9 @@ def _add_problem_args(sub):
 
 
 def _add_solver_args(sub):
-    sub.add_argument("--grad-tol", type=finite, default=1e-10,
-                     help="gradient tolerance, scaled by the initial gradient norm")
-    sub.add_argument("--max-iter", type=int, default=200)
+    sub.add_argument("--grad-tol", type=grad_tol, default=1e-10,
+                     help="gradient tolerance, scaled by the initial gradient norm, in (0, 1)")
+    sub.add_argument("--max-iter", type=iteration_budget, default=200)
     sub.add_argument("--rank-tol", type=rank_tol, default=DEFAULT_RANK_TOL,
                      help="relative singular value threshold for rank decisions, in [0, 1)")
 
@@ -357,8 +374,8 @@ def cmd_perturb(args, parser) -> int:
 
 
 def cmd_ridge(args, parser) -> int:
-    instance = RidgeInstance.from_csv(args.data, args.mu)
-    rep = ridge_path(instance, args.resolution, _config(args))
+    pair = read_ridge_csv(args.data, args.mu)
+    rep = ridge_path(pair, args.resolution, _config(args))
     norms = rep.theta_norms()
     lines = [
         f"ridge path: {len(rep.rows)} rows, mu={args.mu:g}, resolution {args.resolution}",

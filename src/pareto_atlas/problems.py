@@ -42,13 +42,6 @@ class ProblemFormatError(ValueError):
     """Malformed problem description (bad shapes, non-PD matrix, bad JSON)."""
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise ProblemFormatError(f"{name} must be a 2-d array, got shape {arr.shape}")
-    return arr
-
-
 def _require_symmetric_pd(mat: np.ndarray, name: str) -> None:
     scale = max(1.0, float(np.abs(mat).max()))
     if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * scale):
@@ -125,34 +118,96 @@ def _constant(hessians) -> np.ndarray:
     return np.broadcast_to(hessians, (1,) + hessians.shape)
 
 
-@dataclass(frozen=True)
-class GenericQuadratic:
-    """Objectives f_i(x) = x.Q_i x / 2 + b_i.x + c_i with Q_i symmetric PD."""
+def _numeric(value) -> bool:
+    """A JSON number or a nested list of them of one shape; booleans are not
+    numbers, and a ragged or over-deep list leaves a list among the leaves."""
+    return all(type(x) in (int, float) for x in np.array(value, dtype=object).reshape(-1))
 
-    qs: np.ndarray  # (m, n, n)
-    bs: np.ndarray  # (m, n)
-    cs: np.ndarray  # (m,)
 
-    tag = "generic_quadratic"
+class _Family:
+    """Reader, payload and shape check shared by every family spec.
+
+    ``fields`` maps each JSON key to (attribute, shape), the shape spelled in
+    dimension letters: "mnn" is an (m, n, n) array and "" a number, kept as
+    a Python float.  Every value must be finite, equal letters must give
+    equal sizes and every size is at least 1.  ``n`` and ``m`` come from the
+    fields unless the class fixes them.  Families with semantic checks
+    extend ``validate``; a spec of another class checks its own values.
+    """
+
+    tag: str  # the document's "family"
+    fields: dict[str, tuple[str, str]] = {}
 
     def __post_init__(self):
-        object.__setattr__(self, "qs", np.asarray(self.qs, dtype=float))
-        object.__setattr__(self, "bs", np.asarray(self.bs, dtype=float))
-        object.__setattr__(self, "cs", np.asarray(self.cs, dtype=float))
+        for attr, dims in self.fields.values():
+            value = np.asarray(getattr(self, attr), dtype=float)
+            object.__setattr__(self, attr, float(value) if not dims and value.ndim == 0 else value)
+
+    def _size(self, letter: str) -> int:
+        attr, dims = next((a, d) for a, d in self.fields.values() if letter in d)
+        return getattr(self, attr).shape[dims.index(letter)]
 
     @property
     def n(self) -> int:
-        return self.qs.shape[-1]
+        return self._size("n")
 
     @property
     def m(self) -> int:
-        return self.qs.shape[0]
+        return self._size("m")
 
     def validate(self):
-        if self.qs.ndim != 3 or self.qs.shape[1] != self.qs.shape[2]:
-            raise ProblemFormatError("q must have shape (m, n, n)")
-        if self.bs.shape != (self.m, self.n) or self.cs.shape != (self.m,):
-            raise ProblemFormatError("dimension mismatch between q, b and c")
+        sizes = {}  # letter -> (its size, the first key that has it)
+        for key, (attr, dims) in self.fields.items():
+            value = getattr(self, attr)
+            if not np.isfinite(value).all():  # NaN, Infinity or 1e400
+                raise ProblemFormatError(f"field '{key}' must be finite")
+            shape = np.shape(value)
+            expected = f"an array of shape ({', '.join(dims)})" if dims else "a number"
+            bad_shape = f"{key} must be {expected}, got shape {shape}"
+            if len(shape) != len(dims):
+                raise ProblemFormatError(bad_shape)
+            for letter, size in zip(dims, shape):
+                if size < 1:
+                    raise ProblemFormatError(f"{key} has an empty dimension: shape {shape}")
+                seen, where = sizes.setdefault(letter, (size, key))
+                if size != seen:
+                    raise ProblemFormatError(bad_shape if where == key else (
+                        f"dimension mismatch: {key} has {letter}={size} "
+                        f"but {where} has {letter}={seen}"))
+
+    def payload(self) -> dict:
+        return {key: np.asarray(getattr(self, attr)).tolist()
+                for key, (attr, _) in self.fields.items()}
+
+    @classmethod
+    def from_payload(cls, data: dict):
+        values = {}
+        for key, (attr, _) in cls.fields.items():
+            if key not in data:
+                raise ProblemFormatError(f"family '{cls.tag}' requires field '{key}'")
+            if not _numeric(data[key]):
+                raise ProblemFormatError(f"field '{key}' must be a JSON number "
+                                         "or a nested list of numbers of one shape")
+            values[attr] = data[key]
+        try:
+            return cls(**values)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ProblemFormatError(f"bad field in family '{cls.tag}': {exc}") from exc
+
+
+@dataclass(frozen=True)
+class GenericQuadratic(_Family):
+    """Objectives f_i(x) = x.Q_i x / 2 + b_i.x + c_i with Q_i symmetric PD."""
+
+    qs: np.ndarray
+    bs: np.ndarray
+    cs: np.ndarray
+
+    tag = "generic_quadratic"
+    fields = {"q": ("qs", "mnn"), "b": ("bs", "mn"), "c": ("cs", "m")}
+
+    def validate(self):
+        super().validate()
         for i, q in enumerate(self.qs):
             _require_symmetric_pd(q, f"q[{i}]")
 
@@ -161,36 +216,14 @@ class GenericQuadratic:
         values = 0.5 * np.einsum("Ni,Nki->Nk", xs, qx) + _rowwise(self.bs, xs) + self.cs
         return values, qx + self.bs, _constant(self.qs)
 
-    def payload(self) -> dict:
-        return {"q": self.qs.tolist(), "b": self.bs.tolist(), "c": self.cs.tolist()}
 
-    @classmethod
-    def from_payload(cls, data: dict) -> "GenericQuadratic":
-        return cls(
-            _field(data, "q", "generic_quadratic"),
-            _field(data, "b", "generic_quadratic"),
-            _field(data, "c", "generic_quadratic"),
-        )
-
-
-class _FixedQuadratic:
-    """A parameter-free quadratic family: ``_quadratic`` holds its data, so
-    its JSON payload is empty and there is nothing to validate."""
+class _FixedQuadratic(_Family):
+    """A parameter-free quadratic family: ``_quadratic`` holds its data."""
 
     _quadratic: GenericQuadratic
 
-    def validate(self):
-        pass
-
     def evaluate(self, xs):
         return self._quadratic.evaluate(xs)
-
-    def payload(self) -> dict:
-        return {}
-
-    @classmethod
-    def from_payload(cls, data: dict):
-        return cls()
 
 
 @dataclass(frozen=True)
@@ -222,7 +255,7 @@ class Example31(_FixedQuadratic):
 
 
 @dataclass(frozen=True)
-class Example31Perturbed:
+class Example31Perturbed(_Family):
     """The pinch family with a linear term eps*z added to the first objective.
 
     Any nonzero ``epsilon`` removes the corank-2 point: the minimizer map
@@ -232,27 +265,20 @@ class Example31Perturbed:
     epsilon: float
 
     tag = "example31_perturbed"
+    fields = {"epsilon": ("epsilon", "")}
     n = 3
     m = 3
 
-    _base = Example31()
-
     def validate(self):
+        super().validate()
         if self.epsilon == 0.0:
             raise ProblemFormatError("epsilon must be nonzero")
 
     def evaluate(self, xs):
-        values, jac, hess = self._base.evaluate(xs)
-        values[:, 0] += self.epsilon * xs[:, 2]
-        jac[:, 0, 2] += self.epsilon
-        return values, jac, hess
-
-    def payload(self) -> dict:
-        return {"epsilon": self.epsilon}
-
-    @classmethod
-    def from_payload(cls, data: dict) -> "Example31Perturbed":
-        return cls(float(_field(data, "epsilon", "example31_perturbed")))
+        values, jac, hess = Example31().evaluate(xs)
+        linear = np.zeros((self.m, self.n))
+        linear[0, 2] = self.epsilon
+        return (*with_linear(values, jac, linear, xs), hess)
 
 
 @dataclass(frozen=True)
@@ -306,27 +332,13 @@ class RemarkG(_FixedQuadratic):
 
 
 @dataclass(frozen=True)
-class DistanceSquared:
+class DistanceSquared(_Family):
     """Squared Euclidean distances to demand points: f_i(x) = |x - p_i|^2."""
 
-    points: np.ndarray  # (m, n)
+    points: np.ndarray
 
     tag = "distance_squared"
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.points.shape[0]
-
-    def validate(self):
-        if self.points.ndim != 2 or self.points.shape[0] < 1:
-            raise ProblemFormatError("points must have shape (m, n) with m >= 1")
+    fields = {"points": ("points", "mn")}
 
     def evaluate(self, xs):
         diff = xs[:, None, :] - self.points
@@ -334,40 +346,19 @@ class DistanceSquared:
         hess = _constant(np.repeat(eye[None, :, :], self.m, axis=0))
         return np.einsum("Nki,Nki->Nk", diff, diff), 2.0 * diff, hess
 
-    def payload(self) -> dict:
-        return {"points": self.points.tolist()}
-
-    @classmethod
-    def from_payload(cls, data: dict) -> "DistanceSquared":
-        return cls(_as_matrix(_field(data, "points", "distance_squared"), "points"))
-
 
 @dataclass(frozen=True)
-class Phenotypic:
+class Phenotypic(_Family):
     """Squared anisotropic distances f_i(x) = |A_i (x - p_i)|^2, A_i symmetric PD."""
 
-    mats: np.ndarray  # (m, n, n)
-    points: np.ndarray  # (m, n)
+    mats: np.ndarray
+    points: np.ndarray
 
     tag = "phenotypic"
-
-    def __post_init__(self):
-        object.__setattr__(self, "mats", np.asarray(self.mats, dtype=float))
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-
-    @property
-    def n(self) -> int:
-        return self.mats.shape[-1]
-
-    @property
-    def m(self) -> int:
-        return self.mats.shape[0]
+    fields = {"matrices": ("mats", "mnn"), "points": ("points", "mn")}
 
     def validate(self):
-        if self.mats.ndim != 3 or self.mats.shape[1] != self.mats.shape[2]:
-            raise ProblemFormatError("matrices must have shape (m, n, n)")
-        if self.points.shape != (self.m, self.n):
-            raise ProblemFormatError("dimension mismatch between matrices and points")
+        super().validate()
         for i, a in enumerate(self.mats):
             _require_symmetric_pd(a, f"matrices[{i}]")
 
@@ -378,49 +369,29 @@ class Phenotypic:
         jac = 2.0 * np.einsum("kil,Nkl->Nki", gram, diff)
         return np.einsum("Nki,Nki->Nk", resid, resid), jac, _constant(2.0 * gram)
 
-    def payload(self) -> dict:
-        return {"matrices": self.mats.tolist(), "points": self.points.tolist()}
-
-    @classmethod
-    def from_payload(cls, data: dict) -> "Phenotypic":
-        return cls(
-            np.asarray(_field(data, "matrices", "phenotypic"), dtype=float),
-            np.asarray(_field(data, "points", "phenotypic"), dtype=float),
-        )
-
 
 @dataclass(frozen=True)
-class RidgePair:
+class RidgePair(_Family):
     """Penalized least squares paired with the penalty itself.
 
     f_1(theta) = |X theta - y|^2 + mu |theta|^2   (mu > 0 for strong convexity)
     f_2(theta) = |theta|^2
 
     Scalarizing with weight (w1, w2), w1 > 0, minimizes the ridge objective
-    with regularization strength lambda = mu + w2 / w1.
+    with regularization strength lambda = mu + w2 / w1.  ``X`` has one row
+    per observation (k of them) and one column per coefficient (n).
     """
 
-    x_data: np.ndarray  # (n_obs, p)
-    y_data: np.ndarray  # (n_obs,)
+    x_data: np.ndarray
+    y_data: np.ndarray
     mu: float
 
     tag = "ridge_pair"
+    fields = {"X": ("x_data", "kn"), "y": ("y_data", "k"), "mu": ("mu", "")}
     m = 2
 
-    def __post_init__(self):
-        object.__setattr__(self, "x_data", np.asarray(self.x_data, dtype=float))
-        object.__setattr__(self, "y_data", np.asarray(self.y_data, dtype=float))
-        object.__setattr__(self, "mu", float(self.mu))
-
-    @property
-    def n(self) -> int:
-        return self.x_data.shape[1]
-
     def validate(self):
-        if self.x_data.ndim != 2:
-            raise ProblemFormatError("X must be a 2-d array")
-        if self.y_data.shape != (self.x_data.shape[0],):
-            raise ProblemFormatError("dimension mismatch between X and y")
+        super().validate()
         if not self.mu > 0.0:
             raise ProblemFormatError("mu must be positive")
 
@@ -432,17 +403,6 @@ class RidgePair:
         eye = np.eye(self.n)
         h1 = 2.0 * (self.x_data.T @ self.x_data) + 2.0 * self.mu * eye
         return values, jac, _constant([h1, 2.0 * eye])
-
-    def payload(self) -> dict:
-        return {"X": self.x_data.tolist(), "y": self.y_data.tolist(), "mu": self.mu}
-
-    @classmethod
-    def from_payload(cls, data: dict) -> "RidgePair":
-        return cls(
-            _as_matrix(_field(data, "X", "ridge_pair"), "X"),
-            np.asarray(_field(data, "y", "ridge_pair"), dtype=float),
-            float(_field(data, "mu", "ridge_pair")),
-        )
 
 
 _FAMILIES = {
@@ -458,12 +418,6 @@ _FAMILIES = {
         RidgePair,
     )
 }
-
-
-def _field(data: dict, name: str, family: str):
-    if name not in data:
-        raise ProblemFormatError(f"family '{family}' requires field '{name}'")
-    return data[name]
 
 
 # ---------------------------------------------------------------------------
@@ -537,25 +491,13 @@ class Problem:
                 f"linear={self.linear is not None})")
 
 
-def _validate(spec) -> None:
-    """Checks shared by ``build_problem`` and ``parse_problem``.
-
-    Non-finite numbers (JSON ``NaN``/``Infinity``, or ``1e400``, which
-    overflows) are rejected before the family's own checks run on them.
-    """
-    for name, value in spec.payload().items():
-        if not np.isfinite(np.asarray(value, dtype=float)).all():
-            raise ProblemFormatError(f"field '{name}' must be finite")
-    spec.validate()
-
-
 def build_problem(spec) -> Problem:
     """Validate a family spec and wrap it as an underived problem.
 
     Raises ProblemFormatError for non-finite numbers, non-PD matrices,
     nonpositive ridge penalties, or inconsistent shapes.
     """
-    _validate(spec)
+    spec.validate()
     return Problem(spec)
 
 
@@ -627,6 +569,9 @@ def check_strong_convexity(problem, count: int = 1000, seed: int = 0) -> Convexi
 def serialize_problem(spec_or_problem) -> str:
     """Render a family spec (or a problem built from one) as JSON text."""
     spec = getattr(spec_or_problem, "family", spec_or_problem)
+    if spec is None:
+        raise ProblemFormatError(
+            "cannot serialize a derived problem (a subproblem or a linear perturbation)")
     tag = getattr(spec, "tag", None)
     if tag not in _FAMILIES:
         raise ProblemFormatError(f"cannot serialize problem of type {type(spec).__name__}")
@@ -646,20 +591,19 @@ def parse_problem(text: str):
     if not isinstance(data, dict):
         raise ProblemFormatError("problem document must be a JSON object")
     tag = data.get("family")
-    if tag not in _FAMILIES:
+    if not isinstance(tag, str) or tag not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise ProblemFormatError(f"unknown family {tag!r} (known: {known})")
-    try:
-        spec = _FAMILIES[tag].from_payload(data)
-    except ProblemFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"bad field in family '{tag}': {exc}") from exc
-    _validate(spec)
+    spec = _FAMILIES[tag].from_payload(data)
+    spec.validate()
     for dim in ("n", "m"):
-        if dim in data and int(data[dim]) != getattr(spec, dim):
+        value = data.get(dim, getattr(spec, dim))
+        if type(value) is not int:  # a JSON integer; true and 3.0 are not
             raise ProblemFormatError(
-                f"dimension mismatch: document says {dim}={data[dim]}, "
+                f"document says {dim}={json.dumps(value)}, which is not an integer")
+        if value != getattr(spec, dim):
+            raise ProblemFormatError(
+                f"dimension mismatch: document says {dim}={value}, "
                 f"family implies {dim}={getattr(spec, dim)}"
             )
     return spec
@@ -669,13 +613,10 @@ BUILTIN_NAMES = ("example31", "example31_perturbed", "example32", "remark_g")
 
 
 def builtin_problem(name: str, epsilon: float = 0.1) -> Problem:
-    """Fixture problems addressable by name (CLI ``--builtin``)."""
-    if name == "example31":
-        return build_problem(Example31())
+    """Fixture problems addressable by name (CLI ``--builtin``); each name is
+    its family's tag, and only ``example31_perturbed`` takes a parameter."""
+    if name not in BUILTIN_NAMES:
+        raise ProblemFormatError(f"unknown builtin {name!r} (known: {', '.join(BUILTIN_NAMES)})")
     if name == "example31_perturbed":
         return build_problem(Example31Perturbed(epsilon))
-    if name == "example32":
-        return build_problem(Example32())
-    if name == "remark_g":
-        return build_problem(RemarkG())
-    raise ProblemFormatError(f"unknown builtin {name!r} (known: {', '.join(BUILTIN_NAMES)})")
+    return build_problem(_FAMILIES[name]())

@@ -12,7 +12,6 @@ from pareto_atlas import (
     GenericQuadratic,
     LocationInstance,
     Phenotypic,
-    RidgeInstance,
     RidgePair,
     build_problem,
     builtin_problem,
@@ -71,7 +70,7 @@ def ridge_instance(seed: int = 42, n_obs: int = 20, p: int = 5, mu: float = 0.1)
     x = gen.normal(size=(n_obs, p))
     theta = gen.normal(size=p)
     y = x @ theta + 0.1 * gen.normal(size=n_obs)
-    return RidgeInstance(x, y, mu)
+    return RidgePair(x, y, mu)
 
 
 @pytest.fixture

@@ -10,10 +10,10 @@ from numpy.testing import assert_allclose
 from conftest import phenotypic_instance
 from pareto_atlas import (
     LocationInstance,
-    RidgeInstance,
     build_problem,
     location_pareto_set,
     phenotypic_pareto_set,
+    read_ridge_csv,
     ridge_lambda,
     ridge_path,
     write_ridge_csv,
@@ -153,7 +153,7 @@ class TestRidge:
             fh.write("f1,f2,y\n")
             np.savetxt(fh, data, delimiter=",")
         for path in (bare, named):
-            inst = RidgeInstance.from_csv(path, mu=0.5)
+            inst = read_ridge_csv(path, mu=0.5)
             assert_allclose(inst.x_data, data[:, :2])
             assert_allclose(inst.y_data, data[:, 2])
             assert inst.mu == 0.5
@@ -162,8 +162,8 @@ class TestRidge:
         empty = tmp_path / "empty.csv"
         empty.write_text("")
         with pytest.raises(ValueError, match="empty"):
-            RidgeInstance.from_csv(empty, mu=0.1)
+            read_ridge_csv(empty, mu=0.1)
         thin = tmp_path / "thin.csv"
         thin.write_text("1.0\n2.0\n")
         with pytest.raises(ValueError, match="feature column"):
-            RidgeInstance.from_csv(thin, mu=0.1)
+            read_ridge_csv(thin, mu=0.1)

@@ -200,6 +200,19 @@ def test_vacuous_tolerances_rejected(argv, flag, capsys):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--grad-tol", "1e3"), ("--grad-tol", "1"), ("--grad-tol", "0"), ("--grad-tol", "-0.5"),
+    ("--max-iter", "-1"),
+])
+def test_solver_settings_checked_at_parse_time(flag, value, capsys):
+    """At --grad-tol >= 1 every solve stops at its start; a negative budget
+    would be reported as a negative iteration count."""
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "--builtin", "example32", "-w", "0.2,0.3,0.5", f"{flag}={value}"])
+    assert err.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
 class TestAtlas:
     def test_writes_csv_and_json(self, tmp_path, capsys):
         prefix = tmp_path / "atl"

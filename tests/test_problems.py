@@ -1,6 +1,7 @@
 """Problem families: derivative correctness, validation, serialization."""
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -13,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from conftest import fd_gradients, fd_hessians, fixture_problems, random_quadratic
 from pareto_atlas import (
+    BUILTIN_NAMES,
     DistanceSquared,
     Example31,
     Example31Perturbed,
@@ -34,7 +36,34 @@ from pareto_atlas import (
     restrict,
     serialize_problem,
 )
+from pareto_atlas.cli import main
 from pareto_atlas.problems import WEIGHT_SUM_TOL
+
+# One malformed document per way a field or a dimension can be wrong.
+MALFORMED = [
+    '{"family": "distance_squared", "points": [[]]}',
+    '{"family": "ridge_pair", "X": [[]], "y": [1], "mu": 0.1}',
+    '{"family": "example31_perturbed", "epsilon": true}',
+    '{"family": "example31_perturbed", "epsilon": [0.1]}',
+    '{"family": "distance_squared", "points": [[0, 0], [1, "1"]]}',
+    '{"family": "generic_quadratic", "q": [1, 2], "b": [[0, 0]], "c": [0]}',
+    '{"family": "distance_squared", "points": [0, 1]}',
+    '{"family": "phenotypic", "points": [[0, 0]]}',
+    '{"family": "example31", "n": null}',
+    '{"family": "distance_squared", "points": [[0, 0], [1, 0]], "n": 2.7}',
+    '{"family": "example31", "m": "two"}',
+    '{"family": "distance_squared", "points": [[0, 0], [1]]}',
+    '{"family": "distance_squared", "points": %s0%s}' % ("[" * 500, "]" * 500),
+]
+MALFORMED_IDS = ["empty-points", "empty-X", "bool-epsilon", "list-epsilon", "string-point",
+                 "1d-q", "1d-points", "missing-field", "null-n", "float-n", "string-m",
+                 "ragged-points", "deep-points"]
+BUILTIN_SHA256 = {
+    "example31": "a5a51bd258249eb4c2b4356c7b910add8d3fef1a50a6e136032bde97f3f45877",
+    "example31_perturbed": "369b9bf9f38f6937dc1e59828448650c63588af32a953f12f969182451b93483",
+    "example32": "f93708627465ded0f908d52e6d41b299aeb2410d1e5eb19900c20db582bc287b",
+    "remark_g": "33219558e325b19a41282cd039a954687cf041027b13d72db2cc8c61c6d99a12",
+}
 
 FIXTURES = fixture_problems()
 IDS = [name for name, _ in FIXTURES]
@@ -320,6 +349,10 @@ class TestSerialization:
         with pytest.raises(ProblemFormatError, match="unknown family"):
             parse_problem('{"family": "mystery"}')
 
+    def test_non_string_family_is_unknown(self):
+        with pytest.raises(ProblemFormatError, match="unknown family"):
+            parse_problem('{"family": ["example31"]}')
+
     def test_document_dimensions_must_agree(self):
         with pytest.raises(ProblemFormatError, match="dimension mismatch"):
             parse_problem('{"family": "example31", "n": 5}')
@@ -343,6 +376,37 @@ class TestSerialization:
     def test_non_finite_numbers_rejected(self, doc):
         with pytest.raises(ProblemFormatError, match="must be finite"):
             parse_problem(doc)
+
+    @pytest.mark.parametrize("doc", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_documents_rejected(self, doc):
+        with pytest.raises(ProblemFormatError):
+            parse_problem(doc)
+
+    @pytest.mark.parametrize("doc", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_documents_exit_2_with_one_line(self, doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        assert main(["verify", str(path), "-r", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_serialization_is_pinned(self, name):
+        """Every CLI header prints this digest of the builtin's JSON."""
+        text = serialize_problem(builtin_problem(name))
+        assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_SHA256[name]
+
+    @pytest.mark.parametrize("problem", PROBLEMS, ids=IDS)
+    def test_parse_then_serialize_gives_the_same_bytes(self, problem):
+        text = serialize_problem(problem)
+        assert serialize_problem(parse_problem(text)) == text
+
+    def test_derived_problem_serialization_says_derived(self, example31):
+        pi = LinearPerturbation.zero(3, 3)
+        for derived in (restrict(example31, (0, 1)), perturb_problem(example31, pi)):
+            with pytest.raises(ProblemFormatError, match="cannot serialize a derived problem"):
+                serialize_problem(derived)
 
     def test_readme_problem_json_blocks_parse(self):
         """Every JSON example in the README's problem-format section parses."""
@@ -430,6 +494,17 @@ class TestDerivedProblems:
         xs = rng.normal(size=(5, 3))
         for got, full in zip(sub.evaluate(xs), perturbed.evaluate(xs)):
             assert np.array_equal(got, full[:, [0, 2]])
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.3, -1e-3, 1e-12, 5.0])
+    def test_perturbed_fixture_is_a_linear_perturbation(self, example31, epsilon, rng):
+        """example31_perturbed is example31 with pi[0, 2] = epsilon, bit for bit."""
+        pi = np.zeros((3, 3))
+        pi[0, 2] = epsilon
+        view = perturb_problem(example31, LinearPerturbation(pi))
+        fixture = builtin_problem("example31_perturbed", epsilon=epsilon)
+        xs = rng.normal(size=(1000, 3))
+        for got, want in zip(fixture.evaluate(xs), view.evaluate(xs)):
+            assert np.array_equal(got, want)
 
     def test_restriction_of_a_restriction_is_one_restriction(self, remark_g, rng):
         twice = restrict(restrict(remark_g, (0, 1, 3)), (0, 2))

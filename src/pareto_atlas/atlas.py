@@ -249,6 +249,32 @@ def _min_pair_distance(xs: np.ndarray, radius: float = np.inf) -> float:
     return float(_close_pairs(xs, radius, shrink=True)[2].min(initial=np.inf))
 
 
+def _json_records(rows: list[dict], indent: str):
+    """Pieces of ``json.dumps(rows, indent=2)`` nested at ``indent``.
+
+    ``rows`` is nonempty, every row has the keys of the first, and each
+    value is a number, a boolean or a flat list of them, of one kind per
+    key.  The C encoder writes each key's column in one call per block of
+    256 rows (``indent`` would turn it off), and only the line breaks are
+    added around its output.
+    """
+    row_indent, cell_indent, item_indent = (indent + "  " * k for k in (1, 2, 3))
+    prefixes = {key: f"{cell_indent}{json.dumps(key)}: " for key in rows[0]}
+    for start in range(0, len(rows), 256):  # a block's cells are all held at once
+        block, columns = rows[start:start + 256], []
+        for key, prefix in prefixes.items():
+            text = json.dumps([row[key] for row in block])
+            if isinstance(rows[0][key], list):  # "[[a, b], [c]]"
+                cells = [f"[{item_indent}{items.replace(', ', ',' + item_indent)}{cell_indent}]"
+                         if items else "[]" for items in text[2:-2].split("], [")]
+            else:  # "[a, b, c]"
+                cells = text[1:-1].split(", ")
+            columns.append([prefix + cell for cell in cells])
+        yield ("," if start else "[") + ",".join(
+            f"{row_indent}{{{','.join(cells)}{row_indent}}}" for cells in zip(*columns))
+    yield indent + "]"
+
+
 def _face_label(face: tuple[int, ...]) -> str:
     return ";".join(str(i + 1) for i in face)
 
@@ -344,8 +370,18 @@ class ParetoAtlas:
         }
 
     def to_json(self, path) -> None:
+        """Write ``json.dumps(self.report_dict(), indent=2)``, byte for byte.
+
+        ``indent`` sends ``json`` to its pure-Python encoder; the node table,
+        nearly all of the bytes, goes through ``_json_records`` instead.
+        """
+        doc = self.report_dict()
+        nodes = doc.pop("nodes")  # the last key
+        head = json.dumps(doc, indent=2)
         with open(path, "w") as fh:
-            json.dump(self.report_dict(), fh, indent=2)
+            fh.write(head[:-len("\n}")] + ',\n  "nodes": ')
+            fh.writelines(_json_records(nodes, "\n  "))
+            fh.write("\n}")
 
     def to_csv(self, path) -> None:
         """Delimited export, one row per node.

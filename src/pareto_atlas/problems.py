@@ -567,7 +567,11 @@ def check_strong_convexity(problem, count: int = 1000, seed: int = 0) -> Convexi
 
 
 def serialize_problem(spec_or_problem) -> str:
-    """Render a family spec (or a problem built from one) as JSON text."""
+    """Render a family spec (or a problem built from one) as JSON text.
+
+    Raises ProblemFormatError for a derived problem and for a spec that
+    ``build_problem`` would reject.
+    """
     spec = getattr(spec_or_problem, "family", spec_or_problem)
     if spec is None:
         raise ProblemFormatError(
@@ -575,6 +579,7 @@ def serialize_problem(spec_or_problem) -> str:
     tag = getattr(spec, "tag", None)
     if tag not in _FAMILIES:
         raise ProblemFormatError(f"cannot serialize problem of type {type(spec).__name__}")
+    spec.validate()
     doc = {"family": tag, "n": int(spec.n), "m": int(spec.m)}
     doc.update(spec.payload())
     return json.dumps(doc, indent=2)
@@ -588,6 +593,8 @@ def parse_problem(text: str):
         raise ProblemFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:  # the C scanner's nesting limit
+        raise ProblemFormatError("invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise ProblemFormatError("problem document must be a JSON object")
     tag = data.get("family")

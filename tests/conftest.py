@@ -2,11 +2,14 @@
 summary hook (one line per acceptance criterion at the end of the run)."""
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pareto_atlas
 from pareto_atlas import (
     DistanceSquared,
     GenericQuadratic,
@@ -16,6 +19,14 @@ from pareto_atlas import (
     build_problem,
     builtin_problem,
 )
+
+
+def child_env() -> dict:
+    """Environment for a child that imports the package this test imported,
+    also where only pytest's own pythonpath setting put it on the path."""
+    src = str(Path(pareto_atlas.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture

@@ -1,15 +1,23 @@
 """Application layers: location, anisotropic distances, ridge paths."""
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import phenotypic_instance
+from conftest import child_env, phenotypic_instance
 from pareto_atlas import (
+    DistanceSquared,
     LocationInstance,
+    apps,
+    build_atlas,
     build_problem,
     location_pareto_set,
     phenotypic_pareto_set,
@@ -18,7 +26,7 @@ from pareto_atlas import (
     ridge_path,
     write_ridge_csv,
 )
-from pareto_atlas.problems import Example31, Phenotypic
+from pareto_atlas.problems import Example31, Phenotypic, serialize_problem
 
 
 class TestLocation:
@@ -63,6 +71,133 @@ class TestLocation:
         json.dumps(doc)
         assert doc["schema"] == "pareto-atlas/location-v1"
         assert doc["general_position"] is True
+
+
+@contextlib.contextmanager
+def _within(seconds: float):
+    """Raise TimeoutError in this process if the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestHullLPsAcrossProcesses:
+    """``apps._hull_violations`` forks children to share the per-node LPs."""
+
+    POINTS = np.random.default_rng(3).normal(size=(4, 8))
+
+    @pytest.fixture(scope="class")
+    def xs(self):
+        return build_atlas(build_problem(DistanceSquared(self.POINTS)), 12).x  # 455 nodes
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Pids returned by os.fork in this process, in order."""
+        pids, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return pids
+
+    @staticmethod
+    def cpus(monkeypatch, count: int):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    def test_forked_values_equal_the_serial_loop_bit_for_bit(self, xs, forks, monkeypatch):
+        serial = np.array([apps._hull_violation(self.POINTS, x) for x in xs])
+        self.cpus(monkeypatch, 3)
+        with _within(60):
+            values = apps._hull_violations(self.POINTS, xs)
+        assert len(forks) == 2
+        assert values.tobytes() == serial.tobytes()
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raises", "short-data"])
+    def test_a_failing_child_raises_in_the_parent(self, xs, forks, monkeypatch, failure):
+        parent = os.getpid()
+        if failure == "raises":
+            solve = apps._hull_violation
+
+            def fail_in_child(points, x):
+                if os.getpid() != parent:
+                    raise ValueError("LP failed in the child")
+                return solve(points, x)
+
+            monkeypatch.setattr(apps, "_hull_violation", fail_in_child)
+        else:
+            solve_all = apps._hull_violations_serial
+
+            def drop_a_row_in_child(points, rows):
+                return solve_all(points, rows if os.getpid() == parent else rows[1:])
+
+            monkeypatch.setattr(apps, "_hull_violations_serial", drop_a_row_in_child)
+        self.cpus(monkeypatch, 2)
+        status = 1 if failure == "raises" else 0
+        with _within(60), pytest.raises(RuntimeError, match=f"exited with status {status}"):
+            apps._hull_violations(self.POINTS, xs)
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+    def test_a_failure_in_the_parent_kills_and_reaps_the_children(self, xs, forks,
+                                                                  monkeypatch):
+        parent, solve = os.getpid(), apps._hull_violation
+
+        def fail_in_parent(points, x):
+            if os.getpid() == parent:
+                raise ValueError("LP failed in the parent")
+            return solve(points, x)
+
+        monkeypatch.setattr(apps, "_hull_violation", fail_in_parent)
+        self.cpus(monkeypatch, 3)
+        with _within(60), pytest.raises(ValueError, match="in the parent"):
+            apps._hull_violations(self.POINTS, xs)
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus, rows", [(1, 2 * apps.HULL_LP_GRAIN),
+                                            (8, 2 * apps.HULL_LP_GRAIN - 1)])
+    def test_one_cpu_or_few_rows_run_in_process(self, xs, forks, monkeypatch, cpus, rows):
+        self.cpus(monkeypatch, cpus)
+        values = apps._hull_violations(self.POINTS, xs[:rows])
+        assert forks == []
+        assert len(values) == rows
+
+    def test_locate_writes_the_same_bytes_on_one_cpu_and_on_two(self, tmp_path):
+        problem = tmp_path / "points.json"
+        problem.write_text(serialize_problem(DistanceSquared(self.POINTS)))
+        script = ("import os, sys\n"
+                  "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
+                  "from pareto_atlas.cli import main\n"
+                  "sys.exit(main(sys.argv[2:]))\n")
+        outputs = []
+        for cpus in (1, 2):
+            workdir = tmp_path / f"cpus{cpus}"
+            workdir.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(cpus), "locate", str(problem), "-r", "12",
+                 "--json", "--out", "atlas"],
+                cwd=workdir, env=child_env(), capture_output=True, timeout=120)
+            outputs.append((proc.returncode, proc.stdout, (workdir / "atlas.csv").read_bytes(),
+                            (workdir / "atlas.json").read_bytes()))
+        assert outputs[0][0] == 0 and b'"max_hull_violation"' in outputs[0][1]
+        assert outputs[0] == outputs[1]
 
 
 class TestPhenotypic:

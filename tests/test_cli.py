@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 import pareto_atlas
-from conftest import fixture_problems
+from conftest import child_env, fixture_problems
 from pareto_atlas import DistanceSquared, RidgePair, build_problem, serialize_problem
 from pareto_atlas import cli
 from pareto_atlas.cli import main
@@ -551,21 +550,13 @@ def test_run_document_key_order(name, monkeypatch, tmp_path, capsys):
     assert list(doc["input"]) == (["data", "mu"] if name == "ridge" else ["problem", "sha256"])
 
 
-def _child_env() -> dict:
-    """Environment for a child that imports the package this test imported,
-    also where only pytest's own pythonpath setting put it on the path."""
-    src = str(Path(pareto_atlas.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")])))
-
-
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "pareto_atlas.cli", "solve", "--builtin",
          "example31", "-w", "0.2,0.3,0.5", "--json"],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
@@ -594,7 +585,7 @@ print(json.dumps(out))
 
 def _modules_after(runs):
     proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER, json.dumps(runs)],
-                          capture_output=True, text=True, env=_child_env(), timeout=120)
+                          capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 

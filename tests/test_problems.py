@@ -54,10 +54,11 @@ MALFORMED = [
     '{"family": "example31", "m": "two"}',
     '{"family": "distance_squared", "points": [[0, 0], [1]]}',
     '{"family": "distance_squared", "points": %s0%s}' % ("[" * 500, "]" * 500),
+    '{"family": "distance_squared", "points": %s0%s}' % ("[" * 100_000, "]" * 100_000),
 ]
 MALFORMED_IDS = ["empty-points", "empty-X", "bool-epsilon", "list-epsilon", "string-point",
                  "1d-q", "1d-points", "missing-field", "null-n", "float-n", "string-m",
-                 "ragged-points", "deep-points"]
+                 "ragged-points", "deep-points", "too-deep-for-the-json-parser"]
 BUILTIN_SHA256 = {
     "example31": "a5a51bd258249eb4c2b4356c7b910add8d3fef1a50a6e136032bde97f3f45877",
     "example31_perturbed": "369b9bf9f38f6937dc1e59828448650c63588af32a953f12f969182451b93483",
@@ -407,6 +408,10 @@ class TestSerialization:
         for derived in (restrict(example31, (0, 1)), perturb_problem(example31, pi)):
             with pytest.raises(ProblemFormatError, match="cannot serialize a derived problem"):
                 serialize_problem(derived)
+
+    def test_unvalidated_spec_serialization_is_a_format_error(self):
+        with pytest.raises(ProblemFormatError, match=r"points must be an array of shape \(m, n\)"):
+            serialize_problem(DistanceSquared([1.0, 2.0]))
 
     def test_readme_problem_json_blocks_parse(self):
         """Every JSON example in the README's problem-format section parses."""

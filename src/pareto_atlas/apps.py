@@ -20,10 +20,11 @@ from .atlas import (
     build_atlas,
     face_consistency,
     injectivity_scan,
+    solve_grid,
 )
-from .diagnostics import CorankCertificate, certify_corank_on_atlas
+from .diagnostics import CorankCertificate, certify_corank_on_atlas, numerical_rank
 from .problems import DistanceSquared, Phenotypic, RidgePair, build_problem
-from .solver import DEFAULT_CONFIG, SolverConfig, minimize_weighted, raise_unconverged
+from .solver import DEFAULT_CONFIG, SolverConfig, raise_unconverged
 
 __all__ = [
     "LocationInstance",
@@ -66,13 +67,13 @@ class LocationInstance:
 
     @property
     def general_position(self) -> bool:
-        """Affine independence of the demand points."""
-        p = self.points
-        if p.shape[0] == 1:
-            return True
-        span = p[1:] - p[0]
-        sv = np.linalg.svd(span, compute_uv=False)
-        return bool(sv.size == p.shape[0] - 1 and sv[-1] > 1e-9 * max(sv[0], 1.0))
+        """Affine independence of the demand points at the default ``rank_tol``."""
+        return self.affinely_independent(DEFAULT_CONFIG.rank_tol)
+
+    def affinely_independent(self, rank_tol: float) -> bool:
+        """The differences p_i - p_1 have numerical rank m - 1 at ``rank_tol``."""
+        span = self.points[1:] - self.points[0]
+        return bool(numerical_rank(np.linalg.svd(span, compute_uv=False), rank_tol) == len(span))
 
 
 def _hull_violation(points: np.ndarray, x: np.ndarray) -> float:
@@ -85,21 +86,16 @@ def _hull_violation(points: np.ndarray, x: np.ndarray) -> float:
     m, n = points.shape
     c = np.zeros(m + 1)
     c[-1] = 1.0
-    rows = []
-    rhs = []
-    for j in range(n):
-        rows.append(np.concatenate([points[:, j], [-1.0]]))
-        rhs.append(x[j])
-        rows.append(np.concatenate([-points[:, j], [-1.0]]))
-        rhs.append(-x[j])
+    # row 2j: (P^T lam)_j - t <= x_j; row 2j + 1: -(P^T lam)_j - t <= -x_j
+    a_ub = np.hstack([points.T, -np.ones((n, 1)), -points.T, -np.ones((n, 1))]).reshape(2 * n, -1)
     a_eq = np.concatenate([np.ones(m), [0.0]])[None, :]
     res = linprog(
         c,
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
+        A_ub=a_ub,
+        b_ub=np.column_stack([x, -x]).ravel(),
         A_eq=a_eq,
         b_eq=[1.0],
-        bounds=[(0.0, None)] * m + [(0.0, None)],
+        bounds=[(0.0, None)] * (m + 1),
         method="highs",
     )
     if res.status != 0:
@@ -107,13 +103,11 @@ def _hull_violation(points: np.ndarray, x: np.ndarray) -> float:
     return float(res.x[-1])
 
 
-# Fewest hull LPs worth a process of their own.  Measured on 2 cores with one
-# BLAS thread: one LP takes about 1.8 ms, and a fork of the loaded (80 MB)
-# interpreter that solves one LP and pipes it back takes about 12 ms, of which
-# 4.5 ms is the bare fork round trip and the rest copy-on-write faults.  64
-# LPs (about 0.12 s) make that overhead a tenth of a process's share, and
-# runs with fewer than 2 * 64 rows, whose whole LP phase is near the noise
-# of a run, stay in one process.
+# Fewest hull LPs worth a process of their own.  On 2 cores with one BLAS
+# thread one LP takes about 2 ms, and a one-worker fork pool of the loaded
+# (80 MB) interpreter that solves one LP about 16 ms, so 64 LPs make that
+# overhead about a tenth of a worker's share; runs below 2 * 64 rows, whose
+# whole LP phase is near the noise of a run, stay in one process.
 HULL_LP_GRAIN = 64
 
 
@@ -121,67 +115,29 @@ def _hull_violations_serial(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.array([_hull_violation(points, x) for x in xs], dtype=float)
 
 
-def _fork_hull_violations(points: np.ndarray, xs: np.ndarray):
-    """Fork a child that solves the rows of ``xs``; return its pid and the
-    read end of the pipe that carries its float64 values."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # child: never return, flush no inherited buffer, run no CLI code
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(_hull_violations_serial(points, xs).tobytes())
-            status = 0
-        except BaseException:
-            import traceback
-            os.write(2, traceback.format_exc().encode())
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
 def _hull_violations(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """``_hull_violation`` of every row of ``xs``, one LP per row.
 
     The rows are cut into k = min(usable CPUs, rows // HULL_LP_GRAIN)
-    contiguous slices; k - 1 forked children solve all but the first, which
-    this process solves.  The values are those of the serial loop, bit for
-    bit.  Every child is reaped before this returns or raises, and a child
-    that fails or sends short data raises RuntimeError.
+    contiguous slices; k - 1 forked pool workers solve all but the first,
+    which this process solves meanwhile.  The values are those of the
+    serial loop, bit for bit.  A worker's exception is raised here as
+    itself and a worker that dies raises BrokenProcessPool; every worker
+    has exited and been reaped before this returns or raises.
     """
     forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     k = min(len(os.sched_getaffinity(0)), len(xs) // HULL_LP_GRAIN) if forkable else 1
     if k < 2:
         return _hull_violations_serial(points, xs)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     cuts = [len(xs) * i // k for i in range(k + 1)]
-    children = []  # (pid, read end of its pipe)
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            children.append(_fork_hull_violations(points, xs[lo:hi]))
+    with ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        rest = [pool.submit(_hull_violations_serial, points, xs[lo:hi])
+                for lo, hi in zip(cuts[1:-1], cuts[2:])]
         first = _hull_violations_serial(points, xs[:cuts[1]])
-        sent = [pipe.read() for _, pipe in children]
-    except BaseException:  # the children's values are of no use now
-        import signal
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        statuses = []
-        for pid, pipe in children:
-            pipe.close()
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for (pid, _), status, data, lo, hi in zip(children, statuses, sent, cuts[1:], cuts[2:]):
-        if status != 0 or len(data) != 8 * (hi - lo):
-            raise RuntimeError(f"hull LP child {pid} exited with status {status} after "
-                               f"sending {len(data)} of {8 * (hi - lo)} bytes")
-    return np.concatenate([first] + [np.frombuffer(data) for data in sent])
+        return np.concatenate([first] + [future.result() for future in rest])
 
 
 @dataclass
@@ -226,7 +182,8 @@ def location_pareto_set(
     """
     problem = build_problem(DistanceSquared(instance.points))
     atlas = build_atlas(problem, resolution, config)
-    report = LocationReport(atlas, instance.general_position, None, None, None, None)
+    report = LocationReport(atlas, instance.affinely_independent(config.rank_tol), None, None,
+                            None, None)
     if atlas.failures:
         return report
     xs = atlas.x
@@ -355,7 +312,7 @@ def ridge_path(
     """Sweep the two-objective trade-off of ``pair`` from pure fit to pure shrinkage.
 
     Rows go from w = (1, 0) to w = (1/r, 1 - 1/r), then the w1 = 0 vertex
-    with lambda = inf and theta = 0; all rows are one Newton batch.  Every
+    with lambda = inf and theta = 0; all rows are one ``solve_grid`` call.  Every
     solved theta is compared against an independent normal-equations solve
     of (X^T X + lambda I) theta = X^T y.  Raises ValueError for a resolution
     below 1, which would leave only the w1 = 0 vertex.
@@ -367,7 +324,7 @@ def ridge_path(
     xty = pair.x_data.T @ pair.y_data
     w1 = np.append(np.arange(resolution, 0, -1) / resolution, 0.0)
     weights = np.column_stack([w1, 1.0 - w1])
-    solved = minimize_weighted(problem, weights, config)
+    solved = solve_grid(problem, weights, config)
     raise_unconverged(solved)
     rows: list[RidgePathRow] = []
     for (a, b), theta, residual in zip(weights, solved.x, solved.residual):

@@ -408,26 +408,26 @@ class ParetoAtlas:
                              for i, (c, k) in enumerate(zip(self.corank.tolist(), which.tolist())))
 
 
-def solve_grid(problem, grid: SimplexGrid, config: SolverConfig = DEFAULT_CONFIG,
+def solve_grid(problem, weights: np.ndarray, config: SolverConfig = DEFAULT_CONFIG,
                linear: np.ndarray | None = None) -> NewtonResult:
-    """Minimizers at every grid node, each solved cold (``minimize_weighted``
-    with no start point).
+    """Minimizers for every row of an (N, m) weight stack, each solved cold
+    (``minimize_weighted`` with no start point).
 
-    With ``linear`` of shape (T, m, n) the grid is solved for each of the T
-    problems f_i + linear[t, i] . x, and the result has T * N rows,
+    With ``linear`` of shape (T, m, n) the weights are solved for each of
+    the T problems f_i + linear[t, i] . x, and the result has T * N rows,
     problem-major.  The rows go through the solver in blocks of at most
-    ``BLOCK_ENTRIES`` // (m n^2) rows, so memory stays bounded as the grid
-    grows; no row depends on which block it is in.
+    ``BLOCK_ENTRIES`` // (m n^2) rows, so memory stays bounded as N grows;
+    no row depends on which block it is in.
     """
-    total = grid.node_count * (1 if linear is None else len(linear))
+    count = len(weights)
+    total = count * (1 if linear is None else len(linear))
     size = max(1, BLOCK_ENTRIES // (problem.m * problem.n ** 2))
     out = NewtonResult(np.empty((total, problem.n)), np.empty(total),
                        np.empty(total, dtype=int), np.empty(total))
     for first in range(0, total, size):
         rows = np.arange(first, min(first + size, total))
-        block = minimize_weighted(
-            problem, grid.weights[rows % grid.node_count], config,
-            linear=None if linear is None else linear[rows // grid.node_count])
+        block = minimize_weighted(problem, weights[rows % count], config,
+                                  linear=None if linear is None else linear[rows // count])
         for field, got in zip(out, block):
             field[rows] = got
     return out
@@ -440,7 +440,7 @@ def build_atlas(problem, resolution: int, config: SolverConfig = DEFAULT_CONFIG)
     (corank -1), not raised.
     """
     grid = SimplexGrid(problem.m, resolution)
-    return ParetoAtlas(problem, grid, solve_grid(problem, grid, config), config)
+    return ParetoAtlas(problem, grid, solve_grid(problem, grid.weights, config), config)
 
 
 @dataclass
@@ -463,7 +463,7 @@ def face_consistency(atlas: ParetoAtlas) -> FaceConsistencyReport:
     weights, so the check is that the restricted problem has the same
     minimizer.  The re-solves use ``atlas.config`` and start cold from the
     origin, as the atlas did, so neither the settings nor the start is what
-    differs.  Each proper face is one Newton batch.  The acceptance
+    differs.  Each proper face is one ``solve_grid`` call.  The acceptance
     tolerance is 10x the scaled gradient tolerance: for strongly convex
     objectives the minimizer displacement is bounded by the residual over
     the convexity constant.
@@ -477,8 +477,8 @@ def face_consistency(atlas: ParetoAtlas) -> FaceConsistencyReport:
         if len(face) == grid.m:
             continue  # interior nodes
         nodes = np.flatnonzero(which == k)
-        sub = minimize_weighted(restrict(atlas.problem, face), grid.weights[np.ix_(nodes, face)],
-                                atlas.config)
+        sub = solve_grid(restrict(atlas.problem, face), grid.weights[np.ix_(nodes, face)],
+                         atlas.config)
         raise_unconverged(sub)
         gaps[nodes] = row_norms(atlas.x[nodes] - sub.x)
         per_face[face] = float(gaps[nodes].max())

@@ -81,11 +81,18 @@ def iteration_budget(text: str) -> int:
 
 
 def nonnegative(text: str) -> float:
-    """A distance tolerance; below 0 no pair is ever within it."""
+    """A tolerance or a perturbation scale: below 0 a distance tolerance
+    matches no pair, an error tolerance fails every input, and a scale
+    names no perturbation."""
     value = finite(text)
     if value < 0.0:
         raise argparse.ArgumentTypeError(f"{text!r} is negative")
     return value
+
+
+def scale_list(text: str) -> list[float]:
+    """Comma-separated perturbation scales, each ``nonnegative``."""
+    return [nonnegative(item) for item in text.split(",")]
 
 
 def _fmt_vec(v) -> str:
@@ -330,7 +337,7 @@ def cmd_perturb(args, parser) -> int:
                        tracker=rep.as_dict())
 
     if args.stability:
-        scales = sorted((finite(t) for t in args.scales.split(",")), reverse=True)
+        scales = sorted(args.scales, reverse=True)
         rep = stability_experiment(problem, scales, args.resolution, args.seed, config)
         sups = [row.sup_displacement for row in rep.rows]
         lines.append(f"stability: resolution {args.resolution}, seed {args.seed}")
@@ -479,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p)
     _add_solver_args(p)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--scale", type=finite, default=0.1)
+    p.add_argument("--scale", type=nonnegative, default=0.1)
     p.add_argument("--resolution", "-r", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rank-tols", type=rank_tol, action="append",
@@ -489,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
                    f"at |E| <= {E_TOL:g} or after --max-iter steps (--grad-tol does not apply)")
     p.add_argument("--stability", action="store_true",
                    help="sup-displacement table over --scales")
-    p.add_argument("--scales", default="0.1,0.01,0.001",
+    p.add_argument("--scales", type=scale_list, default="0.1,0.01,0.001",
                    help="comma-separated scales for --stability")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out-report", help="also write the JSON report here")
@@ -500,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=finite, required=True, help="strong-convexity shift (> 0)")
     p.add_argument("--resolution", "-r", type=int, default=100)
     p.add_argument("--out", "-o", help="write the path CSV here")
-    p.add_argument("--oracle-tol", type=finite, default=1e-8)
+    p.add_argument("--oracle-tol", type=nonnegative, default=1e-8)
     _add_solver_args(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ridge)
@@ -509,8 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p)
     _add_solver_args(p)
     p.add_argument("--resolution", "-r", type=int, default=20)
-    p.add_argument("--bary-tol", type=finite, default=1e-8)
-    p.add_argument("--hull-tol", type=finite, default=1e-9)
+    p.add_argument("--bary-tol", type=nonnegative, default=1e-8)
+    p.add_argument("--hull-tol", type=nonnegative, default=1e-9)
     p.add_argument("--out", "-o", help="atlas export prefix")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_locate)

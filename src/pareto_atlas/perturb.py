@@ -167,7 +167,7 @@ def genericity_experiment(
     pis = np.array([LinearPerturbation.draw(problem.n, problem.m, seed + t, scale).coefficients
                     for t in range(trials)])
     grid = SimplexGrid(problem.m, resolution)
-    result = solve_grid(problem, grid, config, pis)
+    result = solve_grid(problem, grid.weights, config, pis)
     jac = problem.evaluate(result.x)[1] + np.repeat(pis, grid.node_count, axis=0)
     sv = np.linalg.svd(jac, compute_uv=False).reshape(trials, grid.node_count, -1)
     residual = result.residual.reshape(trials, -1)
@@ -404,7 +404,7 @@ def stability_experiment(
     pis = np.array([LinearPerturbation.draw(problem.n, problem.m, seed, scale).coefficients
                     for scale in [0.0, *scales]])
     grid = SimplexGrid(problem.m, resolution)
-    result = solve_grid(problem, grid, config, pis)
+    result = solve_grid(problem, grid.weights, config, pis)
     raise_unconverged(result)
     x = result.x.reshape(len(pis), grid.node_count, problem.n)
     gaps = row_norms((x[1:] - x[0]).reshape(-1, problem.n)).reshape(len(scales), grid.node_count)

@@ -16,6 +16,7 @@ from conftest import child_env, phenotypic_instance
 from pareto_atlas import (
     DistanceSquared,
     LocationInstance,
+    SolverConfig,
     apps,
     build_atlas,
     build_problem,
@@ -45,6 +46,23 @@ class TestLocation:
         assert not report.general_position
         # the barycenter formula holds regardless
         assert report.max_barycentric_error <= 1e-12
+
+    @pytest.mark.parametrize("points, independent", [
+        (np.eye(3), True),
+        ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], False),
+        (np.random.default_rng(4).normal(size=(4, 6)), True),
+    ])
+    def test_general_position_does_not_depend_on_the_units(self, points, independent):
+        for s in (1e-10, 1.0, 1e10):
+            assert LocationInstance(s * np.asarray(points)).general_position is independent
+
+    def test_general_position_is_decided_at_the_run_rank_tol(self):
+        # the differences have singular values about sqrt(5) and 1e-6 / sqrt(5)
+        instance = LocationInstance([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-6]])
+        assert instance.general_position  # ratio about 2e-7, above the default 1e-8
+        for rank_tol, independent in ((1e-8, True), (1e-6, False)):
+            report = location_pareto_set(instance, 2, SolverConfig(rank_tol=rank_tol))
+            assert report.general_position is independent
 
     def test_single_demand_point(self):
         instance = LocationInstance([[3.0, -1.0, 2.0]])
@@ -94,7 +112,7 @@ def _assert_no_child_left():
 
 
 class TestHullLPsAcrossProcesses:
-    """``apps._hull_violations`` forks children to share the per-node LPs."""
+    """``apps._hull_violations`` shares the per-node LPs with forked pool workers."""
 
     POINTS = np.random.default_rng(3).normal(size=(4, 8))
 
@@ -122,41 +140,39 @@ class TestHullLPsAcrossProcesses:
 
     def test_forked_values_equal_the_serial_loop_bit_for_bit(self, xs, forks, monkeypatch):
         serial = np.array([apps._hull_violation(self.POINTS, x) for x in xs])
-        self.cpus(monkeypatch, 3)
-        with _within(60):
-            values = apps._hull_violations(self.POINTS, xs)
-        assert len(forks) == 2
-        assert values.tobytes() == serial.tobytes()
-        _assert_no_child_left()
+        for cpus in (1, 2, 3):
+            self.cpus(monkeypatch, cpus)
+            forks.clear()
+            with _within(60):
+                values = apps._hull_violations(self.POINTS, xs)
+            assert len(forks) == cpus - 1
+            assert values.tobytes() == serial.tobytes()
+            _assert_no_child_left()
 
-    @pytest.mark.parametrize("failure", ["raises", "short-data"])
+    @pytest.mark.parametrize("failure", ["raises", "exits"])
     def test_a_failing_child_raises_in_the_parent(self, xs, forks, monkeypatch, failure):
-        parent = os.getpid()
-        if failure == "raises":
-            solve = apps._hull_violation
+        """A worker's own exception comes back as itself; a worker that dies
+        breaks the pool, which raises a RuntimeError."""
+        parent, solve = os.getpid(), apps._hull_violation
 
-            def fail_in_child(points, x):
-                if os.getpid() != parent:
-                    raise ValueError("LP failed in the child")
-                return solve(points, x)
+        def fail_in_child(points, x):
+            if os.getpid() != parent:
+                if failure == "exits":
+                    os._exit(7)
+                raise ValueError("LP failed in the child")
+            return solve(points, x)
 
-            monkeypatch.setattr(apps, "_hull_violation", fail_in_child)
-        else:
-            solve_all = apps._hull_violations_serial
-
-            def drop_a_row_in_child(points, rows):
-                return solve_all(points, rows if os.getpid() == parent else rows[1:])
-
-            monkeypatch.setattr(apps, "_hull_violations_serial", drop_a_row_in_child)
+        monkeypatch.setattr(apps, "_hull_violation", fail_in_child)
         self.cpus(monkeypatch, 2)
-        status = 1 if failure == "raises" else 0
-        with _within(60), pytest.raises(RuntimeError, match=f"exited with status {status}"):
+        expected = ((ValueError, "LP failed in the child") if failure == "raises"
+                    else (RuntimeError, "terminated abruptly"))
+        with _within(60), pytest.raises(expected[0], match=expected[1]):
             apps._hull_violations(self.POINTS, xs)
         assert len(forks) == 1
         _assert_no_child_left()
 
-    def test_a_failure_in_the_parent_kills_and_reaps_the_children(self, xs, forks,
-                                                                  monkeypatch):
+    def test_a_failure_in_the_parent_reaps_the_workers(self, xs, forks, monkeypatch):
+        """The workers finish their slices, then the parent's error propagates."""
         parent, solve = os.getpid(), apps._hull_violation
 
         def fail_in_parent(points, x):
@@ -169,6 +185,21 @@ class TestHullLPsAcrossProcesses:
         with _within(60), pytest.raises(ValueError, match="in the parent"):
             apps._hull_violations(self.POINTS, xs)
         assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_the_first_slice_is_solved_in_the_parent(self, xs, monkeypatch):
+        parent, solve, solved_here = os.getpid(), apps._hull_violation, []
+
+        def record(points, x):
+            if os.getpid() == parent:
+                solved_here.append(x)
+            return solve(points, x)
+
+        monkeypatch.setattr(apps, "_hull_violation", record)
+        self.cpus(monkeypatch, 3)
+        with _within(60):
+            apps._hull_violations(self.POINTS, xs)
+        assert np.array_equal(solved_here, xs[:len(xs) // 3])
         _assert_no_child_left()
 
     @pytest.mark.parametrize("cpus, rows", [(1, 2 * apps.HULL_LP_GRAIN),

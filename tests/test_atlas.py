@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -21,8 +22,11 @@ from pareto_atlas import (
     injectivity_scan,
     location_pareto_set,
     restrict,
+    ridge_path,
     scalarize,
 )
+from pareto_atlas import atlas as atlas_module
+from pareto_atlas.problems import RidgePair
 
 
 class TestSimplexGrid:
@@ -227,6 +231,34 @@ class TestFaceConsistency:
                     embedded[axis] = v
                 j = lookup[tuple(embedded)]
                 assert_allclose(sub_atlas.x[i], atlas.x[j], atol=1e-10)
+
+
+class TestBoundedMemory:
+    """Every batched Newton solve goes through ``solve_grid``, so its peak
+    memory follows ``BLOCK_ENTRIES``, not the number of rows."""
+
+    @staticmethod
+    def peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_ridge_path_peak_does_not_grow_with_the_resolution(self):
+        gen = np.random.default_rng(0)
+        pair = RidgePair(gen.normal(size=(80, 60)), gen.normal(size=80), 0.1)
+        small, large = (self.peak(lambda: ridge_path(pair, r)) for r in (250, 1000))
+        assert large < 1.25 * small  # in one batch, about 4x
+
+    def test_face_consistency_peak_follows_the_block_size(self, monkeypatch):
+        atlas = build_atlas(random_quadratic(5, n=30, m=3), 60)  # edges of 59 nodes
+        peaks = []
+        for entries in (2 ** 40, 2 ** 13):
+            monkeypatch.setattr(atlas_module, "BLOCK_ENTRIES", entries)
+            peaks.append(self.peak(lambda: face_consistency(atlas)))
+        assert peaks[1] < peaks[0] / 4  # with one batch per face, about equal
 
 
 class TestInjectivity:

@@ -199,6 +199,24 @@ def test_vacuous_tolerances_rejected(argv, flag, capsys):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["locate", "points.json", "-r", "4", "--bary-tol", "-1"], "--bary-tol"),
+    (["locate", "points.json", "-r", "4", "--hull-tol", "-1"], "--hull-tol"),
+    (["ridge", "data.csv", "--mu", "0.1", "--oracle-tol", "-1"], "--oracle-tol"),
+    (["perturb", "--builtin", "remark_g", "--track", "--scale", "-1"], "--scale"),
+    (["perturb", "--builtin", "example31", "--trials", "1", "-r", "4", "--scale", "-0.1"],
+     "--scale"),
+    (["perturb", "--builtin", "example32", "--stability", "--scales", "0.1,-0.1"], "--scales"),
+])
+def test_negative_tolerances_and_scales_rejected(argv, flag, capsys):
+    """A negative error tolerance fails every input, and a negative scale names
+    no perturbation (``--track`` would run the unperturbed problem)."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--grad-tol", "1e3"), ("--grad-tol", "1"), ("--grad-tol", "0"), ("--grad-tol", "-0.5"),
     ("--max-iter", "-1"),

@@ -258,20 +258,29 @@ def phenotypic_pareto_set(
 def read_ridge_csv(path, mu: float) -> RidgePair:
     """The ridge family of a numeric CSV: feature columns, then the response.
 
-    A non-numeric first row is treated as a header and skipped.
+    Empty lines and a non-numeric first row (a header) are skipped.  A row
+    with another field count than the first data row's, or a non-number,
+    is an error that names its line.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = [(k, row) for k, row in enumerate(csv.reader(fh), 1) if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
-    start = 0
     try:
-        float(rows[0][0])
+        float(rows[0][1][0])
     except ValueError:
-        start = 1
-    data = np.array([[float(v) for v in row] for row in rows[start:] if row])
-    if data.ndim != 2 or data.shape[1] < 2:
+        del rows[0]
+    width = len(rows[0][1]) if rows else 0
+    if width < 2:
         raise ValueError(f"{path}: need at least one feature column plus a response")
+    data = np.empty((len(rows), width))
+    for i, (k, row) in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {k} has {len(row)} fields, expected {width}")
+        try:
+            data[i] = [float(v) for v in row]
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {k}: {exc}") from None
     return RidgePair(data[:, :-1], data[:, -1], mu)
 
 

@@ -33,6 +33,8 @@ from .solver import (
 # Cap on rows * m * n^2 in one Newton batch of ``solve_grid``: the entries of
 # a stack of per-row, per-objective Hessians.
 BLOCK_ENTRIES = 2 ** 20
+# Rows per block of the CSV and JSON exports, which hold one block's text at a time.
+EXPORT_ROWS = 256
 
 __all__ = [
     "SimplexGrid",
@@ -249,34 +251,23 @@ def _min_pair_distance(xs: np.ndarray, radius: float = np.inf) -> float:
     return float(_close_pairs(xs, radius, shrink=True)[2].min(initial=np.inf))
 
 
-def _json_records(rows: list[dict], indent: str):
-    """Pieces of ``json.dumps(rows, indent=2)`` nested at ``indent``.
-
-    ``rows`` is nonempty, every row has the keys of the first, and each
-    value is a number, a boolean or a flat list of them, of one kind per
-    key.  The C encoder writes each key's column in one call per block of
-    256 rows (``indent`` would turn it off), and only the line breaks are
-    added around its output.
-    """
+def _json_rows(columns: dict[str, list], indent: str) -> str:
+    """``json.dumps(rows, indent=2)`` nested at ``indent``, without its brackets,
+    for the rows whose key columns are ``columns``: each nonempty and holding
+    numbers, booleans or flat lists of them.  The C encoder writes each column
+    in one call (``indent`` would turn it off); only the line breaks are added."""
     row_indent, cell_indent, item_indent = (indent + "  " * k for k in (1, 2, 3))
-    prefixes = {key: f"{cell_indent}{json.dumps(key)}: " for key in rows[0]}
-    for start in range(0, len(rows), 256):  # a block's cells are all held at once
-        block, columns = rows[start:start + 256], []
-        for key, prefix in prefixes.items():
-            text = json.dumps([row[key] for row in block])
-            if isinstance(rows[0][key], list):  # "[[a, b], [c]]"
-                cells = [f"[{item_indent}{items.replace(', ', ',' + item_indent)}{cell_indent}]"
-                         if items else "[]" for items in text[2:-2].split("], [")]
-            else:  # "[a, b, c]"
-                cells = text[1:-1].split(", ")
-            columns.append([prefix + cell for cell in cells])
-        yield ("," if start else "[") + ",".join(
-            f"{row_indent}{{{','.join(cells)}{row_indent}}}" for cells in zip(*columns))
-    yield indent + "]"
-
-
-def _face_label(face: tuple[int, ...]) -> str:
-    return ";".join(str(i + 1) for i in face)
+    cells = []
+    for key, column in columns.items():
+        text = json.dumps(column)
+        if isinstance(column[0], list):  # "[[a, b], [c]]"
+            items = [f"[{item_indent}{items.replace(', ', ',' + item_indent)}{cell_indent}]"
+                     if items else "[]" for items in text[2:-2].split("], [")]
+        else:  # "[a, b, c]"
+            items = text[1:-1].split(", ")
+        prefix = f"{cell_indent}{json.dumps(key)}: "
+        cells.append([prefix + item for item in items])
+    return ",".join(f"{row_indent}{{{','.join(row)}{row_indent}}}" for row in zip(*cells))
 
 
 @dataclass
@@ -346,45 +337,42 @@ class ParetoAtlas:
             max_adjacent_x_distance=float(adjacent.max(initial=0.0)),
         )
 
-    def report_dict(self) -> dict:
+    def _node_blocks(self):
+        """The node table ``EXPORT_ROWS`` rows at a time: each block's first
+        row and its key columns as lists (``face`` 1-based), in file order."""
         faces, which = self.grid.faces()
-        keys = ("node", "w", "face", "x", "f", "kkt_residual", "singular_values", "corank",
-                "converged")
-        columns = (range(self.grid.node_count), self.grid.weights.tolist(),
-                   [[j + 1 for j in faces[k]] for k in which.tolist()], self.x.tolist(),
-                   self.f.tolist(), self.residual.tolist(), self.sv.tolist(),
-                   self.corank.tolist(), self.converged.tolist())
-        return {
-            "schema": "pareto-atlas/atlas-v1",
-            "family": getattr(self.problem.family, "tag", None),
-            "n": self.problem.n,
-            "m": self.problem.m,
-            "resolution": self.grid.resolution,
-            "tolerances": {
-                "grad_tol": self.config.grad_tol,
-                "rank_tol": self.config.rank_tol,
-            },
-            "summary": self.summary.as_dict(),
-            "failures": self.failures,
-            "nodes": [dict(zip(keys, row)) for row in zip(*columns)],
-        }
+        faces = [[j + 1 for j in face] for face in faces]
+        for start in range(0, self.grid.node_count, EXPORT_ROWS):
+            rows = slice(start, start + EXPORT_ROWS)
+            yield start, {
+                "node": list(range(self.grid.node_count)[rows]),
+                "w": self.grid.weights[rows].tolist(),
+                "face": [faces[k] for k in which[rows].tolist()],
+                "x": self.x[rows].tolist(),
+                "f": self.f[rows].tolist(),
+                "kkt_residual": self.residual[rows].tolist(),
+                "singular_values": self.sv[rows].tolist(),
+                "corank": self.corank[rows].tolist(),
+                "converged": self.converged[rows].tolist(),
+            }
 
     def to_json(self, path) -> None:
-        """Write ``json.dumps(self.report_dict(), indent=2)``, byte for byte.
-
-        ``indent`` sends ``json`` to its pure-Python encoder; the node table,
-        nearly all of the bytes, goes through ``_json_records`` instead.
-        """
-        doc = self.report_dict()
-        nodes = doc.pop("nodes")  # the last key
-        head = json.dumps(doc, indent=2)
+        """Write ``json.dumps(doc, indent=2)`` byte for byte, ``doc`` being the
+        header below plus ``"nodes"``.  Only the header goes through the slow
+        indenting encoder; the node table is written block by block."""
+        head = json.dumps({
+            "schema": "pareto-atlas/atlas-v1", "family": getattr(self.problem.family, "tag", None),
+            "n": self.problem.n, "m": self.problem.m, "resolution": self.grid.resolution,
+            "tolerances": {"grad_tol": self.config.grad_tol, "rank_tol": self.config.rank_tol},
+            "summary": self.summary.as_dict(), "failures": self.failures}, indent=2)
         with open(path, "w") as fh:
-            fh.write(head[:-len("\n}")] + ',\n  "nodes": ')
-            fh.writelines(_json_records(nodes, "\n  "))
-            fh.write("\n}")
+            fh.write(head[:-len("\n}")] + ',\n  "nodes": [')
+            for start, columns in self._node_blocks():
+                fh.write(("," if start else "") + _json_rows(columns, "\n  "))
+            fh.write("\n  ]\n}")
 
     def to_csv(self, path) -> None:
-        """Delimited export, one row per node.
+        """Delimited export, one row per node, written block by block.
 
         Columns: w_1..w_m, x_1..x_n, f_1..f_m, kkt_residual, corank, face
         (face is the 1-based support, ';'-separated).
@@ -396,16 +384,14 @@ class ParetoAtlas:
             + [f"f_{i + 1}" for i in range(m)]
             + ["kkt_residual", "corank", "face"]
         )
-        faces, which = self.grid.faces()
-        labels = [_face_label(face) for face in faces]
-        numbers = np.hstack([self.grid.weights, self.x, self.f, self.residual[:, None]])
-        width = numbers.shape[1]
-        text = [format(v, ".17g") for v in numbers.ravel().tolist()]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(text[i * width:(i + 1) * width] + [str(c), labels[k]]
-                             for i, (c, k) in enumerate(zip(self.corank.tolist(), which.tolist())))
+            for _, c in self._node_blocks():
+                rows = zip(c["w"], c["x"], c["f"], c["kkt_residual"], c["corank"], c["face"])
+                writer.writerows([format(v, ".17g") for v in (*w, *x, *f, r)]
+                                 + [str(k), ";".join(map(str, face))]
+                                 for w, x, f, r, k, face in rows)
 
 
 def solve_grid(problem, weights: np.ndarray, config: SolverConfig = DEFAULT_CONFIG,

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 all requested certificates pass, 1 a certificate fails,
-2 input or format error, 3 solver failure.
+2 input or format error (an unreadable or unwritable file too), 3 solver failure.
 """
 from __future__ import annotations
 
@@ -142,14 +142,15 @@ def _load_problem(args, parser):
 
 
 def _report(args, lines: list[str], command: str, status: int, **fields) -> int:
-    """Print ``lines``, or with --json the run-v1 document (keys: schema, command,
-    ``fields`` in keyword order, exit_status); write the document to --out-report too."""
+    """Write the run-v1 document (keys: schema, command, ``fields`` in keyword
+    order, exit_status) to --out-report if given, then print ``lines``, or the
+    document with --json.  An unwritable --out-report raises before any output."""
     doc = {"schema": "pareto-atlas/run-v1", "command": command, **fields,
            "exit_status": status}
-    print(json.dumps(doc, indent=2) if args.json else "\n".join(lines))
     if out := getattr(args, "out_report", None):
         with open(out, "w") as fh:
             json.dump(doc, fh, indent=2)
+    print(json.dumps(doc, indent=2) if args.json else "\n".join(lines))
     return status
 
 
@@ -491,11 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rank-tols", type=rank_tol, action="append",
                    help="repeatable rank tolerance sweep, each in [0, 1) (default: --rank-tol)")
-    p.add_argument("--track", action="store_true",
-                   help="track the corank-2 point of a square 4 -> 4 mapping; it stops "
-                   f"at |E| <= {E_TOL:g} or after --max-iter steps (--grad-tol does not apply)")
-    p.add_argument("--stability", action="store_true",
-                   help="sup-displacement table over --scales")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--track", action="store_true",
+                      help="track the corank-2 point of a square 4 -> 4 mapping; it stops "
+                      f"at |E| <= {E_TOL:g} or after --max-iter steps (--grad-tol does not apply)")
+    mode.add_argument("--stability", action="store_true",
+                      help="sup-displacement table over --scales")
     p.add_argument("--scales", type=scale_list, default="0.1,0.01,0.001",
                    help="comma-separated scales for --stability")
     p.add_argument("--json", action="store_true")
@@ -530,7 +532,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (ProblemFormatError, FileNotFoundError, ValueError) as exc:
+    except (ProblemFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except (SolverError, TrackerDiverged, DBlockSingular) as exc:

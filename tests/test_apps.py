@@ -333,3 +333,21 @@ class TestRidge:
         thin.write_text("1.0\n2.0\n")
         with pytest.raises(ValueError, match="feature column"):
             read_ridge_csv(thin, mu=0.1)
+
+    def test_from_csv_of_blank_lines_is_empty(self, tmp_path):
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n\n")
+        with pytest.raises(ValueError, match="empty file"):
+            read_ridge_csv(blank, mu=0.1)
+
+    def test_from_csv_names_a_ragged_row(self, tmp_path):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("1,2,3\n4,5\n")
+        with pytest.raises(ValueError, match=r"ragged\.csv: row 2 has 2 fields, expected 3$"):
+            read_ridge_csv(ragged, mu=0.1)
+
+    def test_from_csv_names_a_non_numeric_row(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,x2,y\n1,2,3\n\n4,five,6\n")
+        with pytest.raises(ValueError, match=r"bad\.csv: row 4: .*'five'"):
+            read_ridge_csv(bad, mu=0.1)

@@ -13,14 +13,12 @@ from numpy.testing import assert_allclose
 from conftest import fd_gradients, fd_hessians, random_quadratic, softplus_problem
 from pareto_atlas import (
     DistanceSquared,
-    LocationInstance,
     SimplexGrid,
     SolverConfig,
     build_atlas,
     build_problem,
     face_consistency,
     injectivity_scan,
-    location_pareto_set,
     restrict,
     ridge_path,
     scalarize,
@@ -194,19 +192,6 @@ class TestExports:
         assert set(node) >= {"w", "f", "kkt_residual", "singular_values",
                              "corank", "converged"}
         assert doc["summary"]["dominance_violations"] == 0
-
-    @pytest.mark.parametrize("make", [
-        lambda: location_pareto_set(LocationInstance(
-            np.random.default_rng(1).normal(size=(4, 8))), 6).atlas,
-        lambda: build_atlas(random_quadratic(2, n=6, m=3), 30),  # two blocks of rows
-        lambda: build_atlas(build_problem(DistanceSquared([[3.0, -1.0]])), 4),
-        lambda: build_atlas(random_quadratic(0), 3, SolverConfig(max_iter=0)),
-    ], ids=["locate", "verify", "one-node", "unconverged"])
-    def test_json_bytes_are_those_of_the_indenting_encoder(self, make, tmp_path):
-        atlas = make()
-        path = tmp_path / "atlas.json"
-        atlas.to_json(path)
-        assert path.read_text() == json.dumps(atlas.report_dict(), indent=2)
 
 
 class TestFaceConsistency:

@@ -84,6 +84,18 @@ class TestProblemLoading:
         assert main(["solve", str(missing), "-w", "1,0,0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{dir}"],
+        ["ridge", "{dir}", "--mu", "1"],
+        ["verify", "--builtin", "example32", "-r", "3", "--out-report", "{dir}"],
+    ], ids=["problem-file", "ridge-data", "out-report"])
+    def test_a_directory_for_a_file_exits_2(self, argv, tmp_path, capsys):
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # exit 2 prints no report
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert err.count("\n") == 1
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -335,6 +347,12 @@ class TestPerturb:
     def test_track_needs_square_mapping(self, capsys):
         assert main(["perturb", "--builtin", "example31", "--track"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_track_and_stability_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["perturb", "--builtin", "remark_g", "--track", "--stability"])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_stability(self, capsys):
         code, doc = run_json(

@@ -7,6 +7,7 @@ import csv
 import json
 import tracemalloc
 from collections import deque
+from math import comb
 
 import numpy as np
 import pytest
@@ -505,13 +506,22 @@ def _far_points():
 def _export_cases():
     """Every family, plus an atlas where no node converged, one where some
     did not (corank histogram {0, -1}: its keys are not in sorted order),
-    a one-node atlas (no pair distance) and the example31 pinch."""
+    a one-node atlas (no pair distance) and the example31 pinch; then the
+    locate-export shape (m = 4, n = 8), 496 rows (two export blocks), one
+    node, none converged, and 256 and 257 rows (either side of a block edge)."""
     cases = [(name, problem, 6, SolverConfig()) for name, problem in fixture_problems()]
+    points = np.random.default_rng(1).normal(size=(4, 8))
     return cases + [
         ("no_convergence", _far_points(), 4, SolverConfig(max_iter=0)),
         ("some_unconverged", softplus_problem(), 10, SolverConfig(max_iter=2)),
         ("one_objective", random_quadratic(3, m=1), 4, SolverConfig()),
         ("example31_r10", builtin_problem("example31"), 10, SolverConfig()),
+        ("locate", build_problem(DistanceSquared(points)), 6, SolverConfig()),
+        ("verify", random_quadratic(2, n=6, m=3), 30, SolverConfig()),
+        ("one-node", build_problem(DistanceSquared([[3.0, -1.0]])), 4, SolverConfig()),
+        ("unconverged", random_quadratic(0), 3, SolverConfig(max_iter=0)),
+        ("block-rows", random_quadratic(4, m=2), pa_atlas.EXPORT_ROWS - 1, SolverConfig()),
+        ("block-rows-plus-one", random_quadratic(4, m=2), pa_atlas.EXPORT_ROWS, SolverConfig()),
     ]
 
 
@@ -535,6 +545,31 @@ def test_export_cases_hold_what_they_pin():
     assert list(some.summary.corank_histogram) == [0, -1]
     one = build_atlas(random_quadratic(3, m=1), 4)
     assert one.summary.as_dict()["min_pairwise_x_distance"] is None
+    sizes = {name: comb(r + problem.m - 1, problem.m - 1)
+             for name, problem, r, _ in _export_cases()}
+    rows = pa_atlas.EXPORT_ROWS
+    assert (sizes["locate"], sizes["verify"], sizes["one-node"]) == (84, 496, 1)
+    assert rows < sizes["verify"] <= 2 * rows
+    assert (sizes["block-rows"], sizes["block-rows-plus-one"]) == (rows, rows + 1)
+
+
+def test_exports_hold_one_block_of_rows_at_a_time(tmp_path):
+    """The traced peak of both exports grows by far less than the rows: 2,016
+    rows against 496 (the atlas and its summary are built before tracing)."""
+    def peak(resolution):
+        atlas = build_atlas(random_quadratic(2, n=6, m=3), resolution)
+        atlas.summary
+        tracemalloc.start()
+        try:
+            atlas.to_csv(tmp_path / "atlas.csv")
+            atlas.to_json(tmp_path / "atlas.json")
+            return atlas.grid.node_count, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (small, small_peak), (large, large_peak) = peak(30), peak(62)
+    assert (small, large) == (496, 2016)
+    assert large_peak < 1.25 * small_peak
 
 
 def test_atlas_layers_build_no_weight_per_node(monkeypatch, tmp_path):

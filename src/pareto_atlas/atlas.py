@@ -17,8 +17,9 @@ from math import comb
 
 import numpy as np
 
+from .diagnostics import numerical_rank
 from .ordering import DOMINANCE_TOL, dominating_pairs
-from .problems import Weight, restrict
+from .problems import Weight
 from .solver import (
     DEFAULT_CONFIG,
     NewtonResult,
@@ -26,7 +27,6 @@ from .solver import (
     SolverConfig,
     minimize_weighted,
     pareto_columns,
-    raise_unconverged,
     row_norms,
 )
 
@@ -431,7 +431,8 @@ def build_atlas(problem, resolution: int, config: SolverConfig = DEFAULT_CONFIG)
 
 @dataclass
 class FaceConsistencyReport:
-    """Agreement between boundary-node solutions and face subproblems."""
+    """How far the weight returned by each boundary node's Jacobian lies off
+    the node's face; ``max_discrepancy`` and ``tolerance`` are ``worst_node``'s."""
 
     consistent: bool
     max_discrepancy: float
@@ -439,48 +440,41 @@ class FaceConsistencyReport:
     checked: int
     worst_node: int | None
     per_face: dict[tuple[int, ...], float]
+    unjudged: list[int]  # boundary nodes below rank m - 1
 
 
 def face_consistency(atlas: ParetoAtlas) -> FaceConsistencyReport:
-    """Re-solve every boundary node as a subproblem of its face.
+    """Check each boundary node against its face from one batched SVD of the
+    Jacobians at ``atlas.x``; nothing is solved.
 
-    The atlas solves the full problem with zero weights off the face; the
-    re-solve drops those objectives (``restrict``) and keeps only the face's
-    weights, so the check is that the restricted problem has the same
-    minimizer.  The re-solves use ``atlas.config`` and start cold from the
-    origin, as the atlas did, so neither the settings nor the start is what
-    differs.  Each proper face is one ``solve_grid`` call.  The acceptance
-    tolerance is 10x the scaled gradient tolerance: for strongly convex
-    objectives the minimizer displacement is bounded by the residual over
-    the convexity constant.
+    Where J_k has rank m - 1 its left null vector u gives w(x_k) = u / sum(u),
+    the weight that makes x_k critical.  With w_k = (w_k . u) u + e,
+    |J_k^T w_k| >= sigma_{m-1} |e|, and off the face, where w_k is 0,
+    (w_k . u) u = -e.  So the discrepancy, the part of (w_k . u) u off the
+    face, is at most (r_k + m eps sigma_1) / sigma_{m-1}: r_k = |J_k^T w_k|
+    is the solver's residual, and m eps sigma_1 covers the rounding of the
+    SVD and of that product.  Nodes below rank m - 1 are not judged (the
+    corank certificate fails there).  The worst node is nearest its bound,
+    as a fraction of it.
     """
-    grid = atlas.grid
+    grid, m = atlas.grid, atlas.grid.m
+    nodes = np.flatnonzero((grid.nodes == 0).any(axis=1))
+    jac = atlas.problem.evaluate(atlas.x[nodes])[1]
+    u, sv, _ = np.linalg.svd(jac, full_matrices=m > atlas.problem.n)
+    judged = numerical_rank(sv, atlas.config.rank_tol) >= m - 1
+    unjudged = nodes[~judged].tolist()
+    if not judged.any():
+        return FaceConsistencyReport(True, 0.0, 0.0, 0, None, {}, unjudged)
+    nodes, u, sv = nodes[judged], u[judged, :, m - 1], sv[judged]
+    w = grid.weights[nodes]
+    gaps = row_norms(np.where(w == 0.0, (w * u).sum(axis=1)[:, None] * u, 0.0))
+    bounds = (atlas.residual[nodes] + m * np.finfo(float).eps * sv[:, 0]) / sv[:, m - 2]
+    worst = int(np.argmax(gaps / bounds))
     faces, which = grid.faces()
-    gaps = np.zeros(grid.node_count)
-    per_face: dict[tuple[int, ...], float] = {}
-    tolerance, checked = 0.0, 0
-    for k, face in enumerate(faces):
-        if len(face) == grid.m:
-            continue  # interior nodes
-        nodes = np.flatnonzero(which == k)
-        sub = solve_grid(restrict(atlas.problem, face), grid.weights[np.ix_(nodes, face)],
-                         atlas.config)
-        raise_unconverged(sub)
-        gaps[nodes] = row_norms(atlas.x[nodes] - sub.x)
-        per_face[face] = float(gaps[nodes].max())
-        worst_tol = max(float(atlas.grad_tol[nodes].max()), float(sub.tol.max()))
-        tolerance = max(tolerance, 10.0 * worst_tol)
-        checked += nodes.size
-    worst = float(gaps.max())
-    worst_node = int(np.argmax(gaps)) if worst > 0.0 else None
-    return FaceConsistencyReport(
-        consistent=worst <= tolerance,
-        max_discrepancy=worst,
-        tolerance=tolerance,
-        checked=checked,
-        worst_node=worst_node,
-        per_face=per_face,
-    )
+    per_face = {faces[k]: float(gaps[which[nodes] == k].max()) for k in np.unique(which[nodes])}
+    return FaceConsistencyReport(bool((gaps <= bounds).all()), float(gaps[worst]),
+                                 float(bounds[worst]), nodes.size, int(nodes[worst]),
+                                 per_face, unjudged)
 
 
 @dataclass

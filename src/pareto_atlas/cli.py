@@ -72,8 +72,9 @@ def grad_tol(text: str) -> float:
     return value
 
 
-def iteration_budget(text: str) -> int:
-    """A Newton step budget; below 0 a run would report a negative step count."""
+def nonnegative_int(text: str) -> int:
+    """A step budget, sample count or seed: below 0 a run would report a
+    negative step count, skip the spot check unasked, or fail in numpy."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is negative")
@@ -113,7 +114,7 @@ def _add_problem_args(sub):
 def _add_solver_args(sub):
     sub.add_argument("--grad-tol", type=grad_tol, default=1e-10,
                      help="gradient tolerance, scaled by the initial gradient norm, in (0, 1)")
-    sub.add_argument("--max-iter", type=iteration_budget, default=200)
+    sub.add_argument("--max-iter", type=nonnegative_int, default=200)
     sub.add_argument("--rank-tol", type=rank_tol, default=DEFAULT_RANK_TOL,
                      help="relative singular value threshold for rank decisions, in [0, 1)")
 
@@ -175,7 +176,7 @@ def _verdicts(checks, lines: list[str]) -> int:
 
 def _spot_check(args, problem, lines: list[str]) -> bool:
     """Sampled strong convexity; on failure the lines so far and an error go to stderr."""
-    if args.spot_check <= 0:
+    if not args.spot_check:
         return True
     cert = check_strong_convexity(problem, count=args.spot_check, seed=args.seed)
     lines.append(cert.describe())
@@ -268,6 +269,9 @@ def cmd_verify(args, parser) -> int:
     inject = injectivity_scan(atlas, args.collapse_tol)
     nondom = s.dominance_violations == 0
     no_pairs = (None, f"{s.node_count} node, no pairs to compare")
+    rank, skipped = f"rank {problem.m - 1}", faces.unjudged
+    unjudged = (f", {len(skipped)} below {rank} not judged: nodes " + ", ".join(
+        map(str, skipped[:10])) + ", ..." * (len(skipped) > 10)) if skipped else ""
 
     checks = {
         "corank": (
@@ -277,9 +281,9 @@ def cmd_verify(args, parser) -> int:
         ),
         "face-consistency": (
             faces.consistent,
-            f"max discrepancy {faces.max_discrepancy:.3e} over {faces.checked} "
-            f"boundary nodes (tol {faces.tolerance:.3e})",
-        ) if faces.checked else (None, "no boundary nodes to re-solve"),
+            f"discrepancy {faces.max_discrepancy:.3e} at node {faces.worst_node} over "
+            f"{faces.checked} boundary nodes (tol {faces.tolerance:.3e}){unjudged}",
+        ) if faces.checked else (None, f"no boundary node of {rank}{unjudged}"),
         "injectivity": (
             inject.injective_on_sample,
             f"{len(inject.collapsed_pairs)} collapsed pairs "
@@ -466,9 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_args(p)
     p.add_argument("--resolution", "-r", type=int, required=True)
     p.add_argument("--out", "-o", default="atlas", help="output prefix (default: atlas)")
-    p.add_argument("--spot-check", type=int, default=1000,
+    p.add_argument("--spot-check", type=nonnegative_int, default=1000,
                    help="strong-convexity sample count (0 to skip)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_atlas)
 
@@ -477,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_args(p)
     p.add_argument("--resolution", "-r", type=int, default=20)
     p.add_argument("--collapse-tol", type=nonnegative, default=1e-6)
-    p.add_argument("--spot-check", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--spot-check", type=nonnegative_int, default=1000)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out-report", help="also write the JSON report here")
     p.set_defaults(func=cmd_verify)
@@ -489,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--scale", type=nonnegative, default=0.1)
     p.add_argument("--resolution", "-r", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--rank-tols", type=rank_tol, action="append",
                    help="repeatable rank tolerance sweep, each in [0, 1) (default: --rank-tol)")
     mode = p.add_mutually_exclusive_group()

@@ -1,14 +1,18 @@
-"""The public names and the README's library example."""
+"""The public names and the README's library and command line examples."""
 from __future__ import annotations
 
 import ast
 import importlib
+import json
 import re
+import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pareto_atlas
+from pareto_atlas.cli import main
 
 PACKAGE = Path(pareto_atlas.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "cli"))
@@ -41,3 +45,24 @@ def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out
     assert (tmp_path / "atlas.csv").read_text().startswith("w_1,w_2,w_3,x_1")
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    """Every command of the "Command line" block exits 0, or with the code
+    its ``# exits N`` comment gives, on a small data.csv and points.json."""
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, flags=re.DOTALL).group(1)
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("pareto-atlas ")]
+    assert len(commands) == 9
+    monkeypatch.chdir(tmp_path)
+    rows = np.random.default_rng(0).normal(size=(8, 3))
+    (tmp_path / "data.csv").write_text("a,b,y\n" + "".join(f"{a},{b},{y}\n" for a, b, y in rows))
+    (tmp_path / "points.json").write_text(json.dumps(
+        {"family": "distance_squared", "points": [[0, 0], [1, 0], [0, 1]]}))
+    for line in commands:
+        expected = re.search(r"# exits (\d)", line)
+        assert main(shlex.split(line, comments=True)[1:]) == (
+            int(expected.group(1)) if expected else 0), line
+    capsys.readouterr()

@@ -17,6 +17,8 @@ from pareto_atlas import (
     SolverConfig,
     build_atlas,
     build_problem,
+    builtin_problem,
+    certify_corank_on_atlas,
     face_consistency,
     injectivity_scan,
     restrict,
@@ -24,6 +26,7 @@ from pareto_atlas import (
     scalarize,
 )
 from pareto_atlas import atlas as atlas_module
+from pareto_atlas import solver as solver_module
 from pareto_atlas.problems import RidgePair
 
 
@@ -194,6 +197,18 @@ class TestExports:
         assert doc["summary"]["dominance_violations"] == 0
 
 
+def far_points_problem():
+    """Squared distances to three points near 1e6 in R^4: the solver's
+    tolerance scales with the gradient at the origin, so the residuals are
+    about 1e-10 and dominate the face bound."""
+    points = 1e6 + np.random.default_rng(0).standard_normal((3, 4))
+    return build_problem(DistanceSquared(points))
+
+
+def boundary_nodes(atlas) -> list[int]:
+    return np.flatnonzero((atlas.grid.nodes == 0).any(axis=1)).tolist()
+
+
 class TestFaceConsistency:
     def test_consistent_on_smooth_fixture(self, example32):
         atlas = build_atlas(example32, 8)
@@ -202,6 +217,7 @@ class TestFaceConsistency:
         assert report.checked == 24  # 3 * r boundary nodes at m = 3
         assert report.max_discrepancy <= report.tolerance
         assert set(report.per_face) == {(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)}
+        assert report.unjudged == []
 
     def test_face_nesting_against_subproblem_atlases(self, example32):
         """Boundary slices of the full atlas reproduce the subproblem atlases."""
@@ -216,6 +232,74 @@ class TestFaceConsistency:
                     embedded[axis] = v
                 j = lookup[tuple(embedded)]
                 assert_allclose(sub_atlas.x[i], atlas.x[j], atol=1e-10)
+
+    def test_runs_no_solver(self, example32, monkeypatch):
+        atlas = build_atlas(example32, 8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Newton solve ran")
+
+        monkeypatch.setattr(atlas_module, "solve_grid", refuse)
+        monkeypatch.setattr(solver_module, "minimize_weighted", refuse)
+        assert face_consistency(atlas).checked == 24
+
+    @pytest.mark.parametrize("problem, r", [(softplus_problem(), 8), (far_points_problem(), 20)],
+                             ids=["softplus", "far-points"])
+    def test_bound_needs_the_residual_term(self, problem, r):
+        """At the node nearest its bound, the rounding term alone is far too small."""
+        atlas = build_atlas(problem, r)
+        report = face_consistency(atlas)
+        assert report.consistent
+        assert report.tolerance < 1e-9  # the 10x gradient tolerance gave 4e-3 at 1e6
+        sv = atlas.sv[report.worst_node]
+        assert report.max_discrepancy > 1e3 * 3 * np.finfo(float).eps * sv[0] / sv[1]
+
+    def test_bound_needs_the_rounding_term(self, example32):
+        """The node nearest its bound has a residual of exactly 0 and a
+        discrepancy of a few rounding units."""
+        atlas = build_atlas(example32, 8)
+        report = face_consistency(atlas)
+        assert report.consistent
+        k = report.worst_node
+        assert atlas.residual[k] == 0.0 < report.max_discrepancy
+
+    @pytest.mark.parametrize("problem, r", [(softplus_problem(), 8), (far_points_problem(), 20)],
+                             ids=["softplus", "far-points"])
+    def test_moving_a_boundary_node_fails(self, problem, r):
+        """Three bounds' length towards the interior neighbour moves the
+        node's Jacobian weight off the face by more than its bound."""
+        atlas = build_atlas(problem, r)
+        report = face_consistency(atlas)
+        k = report.worst_node
+        support = atlas.grid.nodes > 0
+        inner = next(j for j in atlas.grid.neighbors(k) if support[j].sum() > support[k].sum())
+        step = atlas.x[inner] - atlas.x[k]
+        atlas.x[k] += 3.0 * report.tolerance * step / np.linalg.norm(step)
+        moved = face_consistency(atlas)
+        assert not moved.consistent
+        assert moved.worst_node == k
+        assert moved.max_discrepancy > moved.tolerance
+
+    @pytest.mark.parametrize("name", ["example31", "remark_g"])
+    def test_rank_deficient_nodes_are_listed_not_judged(self, name):
+        """The boundary nodes below rank m - 1 are the corank certificate's
+        boundary witnesses; every other boundary node is judged."""
+        atlas = build_atlas(builtin_problem(name), 20)
+        report = face_consistency(atlas)
+        boundary = boundary_nodes(atlas)
+        witnesses = certify_corank_on_atlas(atlas).witnesses
+        assert report.consistent
+        assert report.unjudged == [i for i in witnesses if i in boundary]
+        assert len(report.unjudged) == 2
+        assert report.checked + len(report.unjudged) == len(boundary)
+
+    def test_nothing_to_judge_beyond_n_plus_one_objectives(self):
+        """With m > n + 1 no Jacobian reaches rank m - 1."""
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        atlas = build_atlas(build_problem(DistanceSquared(corners)), 4)
+        report = face_consistency(atlas)
+        assert (report.consistent, report.checked, report.worst_node) == (True, 0, None)
+        assert report.unjudged == boundary_nodes(atlas)
 
 
 class TestBoundedMemory:
@@ -236,14 +320,6 @@ class TestBoundedMemory:
         pair = RidgePair(gen.normal(size=(80, 60)), gen.normal(size=80), 0.1)
         small, large = (self.peak(lambda: ridge_path(pair, r)) for r in (250, 1000))
         assert large < 1.25 * small  # in one batch, about 4x
-
-    def test_face_consistency_peak_follows_the_block_size(self, monkeypatch):
-        atlas = build_atlas(random_quadratic(5, n=30, m=3), 60)  # edges of 59 nodes
-        peaks = []
-        for entries in (2 ** 40, 2 ** 13):
-            monkeypatch.setattr(atlas_module, "BLOCK_ENTRIES", entries)
-            peaks.append(self.peak(lambda: face_consistency(atlas)))
-        assert peaks[1] < peaks[0] / 4  # with one batch per face, about equal
 
 
 class TestInjectivity:

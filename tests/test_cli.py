@@ -138,6 +138,22 @@ class TestVerify:
         assert doc["certificates"]["non-domination"]["ok"]
         assert len(doc["corank_witnesses"]) > 0
 
+    def test_face_detail_names_the_rank_deficient_boundary_nodes(self, capsys):
+        assert main(["verify", "--builtin", "example31", "-r", "20"]) == 1
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if "face-consistency" in line)
+        assert line.startswith("[ok] face-consistency: discrepancy ")
+        assert " over 58 boundary nodes (tol " in line
+        assert line.endswith(", 2 below rank 2 not judged: nodes 10, 230")
+
+    def test_no_face_to_judge_beyond_n_plus_one_objectives(self, tmp_path, capsys):
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({"family": "distance_squared",
+                                    "points": [[0, 0], [1, 0], [0, 1], [1, 1]]}))
+        assert main(["verify", str(path), "-r", "5"]) == 1  # x* of 4 objectives on R^2 collapses
+        assert ("[n/a] face-consistency: no boundary node of rank 3, 52 below rank 3 "
+                "not judged: nodes 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...\n") in capsys.readouterr().out
+
     def test_perturbed_family_passes(self, capsys):
         code, doc = run_json(
             capsys,
@@ -219,10 +235,16 @@ def test_vacuous_tolerances_rejected(argv, flag, capsys):
     (["perturb", "--builtin", "example31", "--trials", "1", "-r", "4", "--scale", "-0.1"],
      "--scale"),
     (["perturb", "--builtin", "example32", "--stability", "--scales", "0.1,-0.1"], "--scales"),
+    (["verify", "--builtin", "example32", "-r", "5", "--spot-check", "-3"], "--spot-check"),
+    (["atlas", "--builtin", "example32", "-r", "5", "--spot-check", "-1"], "--spot-check"),
+    (["verify", "--builtin", "example32", "-r", "5", "--seed", "-1"], "--seed"),
+    (["perturb", "--builtin", "remark_g", "--track", "--seed", "-1"], "--seed"),
 ])
 def test_negative_tolerances_and_scales_rejected(argv, flag, capsys):
     """A negative error tolerance fails every input, and a negative scale names
-    no perturbation (``--track`` would run the unperturbed problem)."""
+    no perturbation (``--track`` would run the unperturbed problem).  A
+    negative sample count would skip the spot check, and numpy refuses a
+    negative seed without naming the flag."""
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2

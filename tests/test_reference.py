@@ -583,7 +583,7 @@ def test_atlas_layers_build_no_weight_per_node(monkeypatch, tmp_path):
         patch.setattr(Weight, "__post_init__", refuse)
         atlas = build_atlas(softplus_problem(), 6, SolverConfig(max_iter=2))
         atlas.summary
-        face_consistency(build_atlas(softplus_problem(), 6))
+        face_consistency(atlas)
         injectivity_scan(atlas)
         atlas.to_csv(tmp_path / "atlas.csv")
         atlas.to_json(tmp_path / "atlas.json")

@@ -2,10 +2,10 @@
 
 Weighted-sum scalarization over the weight simplex, solved by damped Newton,
 with numerical certificates for the geometry of the solution map: Jacobian
-corank bounds, fold tests, face consistency (the weight that the left null
-vector of each boundary node's Jacobian returns lies on the node's face; no
-solve), injectivity scans, and perturbation (genericity and stability)
-experiments.
+corank bounds, fold tests, face consistency (each boundary node's x is
+critical for its face weight; no solve), injectivity scans, non-domination
+(pairs within the strong-convexity radius in x), and perturbation
+(genericity and stability) experiments.
 """
 from .apps import (
     LocationInstance,

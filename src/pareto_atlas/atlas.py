@@ -19,7 +19,7 @@ import numpy as np
 
 from .diagnostics import numerical_rank
 from .ordering import DOMINANCE_TOL, dominating_pairs
-from .problems import Weight
+from .problems import Weight, strong_convexity_constant
 from .solver import (
     DEFAULT_CONFIG,
     NewtonResult,
@@ -332,10 +332,33 @@ class ParetoAtlas:
             max_kkt_residual=float(self.residual.max()),
             # keys in order of first appearance, the order the run documents list them in
             corank_histogram=dict(Counter(self.corank.tolist())),
-            dominance_violations=len(dominating_pairs(self.f, DOMINANCE_TOL)),
+            dominance_violations=len(self._dominating_pairs()),
             min_pairwise_x_distance=nearest,
             max_adjacent_x_distance=float(adjacent.max(initial=0.0)),
         )
+
+    def _dominating_pairs(self) -> list[tuple[int, int]]:
+        """``dominating_pairs`` of ``f``.  If row i dominates row j within tau
+        (``DOMINANCE_TOL`` plus the rounding of f at both rows), then g = w_j .
+        f, which is beta-strongly convex with gradient r_j at x_j, has g(x_i)
+        <= g(x_j) + tau, so d = |x_i - x_j| has beta/2 d^2 - r_j d <= tau
+        (Nesterov 2004, sec. 2.1).  One ``_close_pairs`` sweep at the largest
+        such d over the converged rows finds the candidates; every other row,
+        and every row without an exact beta, is compared with all rows."""
+        beta = strong_convexity_constant(self.problem)
+        if beta is None:
+            return dominating_pairs(self.f)
+        # f_i(x) = c_i + b_i . x + x.Q_i x / 2 rounds by eps times its terms,
+        # which can cancel to a far smaller f; c, b and Q are f, J and H at 0
+        c, b, q = (part[0] for part in self.problem.evaluate(np.zeros((1, self.problem.n))))
+        s = row_norms(self.x)[:, None]
+        terms = (np.abs(c) + np.linalg.norm(b, axis=1) * s
+                 + np.linalg.norm(q, axis=(1, 2)) / 2 * s * s)
+        tau = DOMINANCE_TOL + 2.0 * np.finfo(float).eps * terms.max(initial=0.0)
+        radius = (self.residual + np.sqrt(self.residual ** 2 + 2.0 * beta * tau)) / beta
+        held = self.converged & np.isfinite(self.f).all(axis=1)
+        i, j, _ = _close_pairs(self.x, float(radius[held].max(initial=-1.0)))
+        return dominating_pairs(self.f, near=(i, j), everywhere=np.flatnonzero(~held))
 
     def _node_blocks(self):
         """The node table ``EXPORT_ROWS`` rows at a time: each block's first
@@ -431,7 +454,7 @@ def build_atlas(problem, resolution: int, config: SolverConfig = DEFAULT_CONFIG)
 
 @dataclass
 class FaceConsistencyReport:
-    """How far the weight returned by each boundary node's Jacobian lies off
+    """How far the weight making each boundary node's x critical may lie off
     the node's face; ``max_discrepancy`` and ``tolerance`` are ``worst_node``'s."""
 
     consistent: bool
@@ -444,31 +467,35 @@ class FaceConsistencyReport:
 
 
 def face_consistency(atlas: ParetoAtlas) -> FaceConsistencyReport:
-    """Check each boundary node against its face from one batched SVD of the
-    Jacobians at ``atlas.x``; nothing is solved.
+    """Check that each boundary node's stored x is critical for its face, from
+    the Jacobians at ``atlas.x`` and ``atlas.sv``; nothing is solved.
 
-    Where J_k has rank m - 1 its left null vector u gives w(x_k) = u / sum(u),
-    the weight that makes x_k critical.  With w_k = (w_k . u) u + e,
-    |J_k^T w_k| >= sigma_{m-1} |e|, and off the face, where w_k is 0,
-    (w_k . u) u = -e.  So the discrepancy, the part of (w_k . u) u off the
-    face, is at most (r_k + m eps sigma_1) / sigma_{m-1}: r_k = |J_k^T w_k|
-    is the solver's residual, and m eps sigma_1 covers the rounding of the
-    SVD and of that product.  Nodes below rank m - 1 are not judged (the
-    corank certificate fails there).  The worst node is nearest its bound,
-    as a fraction of it.
+    rho_k = |J_k^T w_k| is held to the solver's residual r_k at that x plus
+    c_k = m eps sigma_1, which covers the rounding of that product and of
+    ``atlas.sv``, so an x moved since the solve fails, however loose
+    ``grad_tol`` was.  Where J_k has rank
+    m - 1 its left null vector u gives w(x_k) = u / sum(u).  With w_k =
+    (w_k . u) u + e, |J_k^T w_k| >= sigma_{m-1} |e|, and off the face, where
+    w_k is 0, (w_k . u) u = -e.  So the part of (w_k . u) u off the face is
+    at most b_k = (rho_k + c_k) / (sigma_{m-1} - eps sigma_1), reported
+    against the b_k of a node at its allowance.  Nodes below rank m - 1 are
+    not judged (the corank certificate fails there).  The worst node is
+    nearest its bound, as a fraction of it.
     """
-    grid, m = atlas.grid, atlas.grid.m
+    grid, m, eps = atlas.grid, atlas.grid.m, np.finfo(float).eps
     nodes = np.flatnonzero((grid.nodes == 0).any(axis=1))
-    jac = atlas.problem.evaluate(atlas.x[nodes])[1]
-    u, sv, _ = np.linalg.svd(jac, full_matrices=m > atlas.problem.n)
-    judged = numerical_rank(sv, atlas.config.rank_tol) >= m - 1
+    # a rank threshold of at least eps keeps sigma_{m-1} - eps sigma_1 positive
+    judged = numerical_rank(atlas.sv[nodes], max(atlas.config.rank_tol, eps)) >= m - 1
     unjudged = nodes[~judged].tolist()
     if not judged.any():
         return FaceConsistencyReport(True, 0.0, 0.0, 0, None, {}, unjudged)
-    nodes, u, sv = nodes[judged], u[judged, :, m - 1], sv[judged]
-    w = grid.weights[nodes]
-    gaps = row_norms(np.where(w == 0.0, (w * u).sum(axis=1)[:, None] * u, 0.0))
-    bounds = (atlas.residual[nodes] + m * np.finfo(float).eps * sv[:, 0]) / sv[:, m - 2]
+    nodes = nodes[judged]
+    sv, w = atlas.sv[nodes], grid.weights[nodes]
+    jac = atlas.problem.evaluate(atlas.x[nodes])[1]
+    rho = row_norms(np.matmul(w[:, None, :], jac)[:, 0, :])
+    rounding, sigma = m * eps * sv[:, 0], sv[:, m - 2] - eps * sv[:, 0]
+    gaps = (rho + rounding) / sigma
+    bounds = (atlas.residual[nodes] + 2.0 * rounding) / sigma
     worst = int(np.argmax(gaps / bounds))
     faces, which = grid.faces()
     per_face = {faces[k]: float(gaps[which[nodes] == k].max()) for k in np.unique(which[nodes])}

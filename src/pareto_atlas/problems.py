@@ -29,6 +29,7 @@ __all__ = [
     "restrict",
     "with_linear",
     "check_strong_convexity",
+    "strong_convexity_constant",
     "serialize_problem",
     "parse_problem",
     "builtin_problem",
@@ -559,6 +560,19 @@ def check_strong_convexity(problem, count: int = 1000, seed: int = 0) -> Convexi
         witness_objective=int(objective),
         count=count,
     )
+
+
+def strong_convexity_constant(problem) -> float | None:
+    """beta with every weighted sum of the objectives beta-strongly convex, or
+    None if the Hessians depend on x (``evaluate`` gives two rows for two
+    points) or beta is not positive.  lambda_min is concave in the weight, so
+    beta = min_i lambda_min(Q_i), lowered by n eps |Q_i| (``eigvalsh``)."""
+    hessians = problem.evaluate(np.zeros((2, problem.n)))[2]
+    if len(hessians) != 1:
+        return None
+    eig = np.linalg.eigvalsh(hessians[0])
+    beta = float((eig[:, 0] - problem.n * np.finfo(float).eps * np.abs(eig).max(axis=1)).min())
+    return beta if beta > 0.0 else None
 
 
 # ---------------------------------------------------------------------------

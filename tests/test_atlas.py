@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import tracemalloc
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -13,6 +14,7 @@ from numpy.testing import assert_allclose
 from conftest import fd_gradients, fd_hessians, random_quadratic, softplus_problem
 from pareto_atlas import (
     DistanceSquared,
+    Example32,
     SimplexGrid,
     SolverConfig,
     build_atlas,
@@ -255,13 +257,26 @@ class TestFaceConsistency:
         assert report.max_discrepancy > 1e3 * 3 * np.finfo(float).eps * sv[0] / sv[1]
 
     def test_bound_needs_the_rounding_term(self, example32):
-        """The node nearest its bound has a residual of exactly 0 and a
-        discrepancy of a few rounding units."""
+        """The vertex w = e_2 has a computed residual of exactly 0, but the
+        exact J(x)^T w at the stored x, in rational arithmetic, is 2.4e-16:
+        the rounding term of its bound covers it.  The verdict rests on the
+        stored residuals, not on ``grad_tol``: an atlas held to a zero
+        tolerance and stopped after three steps passes."""
         atlas = build_atlas(example32, 8)
+        k = 8  # w = (0, 1, 0)
+        assert atlas.grid.nodes[k].tolist() == [0, 8, 0] and atlas.residual[k] == 0.0
+        quad, x = Example32._quadratic, atlas.x[k]
+        grad = [sum(Fraction(q) * Fraction(v) for q, v in zip(row, x)) + Fraction(b)
+                for row, b in zip(quad.qs[1], quad.bs[1])]
+        exact = float(sum(g * g for g in grad)) ** 0.5
+        assert exact > 2e-16 and np.linalg.norm(example32.gradients(x)[1]) == 0.0
         report = face_consistency(atlas)
-        assert report.consistent
-        k = report.worst_node
-        assert atlas.residual[k] == 0.0 < report.max_discrepancy
+        sigma = atlas.sv[k, 1] - np.finfo(float).eps * atlas.sv[k, 0]
+        assert report.consistent and exact / sigma <= report.per_face[(1,)]
+
+        strict = build_atlas(example32, 8, SolverConfig(grad_tol=0.0, max_iter=3))
+        assert strict.failures and strict.residual.max() > 0.0
+        assert face_consistency(strict).consistent
 
     @pytest.mark.parametrize("problem, r", [(softplus_problem(), 8), (far_points_problem(), 20)],
                              ids=["softplus", "far-points"])

@@ -207,6 +207,34 @@ class TestVerify:
         assert "[ok] face-consistency" not in out
 
 
+GOLDEN = Path(__file__).parent / "golden"
+FACE = "] face-consistency: "
+
+
+@pytest.mark.parametrize("name, status", [("example31", 1), ("example31_perturbed", 0),
+                                          ("example32", 0), ("remark_g", 1)])
+def test_verify_text_matches_the_recorded_output(name, status, capsys):
+    """``verify --builtin NAME -r 20`` prints the recorded lines, one for one,
+    and exits as recorded; the face-consistency line is held to its verdict."""
+    want = (GOLDEN / f"verify-{name}-r20.txt").read_text().splitlines()
+    assert main(["verify", "--builtin", name, "-r", "20"]) == status
+    got = capsys.readouterr().out.splitlines()
+    assert len(got) == len(want)
+    for line, recorded in zip(got, want):
+        if FACE in recorded:
+            assert FACE in line and line.split(FACE)[0] == recorded.split(FACE)[0]
+        else:
+            assert line == recorded
+
+
+def test_remark_g_boundary_is_face_consistent_at_r30(capsys):
+    """From r = 30 on, rounding in the SVD's null vector put remark_g's face
+    line at [FAIL]; the stored points are critical for their faces."""
+    assert main(["verify", "--builtin", "remark_g", "-r", "30"]) == 1  # corank 2
+    out = capsys.readouterr().out
+    assert "[ok] face-consistency: " in out and "[FAIL] corank: " in out
+
+
 @pytest.mark.parametrize("argv, flag", [
     # with both, example31's corank-2 pinch and its collapsed pairs would pass
     (["verify", "--builtin", "example31", "-r", "10", "--rank-tol", "-1",

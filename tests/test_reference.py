@@ -40,6 +40,8 @@ from pareto_atlas import (
 from pareto_atlas import atlas as pa_atlas
 from pareto_atlas.atlas import _close_pairs, _min_pair_distance, _pair_distances
 from pareto_atlas.diagnostics import corank_certificate
+from pareto_atlas.ordering import DOMINANCE_TOL
+from pareto_atlas.problems import strong_convexity_constant
 from pareto_atlas.solver import row_norms
 
 # ---------------------------------------------------------------------------
@@ -293,13 +295,14 @@ def test_dominance_on_values_quantized_near_the_tolerance(data, n, m):
 def test_dominance_single_row_empty_and_nan():
     assert dominating_pairs(np.zeros((1, 3))) == []
     assert dominating_pairs(np.zeros((0, 3))) == []
+    assert dominating_pairs(np.zeros((3, 0))) == []  # no objective to be better in
     f = np.array([[0.0, 0.0], [np.nan, -1.0], [1.0, 1.0], [2.0, np.nan]])
     assert dominating_pairs(f) == ref_dominating_pairs(f) == [(0, 2)]
 
 
 def test_dominance_over_several_blocks():
-    """About 2,100 rows on an eighth-step lattice, so many k-d leaves hold
-    ties and duplicates, and the row comparison spans several blocks."""
+    """About 2,100 rows on an eighth-step lattice, full of ties and
+    duplicates, so the row comparison spans several blocks."""
     rng = np.random.default_rng(3)
     f = np.round(rng.random((2100, 3)) * 8) / 8
     f[::7] = f[1::7][: len(f[::7])]
@@ -314,10 +317,11 @@ TOLERANCES = [0.0, 1e-9, -0.1, 1e300, np.inf, -np.inf, np.nan]
 @given(n=st.one_of(st.integers(0, 3), st.integers(4, 250)), m=st.integers(1, 5),
        tol=st.sampled_from(TOLERANCES), front=st.booleans(), duplicates=st.booleans(),
        special=st.sampled_from([0.0, 0.01, 0.2]), seed=st.integers(0, 2**32 - 1))
-def test_kd_dominance_matches_both_references(n, m, tol, front, duplicates, special, seed):
-    """Values on a lattice of step tol/2, optionally bent onto the flat front
-    sum(f) = const, so k-d leaves meet ties at the tolerance, with duplicate
-    rows, NaN and +-inf entries and non-finite tolerances."""
+def test_blocked_dominance_matches_both_references(n, m, tol, front, duplicates, special, seed):
+    """The values-only path: values on a lattice of step tol/2, optionally
+    bent onto the flat front sum(f) = const, so blocks meet ties at the
+    tolerance, with duplicate rows, NaN and +-inf entries and non-finite
+    tolerances."""
     rng = np.random.default_rng(seed)
     step = abs(tol) / 2 if np.isfinite(tol) and tol else 0.5e-9
     ticks = rng.integers(-4, 5, (n, m))
@@ -338,12 +342,141 @@ def test_kd_dominance_matches_both_references(n, m, tol, front, duplicates, spec
 
 def test_dominance_on_a_noisy_front_of_eight_thousand_rows():
     """8,001 random points of the flat front sum(f) = 2 with 1e-3 noise:
-    hundreds of dominating pairs, all between nearby k-d leaves."""
+    hundreds of dominating pairs, all between nearby values."""
     rng = np.random.default_rng(5)
     f = 1.0 - rng.dirichlet(np.ones(3), 8001) + 1e-3 * rng.standard_normal((8001, 3))
     pairs = dominating_pairs(f)
     assert len(pairs) > 100
     assert pairs == ref_blocked_dominating_pairs(f)
+
+
+# ---------------------------------------------------------------------------
+# Dominance in the summary: candidates within the strong-convexity radius
+# ---------------------------------------------------------------------------
+
+
+def plant(atlas, rows, xs) -> None:
+    """Move ``rows`` of ``atlas`` to ``xs``, with f and the residual
+    recomputed at the rows' weights; the convergence flags stay."""
+    f, jac, _ = atlas.problem.evaluate(xs)
+    weights = atlas.grid.weights[rows]
+    atlas.x[rows], atlas.f[rows] = xs, f
+    atlas.residual[rows] = row_norms(np.matmul(weights[:, None, :], jac)[:, 0, :])
+
+
+def radius(atlas, beta: float, tau: float) -> float:
+    """The largest radius (r + sqrt(r^2 + 2 beta tau)) / beta over the
+    converged rows of ``atlas``."""
+    r = atlas.residual[atlas.converged]
+    return float(((r + np.sqrt(r * r + 2.0 * beta * tau)) / beta).max())
+
+
+def farthest_pair(atlas) -> float:
+    """The largest x distance of a dominating pair, by the blocked reference."""
+    i, j = np.array(ref_blocked_dominating_pairs(atlas.f)).T
+    return float(_pair_distances(atlas.x[i], atlas.x[j]).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(2, 4),
+       r=st.integers(1, 6), softplus=st.booleans(), max_iter=st.sampled_from([200, 0]),
+       planted=st.integers(0, 4), scale=st.sampled_from([1e-6, 1e-3, 0.1, 1.0]),
+       unconverged=st.booleans())
+def test_summary_dominance_matches_the_blocked_reference(seed, n, m, r, softplus, max_iter,
+                                                         planted, scale, unconverged):
+    """Random quadratics, or the x-dependent softplus family (no exact beta),
+    solved or left at the start (max_iter 0, every row unconverged), with
+    rows moved off the Pareto set, marked converged or not."""
+    problem = softplus_problem(seed, n, m) if softplus else random_quadratic(seed, n, m)
+    atlas = build_atlas(problem, r, SolverConfig(max_iter=max_iter))
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(atlas.grid.node_count, min(planted, atlas.grid.node_count), replace=False)
+    plant(atlas, rows, atlas.x[rows] + scale * rng.standard_normal((len(rows), n)))
+    if unconverged:
+        atlas.converged[rows] = False
+    assert atlas.summary.dominance_violations == len(ref_blocked_dominating_pairs(atlas.f))
+
+
+def summary_tau(atlas) -> float:
+    """``DOMINANCE_TOL`` plus the rounding of f, as the summary takes it:
+    twice eps times the largest sum of the terms |c_i|, |b_i| |x| and
+    |Q_i| |x|^2 / 2 of an objective at a row."""
+    c, b, q = atlas.problem.evaluate(np.zeros((1, atlas.problem.n)))
+    reach = np.linalg.norm(atlas.x, axis=1)[:, None]
+    terms = (np.abs(c) + np.linalg.norm(b[0], axis=1) * reach
+             + np.linalg.norm(q[0], axis=(1, 2)) / 2 * reach**2)
+    return DOMINANCE_TOL + 2.0 * np.finfo(float).eps * float(terms.max())
+
+
+def test_summary_dominance_needs_the_residual():
+    """A row of example32 moved 0.5 off the set and still marked converged:
+    only its residual carries the radius out to the rows that dominate it."""
+    atlas = build_atlas(builtin_problem("example32"), 6)
+    plant(atlas, [10], atlas.x[[10]] + 0.5)
+    beta = strong_convexity_constant(atlas.problem)
+    assert farthest_pair(atlas) > np.sqrt(2.0 * summary_tau(atlas) / beta)
+    assert atlas.summary.dominance_violations == len(ref_blocked_dominating_pairs(atlas.f)) > 0
+
+
+def test_summary_dominance_needs_the_rounding_of_f():
+    """Two objectives at 1e8, where f rounds in steps of 1.5e-8: the grid
+    nodes 1e-4 apart next to each vertex tie in one objective and differ by
+    2e-7 in the other, so they dominate, beyond the radius of tau = 1e-9."""
+    problem = build_problem(GenericQuadratic([[[1.0]], [[1.0]]], [[0.0], [-2e-3]], [1e8, 1e8]))
+    atlas = build_atlas(problem, 20)
+    beta = strong_convexity_constant(problem)
+    assert farthest_pair(atlas) > radius(atlas, beta, DOMINANCE_TOL)
+    assert atlas.summary.dominance_violations == len(ref_blocked_dominating_pairs(atlas.f)) == 2
+
+
+def test_summary_dominance_needs_the_rounding_of_the_terms():
+    """Minimizers near 1e4: f stays below 1e-5 but sums terms near 1e8,
+    which round in steps of 1.5e-8.  Two pairs of grid nodes 1e-4 apart
+    dominate through that rounding, beyond the radius that the rounding of
+    f's own size would give."""
+    p, d = 1e4, 2e-3
+    problem = build_problem(GenericQuadratic([[[1.0]], [[1.0]]], [[-p], [-p - d]],
+                                             [p * p / 2, p * p / 2 + d * p]))
+    atlas = build_atlas(problem, 20)
+    beta = strong_convexity_constant(problem)
+    own = DOMINANCE_TOL + 2.0 * np.finfo(float).eps * float(np.abs(atlas.f).max())
+    assert np.abs(atlas.f).max() < 1e-5 and farthest_pair(atlas) > radius(atlas, beta, own)
+    assert atlas.summary.dominance_violations == len(ref_blocked_dominating_pairs(atlas.f)) == 2
+
+
+def test_summary_dominance_needs_the_lowered_beta(monkeypatch):
+    """Q = 10034 J + I on R^3 has eigenvalues 1, 1 and 30,103.  An
+    ``eigvalsh`` that errs upward by 0.9 n eps |Q|, inside the bound the
+    lowering allows for, puts the smallest at 1 + 1.8e-11.  Two rows planted
+    on the soft axis u, x_j = 25 u and x_i = -(25 - 2^-31) u, evaluate
+    exactly up to the last rounding of f; f(x_i) < f(x_j) - 2e-8, and the
+    pair lies within the radius of beta = 1 but beyond that of 1 + 1.8e-11."""
+    a, b = 10035.0, 10034.0
+    q = np.full((3, 3), b)
+    np.fill_diagonal(q, a)
+    problem = build_problem(GenericQuadratic([q, q], np.zeros((2, 3)), [0.0, 1.0]))
+    atlas = build_atlas(problem, 2)
+    s, t = 25.0, -(25.0 - 2.0**-31)
+    u = np.array([1.0, -1.0, 0.0])
+    plant(atlas, [0, 1], np.array([s * u, t * u]))
+    assert atlas.f[0, 0] - atlas.f[1, 0] > 20 * DOMINANCE_TOL
+    upward = 1.0 + 0.9 * 3 * np.finfo(float).eps * (a + 2 * b)
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda h: np.broadcast_to([upward, upward, a + 2 * b], h.shape[:-1]))
+    assert farthest_pair(atlas) > radius(atlas, upward, summary_tau(atlas))
+    assert atlas.summary.dominance_violations == len(ref_blocked_dominating_pairs(atlas.f)) > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_summary_dominance_with_a_value_that_is_not_finite(bad):
+    """A row whose value is not finite is compared with every row, and the
+    rounding of f, taken from the terms at x, still lets the two pairs of
+    the 1e8 problem be found."""
+    problem = build_problem(GenericQuadratic([[[1.0]], [[1.0]]], [[0.0], [-2e-3]], [1e8, 1e8]))
+    atlas = build_atlas(problem, 20)
+    atlas.f[10, 1] = bad
+    want = ref_blocked_dominating_pairs(atlas.f)
+    assert len(want) >= 2 and atlas.summary.dominance_violations == len(want)
 
 
 # ---------------------------------------------------------------------------

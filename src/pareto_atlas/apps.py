@@ -3,7 +3,9 @@
 These wire the atlas machinery to families with known structure, and check
 the computed sets against independent routes (closed forms, hull membership
 by linear programming, normal-equation solves).  A ridge path runs on a
-``problems.RidgePair``; ``read_ridge_csv`` reads one from a CSV file.
+``problems.RidgePair``; ``read_ridge_csv`` reads one from a CSV file.  Its
+``RidgePathReport`` holds one array per field, row-aligned with the path
+rows, and its normal-equations oracle solves one row at a time.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .atlas import (
 )
 from .diagnostics import CorankCertificate, certify_corank_on_atlas, numerical_rank
 from .problems import DistanceSquared, Phenotypic, RidgePair, build_problem
-from .solver import DEFAULT_CONFIG, SolverConfig, raise_unconverged
+from .solver import DEFAULT_CONFIG, SolverConfig, raise_unconverged, row_norms
 
 __all__ = [
     "LocationInstance",
@@ -33,7 +35,6 @@ __all__ = [
     "PhenotypicReport",
     "phenotypic_pareto_set",
     "read_ridge_csv",
-    "RidgePathRow",
     "RidgePathReport",
     "ridge_lambda",
     "ridge_path",
@@ -64,11 +65,6 @@ class LocationInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-
-    @property
-    def general_position(self) -> bool:
-        """Affine independence of the demand points at the default ``rank_tol``."""
-        return self.affinely_independent(DEFAULT_CONFIG.rank_tol)
 
     def affinely_independent(self, rank_tol: float) -> bool:
         """The differences p_i - p_1 have numerical rank m - 1 at ``rank_tol``."""
@@ -131,6 +127,8 @@ def _hull_violations(points: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return _hull_violations_serial(points, xs)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+
+    import scipy.optimize  # noqa: F401 -- loaded before the fork, so the workers inherit it
 
     cuts = [len(xs) * i // k for i in range(k + 1)]
     with ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork")) as pool:
@@ -284,33 +282,27 @@ def read_ridge_csv(path, mu: float) -> RidgePair:
     return RidgePair(data[:, :-1], data[:, -1], mu)
 
 
-def ridge_lambda(w1: float, w2: float, mu: float) -> float:
-    """Regularization strength mu + w2/w1, with w1 clamped at machine epsilon."""
-    return mu + w2 / max(w1, np.finfo(float).eps)
-
-
-@dataclass
-class RidgePathRow:
-    w1: float
-    w2: float
-    lam: float
-    theta: np.ndarray
-    kkt_residual: float
-    oracle_gap: float  # distance to the normal-equations solution
+def ridge_lambda(w1, w2, mu: float):
+    """Regularization strength mu + w2/w1, with w1 clamped at machine epsilon
+    (elementwise for arrays of weights)."""
+    return mu + w2 / np.maximum(w1, np.finfo(float).eps)
 
 
 @dataclass
 class RidgePathReport:
+    """One array per field, row-aligned with the path rows."""
+
     mu: float
     resolution: int
-    rows: list[RidgePathRow]
-    max_oracle_gap: float
+    weights: np.ndarray  # (N, 2) rows (w1, w2)
+    lam: np.ndarray  # (N,) mu + w2/w1, inf at the w1 = 0 vertex
+    theta: np.ndarray  # (N, p) solved coefficients
+    residual: np.ndarray  # (N,) KKT residual of each solve
+    oracle_gap: np.ndarray  # (N,) distance to the normal-equations solution
 
-    def theta_norms(self) -> np.ndarray:
-        return np.array([np.linalg.norm(r.theta) for r in self.rows])
-
-    def lambdas(self) -> np.ndarray:
-        return np.array([r.lam for r in self.rows])
+    @property
+    def max_oracle_gap(self) -> float:
+        return float(self.oracle_gap.max())
 
 
 def ridge_path(
@@ -323,8 +315,9 @@ def ridge_path(
     Rows go from w = (1, 0) to w = (1/r, 1 - 1/r), then the w1 = 0 vertex
     with lambda = inf and theta = 0; all rows are one ``solve_grid`` call.  Every
     solved theta is compared against an independent normal-equations solve
-    of (X^T X + lambda I) theta = X^T y.  Raises ValueError for a resolution
-    below 1, which would leave only the w1 = 0 vertex.
+    of (X^T X + lambda I) theta = X^T y, one row at a time.  Raises
+    ValueError for a resolution below 1, which would leave only the w1 = 0
+    vertex.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
@@ -335,38 +328,20 @@ def ridge_path(
     weights = np.column_stack([w1, 1.0 - w1])
     solved = solve_grid(problem, weights, config)
     raise_unconverged(solved)
-    rows: list[RidgePathRow] = []
-    for (a, b), theta, residual in zip(weights, solved.x, solved.residual):
-        lam = ridge_lambda(a, b, pair.mu) if a > 0.0 else np.inf
-        oracle = np.linalg.solve(xtx + lam * np.eye(problem.n), xty) if a > 0.0 else 0.0
-        rows.append(
-            RidgePathRow(
-                w1=float(a),
-                w2=float(b),
-                lam=float(lam),
-                theta=theta,
-                kkt_residual=float(residual),
-                oracle_gap=float(np.linalg.norm(theta - oracle)),
-            )
-        )
-    return RidgePathReport(
-        mu=pair.mu,
-        resolution=resolution,
-        rows=rows,
-        max_oracle_gap=max(r.oracle_gap for r in rows),
-    )
+    lam = np.append(ridge_lambda(w1[:-1], weights[:-1, 1], pair.mu), np.inf)
+    oracle = np.zeros_like(solved.x)  # theta = 0 at the w1 = 0 vertex
+    for k, shift in enumerate(lam[:-1]):
+        oracle[k] = np.linalg.solve(xtx + shift * np.eye(problem.n), xty)
+    return RidgePathReport(pair.mu, resolution, weights, lam, solved.x, solved.residual,
+                           row_norms(solved.x - oracle))
 
 
 def write_ridge_csv(report: RidgePathReport, path) -> None:
     """Columns: w1, w2, lambda, theta_1..theta_p, residual."""
-    p = report.rows[0].theta.size
+    p = report.theta.shape[1]
     header = ["w1", "w2", "lambda"] + [f"theta_{i + 1}" for i in range(p)] + ["residual"]
+    table = np.column_stack([report.weights, report.lam, report.theta, report.residual])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in report.rows:
-            writer.writerow(
-                [f"{r.w1:.17g}", f"{r.w2:.17g}", f"{r.lam:.17g}"]
-                + [f"{v:.17g}" for v in r.theta]
-                + [f"{r.kkt_residual:.17g}"]
-            )
+        writer.writerows([f"{v:.17g}" for v in row] for row in table.tolist())

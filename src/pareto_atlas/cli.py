@@ -41,7 +41,7 @@ from .problems import (
     parse_problem,
     serialize_problem,
 )
-from .solver import SolverConfig, SolverError, scalarize
+from .solver import SolverConfig, SolverError, row_norms, scalarize
 
 OK, CERT_FAIL, INPUT_ERROR, SOLVER_ERROR = 0, 1, 2, 3
 
@@ -344,15 +344,12 @@ def cmd_perturb(args, parser) -> int:
     if args.stability:
         scales = sorted(args.scales, reverse=True)
         rep = stability_experiment(problem, scales, args.resolution, args.seed, config)
-        sups = [row.sup_displacement for row in rep.rows]
+        sups = rep.sup_displacement
         lines.append(f"stability: resolution {args.resolution}, seed {args.seed}")
-        for row in rep.rows:
-            lines.append(
-                f"  scale {row.scale:<10g} sup displacement {row.sup_displacement:.6e} "
-                f"mean {row.mean_displacement:.6e}"
-            )
+        for scale, sup, mean in zip(rep.scales, sups, rep.mean_displacement):
+            lines.append(f"  scale {scale:<10g} sup displacement {sup:.6e} mean {mean:.6e}")
         status = _verdicts([("stability", (
-            all(a >= b - 1e-15 for a, b in zip(sups, sups[1:])),
+            bool(np.all(sups[:-1] >= sups[1:] - 1e-15)),
             "sup displacement decreases with the scale",
         ))], lines)
         return _report(args, lines, "perturb", status, mode="stability", input=source,
@@ -371,7 +368,7 @@ def cmd_perturb(args, parser) -> int:
         f"genericity: {args.trials} trials, scale {args.scale:g}, "
         f"resolution {args.resolution}, seeds {args.seed}..{args.seed + args.trials - 1}"
     )
-    status = _unconverged(sum(len(t.failures) for t in rep.results))
+    status = _unconverged(int(np.count_nonzero(~rep.converged)))
     if status == OK:
         checks = []
         for tol in rep.rank_tols:
@@ -388,10 +385,10 @@ def cmd_perturb(args, parser) -> int:
 def cmd_ridge(args, parser) -> int:
     pair = read_ridge_csv(args.data, args.mu)
     rep = ridge_path(pair, args.resolution, _config(args))
-    norms = rep.theta_norms()
+    norms = row_norms(rep.theta)
     lines = [
-        f"ridge path: {len(rep.rows)} rows, mu={args.mu:g}, resolution {args.resolution}",
-        f"lambda range: [{rep.rows[0].lam:.6g}, {rep.rows[-1].lam:.6g}]",
+        f"ridge path: {len(rep.lam)} rows, mu={args.mu:g}, resolution {args.resolution}",
+        f"lambda range: [{rep.lam[0]:.6g}, {rep.lam[-1]:.6g}]",
         f"|theta| range: [{norms.min():.6g}, {norms.max():.6g}]",
     ]
     status = _verdicts([("normal-equations oracle", (

@@ -3,7 +3,9 @@
 A linear perturbation adds pi_i . x to objective i.  Gradients shift by a
 constant, Hessians (hence strong convexity) are untouched.  Draws are seeded
 and scale linearly: the same seed at a smaller scale gives the same
-direction, shrunk.
+direction, shrunk.  ``GenericityReport`` and ``StabilityReport`` hold one
+array per field, row-aligned with the trials and with the scales, as a
+``ParetoAtlas`` holds one per node field.
 """
 from __future__ import annotations
 
@@ -14,11 +16,10 @@ import numpy as np
 from .atlas import SimplexGrid, solve_grid
 from .atlas import build_atlas  # noqa: F401 -- unused here; perfbench/tracing.py patches it
 from .diagnostics import (
-    CorankCertificate,
     certify_corank_on_atlas,  # noqa: F401 -- unused here; perfbench/tracing.py patches it
     cokernel_basis,
     corank_at,
-    corank_certificate,
+    numerical_rank,
 )
 from .problems import Problem
 from .solver import DEFAULT_CONFIG, SolverConfig, raise_unconverged, row_norms
@@ -26,7 +27,6 @@ from .solver import DEFAULT_CONFIG, SolverConfig, raise_unconverged, row_norms
 __all__ = [
     "LinearPerturbation",
     "perturb_problem",
-    "GenericityTrial",
     "GenericityReport",
     "genericity_experiment",
     "DBlockSingular",
@@ -79,25 +79,16 @@ def perturb_problem(problem, perturbation: LinearPerturbation) -> Problem:
 
 
 @dataclass
-class GenericityTrial:
-    trial: int
-    seed: int
-    scale: float
-    certificates: dict[float, CorankCertificate]
-    max_kkt_residual: float
-    failures: list[int]  # nodes whose residual is above its tolerance
-
-    def max_corank(self, tol: float) -> int:
-        return self.certificates[tol].max_corank
-
-
-@dataclass
 class GenericityReport:
     """Coranks of randomly perturbed problems over an atlas sample.
 
-    For families below the dimension threshold, perturbed problems should
-    show corank <= 1 everywhere; a corank-2 witness in any trial refutes
-    genericity at the sampled resolution.
+    Trial t is the perturbation drawn with seed ``base_seed + t``.  Its
+    nodes' ``residual``, ``converged`` and Jacobian singular values ``sv``
+    are row t of the (trials, N) and (trials, N, min(m, n)) columns, named
+    as on ``ParetoAtlas``; ``corank[i, t]`` holds trial t's node coranks at
+    ``rank_tols[i]``.  For families below the dimension threshold, perturbed
+    problems should show corank <= 1 everywhere; a corank-2 witness in any
+    trial refutes genericity at the sampled resolution.
     """
 
     trials: int
@@ -105,15 +96,21 @@ class GenericityReport:
     resolution: int
     base_seed: int
     rank_tols: tuple[float, ...]
-    results: list[GenericityTrial]
+    residual: np.ndarray  # (trials, N)
+    converged: np.ndarray  # (trials, N) bool
+    sv: np.ndarray  # (trials, N, min(m, n))
+    corank: np.ndarray  # (len(rank_tols), trials, N)
 
     def corank2_trials(self, tol: float) -> list[int]:
-        return [t.trial for t in self.results if t.max_corank(tol) >= 2]
+        return np.flatnonzero(self.corank[self.rank_tols.index(tol)].max(axis=1) >= 2).tolist()
 
     def all_simplicial(self, tol: float) -> bool:
         return not self.corank2_trials(tol)
 
     def as_dict(self) -> dict:
+        tols = [str(tol) for tol in self.rank_tols]
+        peak = self.corank.max(axis=2).tolist()
+        worst = self.residual.max(axis=1).tolist()
         return {
             "schema": "pareto-atlas/genericity-v1",
             "trials": self.trials,
@@ -123,19 +120,16 @@ class GenericityReport:
             "rank_tols": list(self.rank_tols),
             "results": [
                 {
-                    "trial": t.trial,
-                    "seed": t.seed,
-                    "max_corank": {str(tol): t.max_corank(tol) for tol in self.rank_tols},
-                    "corank2_witnesses": {
-                        str(tol): t.certificates[tol].witnesses for tol in self.rank_tols
-                    },
-                    "max_kkt_residual": t.max_kkt_residual,
+                    "trial": t,
+                    "seed": self.base_seed + t,
+                    "max_corank": {tol: peak[i][t] for i, tol in enumerate(tols)},
+                    "corank2_witnesses": {tol: np.flatnonzero(self.corank[i, t] >= 2).tolist()
+                                          for i, tol in enumerate(tols)},
+                    "max_kkt_residual": worst[t],
                 }
-                for t in self.results
+                for t in range(self.trials)
             ],
-            "corank2_trials": {
-                str(tol): self.corank2_trials(tol) for tol in self.rank_tols
-            },
+            "corank2_trials": {str(tol): self.corank2_trials(tol) for tol in self.rank_tols},
         }
 
 
@@ -152,10 +146,11 @@ def genericity_experiment(
 
     Trial t draws its perturbation with seed ``seed + t``, so runs are
     reproducible point by point.  One ``solve_grid`` call solves every
-    trial's grid, each node cold, and one SVD batch gives every trial's
-    coranks at each of ``rank_tols`` (default ``(config.rank_tol,)``).
-    Raises ValueError for ``trials < 1`` or an empty ``rank_tols``: a sweep
-    over no trials or no tolerance certifies nothing.
+    trial's grid, each node cold, one SVD batch gives every node's singular
+    values, and one ``numerical_rank`` call per tolerance of ``rank_tols``
+    (default ``(config.rank_tol,)``) gives every trial's coranks.  Raises
+    ValueError for ``trials < 1`` or an empty ``rank_tols``: a sweep over no
+    trials or no tolerance certifies nothing.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -170,27 +165,10 @@ def genericity_experiment(
     result = solve_grid(problem, grid.weights, config, pis)
     jac = problem.evaluate(result.x)[1] + np.repeat(pis, grid.node_count, axis=0)
     sv = np.linalg.svd(jac, compute_uv=False).reshape(trials, grid.node_count, -1)
-    residual = result.residual.reshape(trials, -1)
-    failed = residual > result.tol.reshape(trials, -1)
-    results = [
-        GenericityTrial(
-            trial=t,
-            seed=seed + t,
-            scale=scale,
-            certificates={tol: corank_certificate(sv[t], tol) for tol in tols},
-            max_kkt_residual=float(residual[t].max()),
-            failures=np.flatnonzero(failed[t]).tolist(),
-        )
-        for t in range(trials)
-    ]
-    return GenericityReport(
-        trials=trials,
-        scale=scale,
-        resolution=resolution,
-        base_seed=seed,
-        rank_tols=tols,
-        results=results,
-    )
+    corank = np.array([sv.shape[-1] - numerical_rank(sv, tol) for tol in tols])
+    return GenericityReport(trials, scale, resolution, seed, tols,
+                            result.residual.reshape(trials, -1),
+                            (result.residual <= result.tol).reshape(trials, -1), sv, corank)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +241,8 @@ class TrackerReport:
             "singular_values": self.singular_values.tolist(),
             "cokernel": self.cokernel.tolist(),
             "meets_simplex_interior": self.meets_simplex_interior,
-            "interior_margin": self.interior_margin,
+            # -inf when the cokernel is empty or the LP fails, and JSON has no Infinity
+            "interior_margin": self.interior_margin if np.isfinite(self.interior_margin) else None,
             "interior_witness": (
                 None if self.interior_witness is None else self.interior_witness.tolist()
             ),
@@ -364,25 +343,24 @@ def corank2_tracker(
 
 
 @dataclass
-class StabilityRow:
-    scale: float
-    seed: int
-    sup_displacement: float
-    mean_displacement: float
-
-
-@dataclass
 class StabilityReport:
+    """Displacement of the atlas at each perturbation scale, one entry per scale."""
+
     resolution: int
     seed: int
-    rows: list[StabilityRow]
+    scales: np.ndarray  # (k,)
+    sup_displacement: np.ndarray  # (k,) max over nodes of |x_scale - x_0|
+    mean_displacement: np.ndarray  # (k,)
 
     def as_dict(self) -> dict:
+        columns = zip(self.scales.tolist(), self.sup_displacement.tolist(),
+                      self.mean_displacement.tolist())
         return {
             "schema": "pareto-atlas/stability-v1",
             "resolution": self.resolution,
             "seed": self.seed,
-            "rows": [r.__dict__.copy() for r in self.rows],
+            "rows": [{"scale": scale, "seed": self.seed, "sup_displacement": sup,
+                      "mean_displacement": mean} for scale, sup, mean in columns],
         }
 
 
@@ -400,7 +378,7 @@ def stability_experiment(
     One ``solve_grid`` call solves the grid for the linear terms
     [0, pi_1, ..., pi_k], the unperturbed problem first, every node cold.
     """
-    scales = [float(scale) for scale in scales]
+    scales = np.array(scales, dtype=float)
     pis = np.array([LinearPerturbation.draw(problem.n, problem.m, seed, scale).coefficients
                     for scale in [0.0, *scales]])
     grid = SimplexGrid(problem.m, resolution)
@@ -408,13 +386,4 @@ def stability_experiment(
     raise_unconverged(result)
     x = result.x.reshape(len(pis), grid.node_count, problem.n)
     gaps = row_norms((x[1:] - x[0]).reshape(-1, problem.n)).reshape(len(scales), grid.node_count)
-    rows = [
-        StabilityRow(
-            scale=scale,
-            seed=seed,
-            sup_displacement=float(gap.max()),
-            mean_displacement=float(gap.mean()),
-        )
-        for scale, gap in zip(scales, gaps)
-    ]
-    return StabilityReport(resolution=resolution, seed=seed, rows=rows)
+    return StabilityReport(resolution, seed, scales, gaps.max(axis=1), gaps.mean(axis=1))

@@ -162,17 +162,15 @@ def test_c08_ridge_path_matches_normal_equations_at_hundred_weights():
     lambda = mu solution and theta = 0."""
     instance = ridge_instance(seed=42, n_obs=20, p=5, mu=0.1)
     report = ridge_path(instance, resolution=100)
-    interior_rows = report.rows[:-1]
-    assert len(interior_rows) == 100
-    assert max(r.oracle_gap for r in interior_rows) <= 1e-8
-    first, last = report.rows[0], report.rows[-1]
-    assert first.lam == instance.mu
+    assert len(report.lam) - 1 == 100  # interior rows, then the w1 = 0 vertex
+    assert report.oracle_gap[:-1].max() <= 1e-8
+    assert report.lam[0] == instance.mu
     xtx = instance.x_data.T @ instance.x_data
     xty = instance.x_data.T @ instance.y_data
     base = np.linalg.solve(xtx + instance.mu * np.eye(5), xty)
-    assert_allclose(first.theta, base, atol=1e-8)
-    assert last.lam == np.inf
-    assert np.linalg.norm(last.theta) <= 1e-8
+    assert_allclose(report.theta[0], base, atol=1e-8)
+    assert report.lam[-1] == np.inf
+    assert np.linalg.norm(report.theta[-1]) <= 1e-8
 
 
 def test_c09_genericity_under_twenty_seeded_perturbations():
@@ -214,7 +212,7 @@ def test_c11_displacement_table_decreases_with_scale():
     report = stability_experiment(
         problem, scales=[1e-1, 1e-2, 1e-3], resolution=10, seed=0
     )
-    sups = [row.sup_displacement for row in report.rows]
+    sups = report.sup_displacement
     assert sups[0] > sups[1] > sups[2]
     assert sups[2] <= 1e-2
 

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from conftest import child_env, phenotypic_instance
 from pareto_atlas import (
+    DEFAULT_RANK_TOL,
     DistanceSquared,
     LocationInstance,
     SolverConfig,
@@ -41,7 +42,7 @@ class TestLocation:
 
     def test_collinear_points_are_not_in_general_position(self):
         flat = LocationInstance([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        assert not flat.general_position
+        assert not flat.affinely_independent(DEFAULT_RANK_TOL)
         report = location_pareto_set(flat, resolution=8)
         assert not report.general_position
         # the barycenter formula holds regardless
@@ -54,19 +55,20 @@ class TestLocation:
     ])
     def test_general_position_does_not_depend_on_the_units(self, points, independent):
         for s in (1e-10, 1.0, 1e10):
-            assert LocationInstance(s * np.asarray(points)).general_position is independent
+            instance = LocationInstance(s * np.asarray(points))
+            assert instance.affinely_independent(DEFAULT_RANK_TOL) is independent
 
     def test_general_position_is_decided_at_the_run_rank_tol(self):
         # the differences have singular values about sqrt(5) and 1e-6 / sqrt(5)
         instance = LocationInstance([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-6]])
-        assert instance.general_position  # ratio about 2e-7, above the default 1e-8
+        assert instance.affinely_independent(DEFAULT_RANK_TOL)  # ratio about 2e-7, above 1e-8
         for rank_tol, independent in ((1e-8, True), (1e-6, False)):
             report = location_pareto_set(instance, 2, SolverConfig(rank_tol=rank_tol))
             assert report.general_position is independent
 
     def test_single_demand_point(self):
         instance = LocationInstance([[3.0, -1.0, 2.0]])
-        assert instance.general_position
+        assert instance.affinely_independent(DEFAULT_RANK_TOL)
         report = location_pareto_set(instance, resolution=4)
         assert report.atlas.grid.node_count == 1
         assert_allclose(report.atlas.x[0], [3.0, -1.0, 2.0], atol=1e-12)
@@ -77,7 +79,7 @@ class TestLocation:
         # optimal set is still exactly the convex hull of the demand points
         points = rng.normal(size=(5, 3))
         instance = LocationInstance(points)
-        assert not instance.general_position
+        assert not instance.affinely_independent(DEFAULT_RANK_TOL)
         report = location_pareto_set(instance, resolution=5)
         assert report.max_barycentric_error <= 1e-10
         assert report.max_hull_violation <= 1e-9
@@ -230,6 +232,25 @@ class TestHullLPsAcrossProcesses:
         assert outputs[0][0] == 0 and b'"max_hull_violation"' in outputs[0][1]
         assert outputs[0] == outputs[1]
 
+    def test_the_workers_inherit_scipy_optimize(self, tmp_path):
+        """SciPy's optimizer is loaded once, before the fork, not in the parent
+        and again in each worker."""
+        problem = tmp_path / "points.json"
+        problem.write_text(serialize_problem(DistanceSquared(self.POINTS)))
+        script = ("import concurrent.futures, os, sys\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "class Pool(concurrent.futures.ProcessPoolExecutor):\n"
+                  "    def __init__(self, *args, **kwargs):\n"
+                  "        print('scipy.optimize' in sys.modules, file=sys.stderr)\n"
+                  "        super().__init__(*args, **kwargs)\n"
+                  "concurrent.futures.ProcessPoolExecutor = Pool\n"
+                  "from pareto_atlas.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", script, "locate", str(problem), "-r", "12"],
+                              cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "True\n")
+
 
 class TestPhenotypic:
     def test_random_instance_is_weakly_simplicial(self):
@@ -278,18 +299,18 @@ class TestRidge:
 
     def test_path_tracks_the_normal_equations(self, ridge20x5):
         report = ridge_path(ridge20x5, resolution=40)
-        assert len(report.rows) == 41
+        assert len(report.lam) == 41
         assert report.max_oracle_gap <= 1e-10
-        lams = report.lambdas()
+        lams = report.lam
         assert lams[0] == pytest.approx(ridge20x5.mu)
         assert np.all(np.diff(lams[:-1]) > 0)
         assert lams[-1] == np.inf
-        norms = report.theta_norms()
+        norms = np.linalg.norm(report.theta, axis=1)
         assert np.all(np.diff(norms) <= 1e-12)  # shrinkage is monotone
         assert norms[-1] <= 1e-10
         # each row's lambda agrees with the weight it came from
-        for r in report.rows[:-1]:
-            assert r.lam == pytest.approx(ridge_lambda(r.w1, r.w2, ridge20x5.mu))
+        for (w1, w2), lam in zip(report.weights[:-1], lams[:-1]):
+            assert lam == pytest.approx(ridge_lambda(w1, w2, ridge20x5.mu))
 
     @pytest.mark.parametrize("resolution", [0, -2])
     def test_resolution_below_one_rejected(self, ridge20x5, resolution):
@@ -308,7 +329,7 @@ class TestRidge:
         ] + ["residual"]
         assert len(rows) == 1 + 11
         got = np.array([float(v) for v in rows[1][3 : 3 + p]])
-        assert_allclose(got, report.rows[0].theta, rtol=1e-15)
+        assert_allclose(got, report.theta[0], rtol=1e-15)
 
     def test_from_csv_with_and_without_header(self, tmp_path):
         data = np.arange(12.0).reshape(4, 3)

@@ -545,6 +545,8 @@ def _json_runs(problem, path: Path, out: Path):
             (["perturb", str(path), "--stability", "-r", "3"], [])]
     if problem.n == problem.m == 4:
         runs.append((["perturb", str(path), "--track"], []))
+        # corank 0 at the root: an empty cokernel, whose interior margin is -inf
+        runs.append((["perturb", str(path), "--track", "--rank-tol", "0"], []))
     if isinstance(problem.family, DistanceSquared):
         runs.append((["locate", str(path), "-r", "3", "--out", str(out / "loc")],
                      [out / "loc.json"]))
@@ -634,6 +636,40 @@ def test_run_document_key_order(name, monkeypatch, tmp_path, capsys):
     assert doc["command"] == name.split("-")[0]
     assert (list(doc["options"]) if "options" in doc else None) == options
     assert list(doc["input"]) == (["data", "mu"] if name == "ridge" else ["problem", "sha256"])
+
+
+_RIDGE_RUN = ["ridge", "ridge.csv", "--mu", "0.1", "-r", "5", "--out", "path.csv"]
+_SWEEP_RUN = ["perturb", "--builtin", "remark_g", "--trials", "3", "-r", "6",
+              "--rank-tols", "1e-9", "--rank-tols", "0.05", "--json"]
+# golden name: argv, exit status, stderr, {written file: golden file}
+_RECORDED = {
+    "ridge": (_RIDGE_RUN, 0, "", {"path.csv": "ridge-path.csv"}),
+    "ridge-json": (_RIDGE_RUN + ["--json"], 0, "", {"path.csv": "ridge-path.csv"}),
+    "stability-example32": (["perturb", "--builtin", "example32", "--stability"], 0, "", {}),
+    "stability-example32-json": (["perturb", "--builtin", "example32", "--stability", "--json"],
+                                 0, "", {}),
+    "stability-remark_g-r10": (["perturb", "--builtin", "remark_g", "--stability", "-r", "10"],
+                               0, "", {}),
+    "stability-remark_g-r10-json": (["perturb", "--builtin", "remark_g", "--stability", "-r",
+                                     "10", "--json"], 0, "", {}),
+    "genericity-remark_g-json": (_SWEEP_RUN, 1, "", {}),
+    "genericity-remark_g-max-iter0-json": (_SWEEP_RUN + ["--max-iter", "0"], 3,
+                                           "error: 252 nodes failed to converge\n", {}),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORDED))
+def test_report_output_matches_the_recorded_bytes(name, monkeypatch, tmp_path, capsys):
+    """The ridge, stability and genericity reports print and write the
+    recorded bytes (``tests/golden/NAME.txt`` is stdout) and exit as recorded."""
+    argv, status, stderr, files = _RECORDED[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ridge.csv").write_text(_RIDGE_DATA)
+    assert main(argv) == status
+    out, err = capsys.readouterr()
+    assert (out, err) == ((GOLDEN / f"{name}.txt").read_text(), stderr)
+    for written, recorded in files.items():
+        assert (tmp_path / written).read_bytes() == (GOLDEN / recorded).read_bytes()
 
 
 def test_console_script_runs():

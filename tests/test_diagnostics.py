@@ -120,7 +120,8 @@ def test_every_layer_judges_corank_at_the_config_rank_tol(example31, remark_g):
     assert sweep.rank_tols == (1e-3,)
     pi = LinearPerturbation.draw(3, 3, 3, 0.1)
     trial_atlas = build_atlas(perturb_problem(example31, pi), 6, config)
-    assert_judged_like_the_atlas(sweep.results[0].certificates[1e-3], trial_atlas)
+    assert_judged_like_the_atlas(corank_certificate(sweep.sv[0], 1e-3), trial_atlas)
+    assert np.array_equal(sweep.corank[0, 0], trial_atlas.corank)
     with pytest.raises(ValueError, match="rank_tols"):
         genericity_experiment(example31, 2, 0.1, 6, rank_tols=(), config=config)
 

@@ -80,7 +80,7 @@ class TestGenericity:
         for tol in (1e-7, 1e-8, 1e-9):
             assert report.all_simplicial(tol)
             assert report.corank2_trials(tol) == []
-        assert [t.seed for t in report.results] == [0, 1, 2, 3]
+        assert [row["seed"] for row in report.as_dict()["results"]] == [0, 1, 2, 3]
 
     def test_zero_scale_detects_the_degenerate_point(self, example31):
         # scale 0 leaves the problem unperturbed; the pinch stays visible
@@ -96,10 +96,10 @@ class TestGenericity:
 
     def test_max_kkt_residual_is_the_worst_node(self, example31):
         report = genericity_experiment(example31, 2, 0.1, 6, seed=2)
-        for trial in report.results:
-            pi = LinearPerturbation.draw(3, 3, trial.seed, 0.1)
+        for t, row in enumerate(report.as_dict()["results"]):
+            pi = LinearPerturbation.draw(3, 3, 2 + t, 0.1)
             atlas = build_atlas(perturb_problem(example31, pi), 6)
-            assert trial.max_kkt_residual == atlas.summary.max_kkt_residual
+            assert row["max_kkt_residual"] == atlas.summary.max_kkt_residual
 
     def test_report_dict_is_json_ready(self, example31):
         import json
@@ -206,7 +206,7 @@ class TestStability:
         report = stability_experiment(
             example32, scales=[0.1, 0.01, 0.001], resolution=6, seed=0
         )
-        sups = [r.sup_displacement for r in report.rows]
+        sups = report.sup_displacement
         assert sups[0] > sups[1] > sups[2]
         # one direction, shrunk: displacement is asymptotically linear in scale
         assert_allclose(sups[1] / sups[0], 0.1, rtol=1e-2)
@@ -214,7 +214,7 @@ class TestStability:
 
     def test_zero_scale_leaves_points_fixed(self, example32):
         report = stability_experiment(example32, scales=[0.0], resolution=5, seed=0)
-        assert report.rows[0].sup_displacement == 0.0
+        assert report.sup_displacement[0] == 0.0
 
     def test_report_dict(self, example32):
         import json

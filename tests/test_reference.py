@@ -777,17 +777,17 @@ def test_batched_genericity_matches_one_atlas_per_trial(name, problem, max_iter)
     config = SolverConfig(max_iter=max_iter)
     tols = (1e-7, 1e-8, 1e-9)
     report = genericity_experiment(problem, 3, 0.3, 6, rank_tols=tols, seed=5, config=config)
-    for trial in report.results:
-        pi = LinearPerturbation.draw(problem.n, problem.m, trial.seed, 0.3)
+    for t in range(3):
+        pi = LinearPerturbation.draw(problem.n, problem.m, 5 + t, 0.3)
         atlas = build_atlas(perturb_problem(problem, pi), 6, config)
-        assert trial.failures == atlas.failures
-        assert trial.max_kkt_residual == atlas.residual.max()
-        for tol in tols:
-            want, got = corank_certificate(atlas.sv, tol), trial.certificates[tol]
-            assert np.array_equal(got.coranks, want.coranks)
+        assert np.flatnonzero(~report.converged[t]).tolist() == atlas.failures
+        assert report.residual[t].max() == atlas.residual.max()
+        for i, tol in enumerate(tols):
+            want, got = corank_certificate(atlas.sv, tol), corank_certificate(report.sv[t], tol)
+            assert np.array_equal(report.corank[i, t], want.coranks)
             assert (got.witnesses, got.min_gap) == (want.witnesses, want.min_gap)
     if max_iter == 0:
-        assert all(trial.failures for trial in report.results)
+        assert (~report.converged).any(axis=1).all()
 
 
 @pytest.mark.parametrize("name,problem", _perturbation_problems())
@@ -810,9 +810,10 @@ def test_stability_matches_one_batch_per_scale(name, problem):
     report = stability_experiment(problem, scales, 5, seed=3)
     weights = SimplexGrid(problem.m, 5).weights
     base_x = minimize_weighted(problem, weights).x
-    for scale, row in zip(scales, report.rows):
+    for k, scale in enumerate(scales):
         pi = LinearPerturbation.draw(problem.n, problem.m, 3, scale)
         moved = minimize_weighted(perturb_problem(problem, pi), weights)
         gaps = row_norms(moved.x - base_x)
-        assert (row.sup_displacement, row.mean_displacement) == (gaps.max(), gaps.mean())
-    assert stability_experiment(problem, [], 5).rows == []
+        got = (report.sup_displacement[k], report.mean_displacement[k])
+        assert got == (gaps.max(), gaps.mean())
+    assert stability_experiment(problem, [], 5).as_dict()["rows"] == []

@@ -61,13 +61,13 @@ from .problems import (
     ProblemFormatError,
     RemarkG,
     RidgePair,
-    Weight,
     build_problem,
     builtin_problem,
     check_strong_convexity,
     parse_problem,
     restrict,
     serialize_problem,
+    simplex_weight,
 )
 from .solver import (
     MaxIterExceeded,

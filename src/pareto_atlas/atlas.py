@@ -19,7 +19,7 @@ import numpy as np
 
 from .diagnostics import numerical_rank
 from .ordering import DOMINANCE_TOL, dominating_pairs
-from .problems import Weight, strong_convexity_constant
+from .problems import strong_convexity_constant
 from .solver import (
     DEFAULT_CONFIG,
     NewtonResult,
@@ -114,9 +114,6 @@ class SimplexGrid:
     def step(self) -> float:
         """Euclidean length of one grid move (a unit transposition)."""
         return np.sqrt(2.0) / self.resolution
-
-    def face_of(self, i: int) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.nonzero(self.nodes[i])[0])
 
     def faces(self) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """The distinct node supports (0-based faces) in order of first
@@ -317,8 +314,7 @@ class ParetoAtlas:
         """
         columns = (self.x, self.f, self.residual.tolist(), self.sv, self.corank.tolist(),
                    self.iterations.tolist(), self.grad_tol.tolist(), self.converged.tolist())
-        return [ParetoPoint(Weight(w, self.grid.face_of(i)), *row)
-                for i, (w, *row) in enumerate(zip(self.grid.weights, *columns))]
+        return [ParetoPoint(w, *row) for w, *row in zip(self.grid.weights, *columns)]
 
     @cached_property
     def summary(self) -> AtlasSummary:
@@ -512,12 +508,6 @@ class InjectivityReport:
     collapsed_pairs: list[tuple[int, int]]
     collapse_tol: float
     weight_threshold: float
-
-    def pair_weights(self, atlas: ParetoAtlas):
-        return [
-            (atlas.grid.weights[a].copy(), atlas.grid.weights[b].copy())
-            for a, b in self.collapsed_pairs
-        ]
 
 
 def injectivity_scan(atlas: ParetoAtlas, collapse_tol: float = 1e-6) -> InjectivityReport:

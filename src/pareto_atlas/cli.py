@@ -217,7 +217,7 @@ def cmd_solve(args, parser) -> int:
         pt = scalarize(problem, w, config)
         points.append(
             {
-                "w": pt.weight.coordinates.tolist(),
+                "w": pt.weight.tolist(),
                 "x": pt.x.tolist(),
                 "f": pt.fx.tolist(),
                 "kkt_residual": pt.kkt_residual,
@@ -226,7 +226,7 @@ def cmd_solve(args, parser) -> int:
             }
         )
         lines.append(
-            f"w={_fmt_vec(pt.weight.coordinates)} x={_fmt_vec(pt.x)} "
+            f"w={_fmt_vec(pt.weight)} x={_fmt_vec(pt.x)} "
             f"f={_fmt_vec(pt.fx)} kkt={pt.kkt_residual:.3e} corank={pt.corank}"
         )
     return _report(args, lines, "solve", OK, input=source, points=points)

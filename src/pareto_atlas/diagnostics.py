@@ -88,12 +88,6 @@ class CorankCertificate:
     simplicial_on_sample: bool
     min_gap: float  # worst retained-singular-value margin across nodes
 
-    def describe(self) -> str:
-        verdict = "corank <= 1 on sample" if self.simplicial_on_sample else (
-            f"corank {self.max_corank} at {len(self.witnesses)} node(s)"
-        )
-        return f"corank certificate (tol {self.tolerance:g}): {verdict}"
-
 
 def corank_certificate(sv: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> CorankCertificate:
     """Corank certificate from each node's Jacobian singular values.
@@ -161,7 +155,7 @@ def cokernel_alignment(problem, x, weight, tol: float = DEFAULT_RANK_TOL) -> flo
     Jacobian rows, which is the first-order optimality condition at a
     scalarized minimizer.
     """
-    w = np.asarray(getattr(weight, "coordinates", weight), dtype=float)
+    w = np.asarray(weight, dtype=float)
     w_hat = w / np.linalg.norm(w)
     u, _, _, rank = _svd_spaces(problem.gradients(x), tol)
     return float(np.linalg.norm(u[:, :rank].T @ w_hat))

@@ -4,7 +4,8 @@ Every family evaluates values, gradients and Hessians analytically (all
 built-in families are quadratic polynomials, so the derivatives are exact),
 for a whole stack of points in one ``evaluate`` call.  A problem is the
 mapping f = (f_1, ..., f_m); the solver and atlas modules only ever touch it
-through ``evaluate``.
+through ``evaluate``.  A weight on the simplex is a plain coordinate array;
+``simplex_weight`` checks a single one.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 
 __all__ = [
     "ProblemFormatError",
-    "Weight",
+    "simplex_weight",
     "GenericQuadratic",
     "Example31",
     "Example31Perturbed",
@@ -39,6 +40,22 @@ __all__ = [
 WEIGHT_SUM_TOL = 1e-12
 
 
+def simplex_weight(coords) -> np.ndarray:
+    """``coords`` as a float array, checked to be a point of the weight
+    simplex: a nonempty finite vector of nonnegative entries summing to 1."""
+    w = np.asarray(coords, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("weight coordinates must be a nonempty vector")
+    if not np.isfinite(w).all():
+        raise ValueError("weight coordinates must be finite")
+    total = float(w.sum())
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"weight coordinates must sum to 1, got {total!r}")
+    if (w < 0.0).any():
+        raise ValueError("weight coordinates must be nonnegative")
+    return w
+
+
 class ProblemFormatError(ValueError):
     """Malformed problem description (bad shapes, non-PD matrix, bad JSON)."""
 
@@ -52,54 +69,6 @@ def _require_symmetric_pd(mat: np.ndarray, name: str) -> None:
         raise ProblemFormatError(
             f"{name} must be positive definite (min eigenvalue {eigmin:.3e})"
         )
-
-
-# ---------------------------------------------------------------------------
-# Weights on the standard simplex
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Weight:
-    """A point of the weight simplex, optionally pinned to a face.
-
-    ``coordinates`` is a length-m vector with nonnegative entries summing to
-    one.  ``face`` is the sorted tuple of 0-based indices allowed to be
-    nonzero; entries outside the face must be exactly zero.
-    """
-
-    coordinates: np.ndarray
-    face: tuple[int, ...]
-
-    def __post_init__(self):
-        coords = np.asarray(self.coordinates, dtype=float)
-        object.__setattr__(self, "coordinates", coords)
-        object.__setattr__(self, "face", tuple(sorted(self.face)))
-        if coords.ndim != 1 or coords.size == 0:
-            raise ValueError("weight coordinates must be a nonempty vector")
-        if not np.isfinite(coords).all():
-            raise ValueError("weight coordinates must be finite")
-        if abs(coords.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weight coordinates must sum to 1, got {coords.sum()!r}")
-        if (coords < 0.0).any():
-            raise ValueError("weight coordinates must be nonnegative")
-        m = coords.size
-        if any(i < 0 or i >= m for i in self.face):
-            raise ValueError("face indices out of range")
-        off_face = [i for i in range(m) if i not in self.face]
-        if any(coords[i] != 0.0 for i in off_face):
-            raise ValueError("coordinates outside the face must be zero")
-
-    @classmethod
-    def of(cls, coords) -> "Weight":
-        """Build a weight whose face is the support of ``coords``."""
-        arr = np.asarray(coords, dtype=float)
-        support = tuple(int(i) for i in np.nonzero(arr)[0])
-        return cls(arr, support if support else (0,))
-
-    @property
-    def m(self) -> int:
-        return self.coordinates.size
 
 
 # ---------------------------------------------------------------------------

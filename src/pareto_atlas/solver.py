@@ -5,7 +5,9 @@ strongly convex, so the mixed Hessian sum_i w_i H(f_i) is positive definite
 wherever at least one weight is positive and Newton steps (with Armijo
 backtracking) converge to the unique minimizer, which is the Pareto point
 attached to w.  The solver runs a whole stack of weights as one batch: every
-node takes its own steps and stops on its own tolerance.
+node takes its own steps and stops on its own tolerance.  Weights are plain
+coordinate arrays: an (N, m) stack for ``minimize_weighted``, one vector for
+``scalarize``, which checks it with ``problems.simplex_weight``.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import DEFAULT_RANK_TOL, numerical_rank
-from .problems import Weight, restrict, with_linear
+from .problems import restrict, simplex_weight, with_linear
 
 __all__ = [
     "SolverConfig",
@@ -71,7 +73,7 @@ ARMIJO_SHRINK = 0.5  # step-length factor per rejected trial
 class ParetoPoint:
     """A solved scalarization: weight, minimizer, values and rank data."""
 
-    weight: Weight
+    weight: np.ndarray  # the simplex weight's coordinates
     x: np.ndarray
     fx: np.ndarray
     kkt_residual: float
@@ -235,15 +237,14 @@ def pareto_columns(problem, result: NewtonResult, rank_tol: float):
 def scalarize(problem, weight, config: SolverConfig = DEFAULT_CONFIG) -> ParetoPoint:
     """Pareto point for a simplex weight, solved from the origin.
 
-    Accepts a Weight or a raw coordinate vector (validated on the way in).
-    The returned point stores the Jacobian singular values and corank at the
+    ``weight`` is a coordinate vector, checked by ``simplex_weight``.  The
+    returned point stores the Jacobian singular values and corank at the
     minimizer so downstream certificates can reuse or recompute them.
     """
-    if not isinstance(weight, Weight):
-        weight = Weight.of(weight)
-    if weight.m != problem.m:
-        raise ValueError(f"weight has {weight.m} coordinates, problem has m={problem.m}")
-    result = minimize_weighted(problem, weight.coordinates[None, :], config)
+    weight = simplex_weight(weight)
+    if weight.size != problem.m:
+        raise ValueError(f"weight has {weight.size} coordinates, problem has m={problem.m}")
+    result = minimize_weighted(problem, weight[None, :], config)
     raise_unconverged(result)
     values, sv, coranks, _ = pareto_columns(problem, result, config.rank_tol)
     return ParetoPoint(weight, result.x[0], values[0], float(result.residual[0]), sv[0],
@@ -253,13 +254,17 @@ def scalarize(problem, weight, config: SolverConfig = DEFAULT_CONFIG) -> ParetoP
 def subproblem_solve(problem, indices, face_weight, config: SolverConfig = DEFAULT_CONFIG) -> ParetoPoint:
     """Pareto point of the restricted problem keeping objectives ``indices``.
 
-    ``face_weight`` may be given in face coordinates (length = len(indices))
-    or as a full-length weight supported on the face.  The returned point is
-    a point of the restricted problem: its weight and values have one entry
-    per kept objective.
+    ``indices`` must be strictly increasing, so that a weight in face
+    coordinates (length = len(indices)) pairs entry j with objective
+    ``indices[j]``; a full-length weight supported on the face is also
+    accepted.  The returned point is a point of the restricted problem: its
+    weight and values have one entry per kept objective.
     """
+    indices = [int(i) for i in indices]
+    if any(b <= a for a, b in zip(indices, indices[1:])):
+        raise ValueError(f"face indices must be strictly increasing, got {tuple(indices)}")
     sub = restrict(problem, indices)
-    w = np.asarray(getattr(face_weight, "coordinates", face_weight), dtype=float)
+    w = np.asarray(face_weight, dtype=float)
     if w.shape == (problem.m,):
         off = np.delete(w, sub.indices)
         if off.size and np.abs(off).max() != 0.0:
@@ -267,7 +272,7 @@ def subproblem_solve(problem, indices, face_weight, config: SolverConfig = DEFAU
         w = w[list(sub.indices)]
     if w.shape != (sub.m,):
         raise ValueError(f"face weight must have length {sub.m} or {problem.m}")
-    return scalarize(sub, Weight.of(w), config)
+    return scalarize(sub, w, config)
 
 
 def x_star_derivative(problem, point: ParetoPoint) -> np.ndarray:
@@ -283,7 +288,7 @@ def x_star_derivative(problem, point: ParetoPoint) -> np.ndarray:
     """
     if problem.m == 1:
         return np.zeros((problem.n, 0))
-    w = point.weight.coordinates[None, :]
+    w = point.weight[None, :]
     _, _, mixed = _scalarized(problem, w, point.x[None, :])
     grads = problem.gradients(point.x)
     rhs = (grads[:-1] - grads[-1]).T  # (n, m-1)

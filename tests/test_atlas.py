@@ -50,9 +50,8 @@ class TestSimplexGrid:
 
     def test_face_of_is_support(self):
         grid = SimplexGrid(3, 2)
-        assert grid.face_of(0) == (2,)
-        assert grid.face_of(1) == (1, 2)
-        assert grid.face_of(3) == (0, 2)
+        faces, which = grid.faces()
+        assert [faces[k] for k in which[[0, 1, 3]]] == [(2,), (1, 2), (0, 2)]
 
     def test_adjacent_moves_have_fixed_length(self):
         grid = SimplexGrid(3, 5)
@@ -343,7 +342,8 @@ class TestInjectivity:
         report = injectivity_scan(atlas)
         assert not report.injective_on_sample
         assert report.collapsed_pairs
-        for wa, wb in report.pair_weights(atlas):
+        for a, b in report.collapsed_pairs:
+            wa, wb = atlas.grid.weights[a], atlas.grid.weights[b]
             assert wa[1] == wa[2] and wb[1] == wb[2]
 
     def test_perturbed_pinch_is_injective(self, example31_perturbed):

@@ -62,6 +62,10 @@ class TestSolve:
         assert main(["solve", "--builtin", "example31", "-w", "nan,0.5,0.5"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_weight_sum_error_prints_a_plain_float(self, capsys):
+        assert main(["solve", "--builtin", "example32", "-w", "0.5,0.4,0"]) == 2
+        assert capsys.readouterr() == ("", "error: weight coordinates must sum to 1, got 0.9\n")
+
 
 class TestProblemLoading:
     def test_file_and_builtin_together_rejected(self):
@@ -641,6 +645,8 @@ def test_run_document_key_order(name, monkeypatch, tmp_path, capsys):
 _RIDGE_RUN = ["ridge", "ridge.csv", "--mu", "0.1", "-r", "5", "--out", "path.csv"]
 _SWEEP_RUN = ["perturb", "--builtin", "remark_g", "--trials", "3", "-r", "6",
               "--rank-tols", "1e-9", "--rank-tols", "0.05", "--json"]
+_SOLVE_RUN = ["solve", "--builtin", "example31", "-w", "0.2,0.3,0.5", "-w", "1,0,0",
+              "-w", "0,0.5,0.5"]
 # golden name: argv, exit status, stderr, {written file: golden file}
 _RECORDED = {
     "ridge": (_RIDGE_RUN, 0, "", {"path.csv": "ridge-path.csv"}),
@@ -655,12 +661,20 @@ _RECORDED = {
     "genericity-remark_g-json": (_SWEEP_RUN, 1, "", {}),
     "genericity-remark_g-max-iter0-json": (_SWEEP_RUN + ["--max-iter", "0"], 3,
                                            "error: 252 nodes failed to converge\n", {}),
+    "solve-example31": (_SOLVE_RUN, 0, "", {}),
+    "solve-example31-json": (_SOLVE_RUN + ["--json"], 0, "", {}),
+    "solve-remark_g-json": (["solve", "--builtin", "remark_g", "-w", "0.25,0.25,0.25,0.25",
+                             "-w", "0,0,0,1", "--json"], 0, "", {}),
+    "solve-example32-max-iter0": (
+        ["solve", "--builtin", "example32", "-w", "0.2,0.3,0.5", "--max-iter", "0"], 3,
+        "solver error: no convergence after 0 iterations (residual 5.967e+00, tol 5.967e-10)\n",
+        {}),
 }
 
 
 @pytest.mark.parametrize("name", list(_RECORDED))
 def test_report_output_matches_the_recorded_bytes(name, monkeypatch, tmp_path, capsys):
-    """The ridge, stability and genericity reports print and write the
+    """The solve, ridge, stability and genericity reports print and write the
     recorded bytes (``tests/golden/NAME.txt`` is stdout) and exit as recorded."""
     argv, status, stderr, files = _RECORDED[name]
     monkeypatch.chdir(tmp_path)

@@ -26,7 +26,6 @@ from pareto_atlas import (
     ProblemFormatError,
     RemarkG,
     RidgePair,
-    Weight,
     build_atlas,
     build_problem,
     builtin_problem,
@@ -35,6 +34,7 @@ from pareto_atlas import (
     perturb_problem,
     restrict,
     serialize_problem,
+    simplex_weight,
 )
 from pareto_atlas.cli import main
 from pareto_atlas.problems import WEIGHT_SUM_TOL
@@ -172,35 +172,29 @@ class TestFrozenValues:
 
 class TestWeight:
     def test_of_builds_support_face(self):
-        w = Weight.of([0.5, 0.0, 0.5])
-        assert w.face == (0, 2)
-        assert w.m == 3
+        """A weight on a face keeps its zeros; the result is a float array."""
+        w = simplex_weight([0.5, 0, 0.5])
+        assert w.dtype == float and w.tolist() == [0.5, 0.0, 0.5]
+        assert np.flatnonzero(w).tolist() == [0, 2]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            Weight.of([1.2, -0.2, 0.0])
+            simplex_weight([1.2, -0.2, 0.0])
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            Weight.of([0.5, 0.4])
-
-    def test_rejects_mass_off_face(self):
-        with pytest.raises(ValueError, match="outside the face"):
-            Weight(np.array([0.5, 0.5, 0.0]), (0,))
-
-    def test_rejects_face_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            Weight(np.array([1.0, 0.0]), (0, 5))
+        # the sum is printed as a Python float, not as a numpy repr
+        with pytest.raises(ValueError, match=r"sum to 1, got 0\.9$"):
+            simplex_weight([0.5, 0.4])
 
     @pytest.mark.parametrize("coords", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]])
     def test_rejects_non_finite(self, coords):
         # NaN slips past the sum check, since abs(nan - 1) > tol is False
         with pytest.raises(ValueError, match="finite"):
-            Weight.of(coords)
+            simplex_weight(coords)
 
     def test_accepts_rounded_grid_sum(self):
         coords = np.array([1, 7, 2], dtype=float) / 10.0
-        Weight.of(coords)  # no raise
+        simplex_weight(coords)  # no raise
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), m=st.integers(1, 5))
@@ -229,13 +223,12 @@ class TestWeight:
             coords *= 1.0 + data.draw(st.sampled_from([1e-15, 1e-13, 1e-11, -1e-11]))
         with np.errstate(invalid="ignore"):
             valid = bool(np.isfinite(coords).all() and (coords >= 0.0).all()
-                         and abs(coords.sum() - 1.0) <= WEIGHT_SUM_TOL
-                         and not coords[off_face].any())
+                         and abs(coords.sum() - 1.0) <= WEIGHT_SUM_TOL)
         if valid:
-            assert Weight(coords, face).face == face
+            assert np.array_equal(simplex_weight(coords), coords)
         else:
             with pytest.raises(ValueError):
-                Weight(coords, face)
+                simplex_weight(coords)
 
 
 class TestValidation:

@@ -21,9 +21,9 @@ from pareto_atlas import (
     DistanceSquared,
     GenericQuadratic,
     LinearPerturbation,
+    ParetoPoint,
     SimplexGrid,
     SolverConfig,
-    Weight,
     build_atlas,
     build_problem,
     builtin_problem,
@@ -203,8 +203,8 @@ def ref_report_dict(atlas) -> dict:
         nodes.append(
             {
                 "node": i,
-                "w": pt.weight.coordinates.tolist(),
-                "face": [j + 1 for j in atlas.grid.face_of(i)],
+                "w": pt.weight.tolist(),
+                "face": [j + 1 for j in np.flatnonzero(atlas.grid.nodes[i]).tolist()],
                 "x": pt.x.tolist(),
                 "f": pt.fx.tolist(),
                 "kkt_residual": pt.kkt_residual,
@@ -243,11 +243,11 @@ def ref_to_csv(atlas, path) -> None:
         writer.writerow(header)
         for i, pt in enumerate(atlas.points):
             writer.writerow(
-                [f"{v:.17g}" for v in pt.weight.coordinates]
+                [f"{v:.17g}" for v in pt.weight]
                 + [f"{v:.17g}" for v in pt.x]
                 + [f"{v:.17g}" for v in pt.fx]
                 + [f"{pt.kkt_residual:.17g}", str(pt.corank),
-                   ";".join(str(j + 1) for j in atlas.grid.face_of(i))]
+                   ";".join(str(j + 1) for j in np.flatnonzero(atlas.grid.nodes[i]))]
             )
 
 
@@ -707,27 +707,28 @@ def test_exports_hold_one_block_of_rows_at_a_time(tmp_path):
 
 def test_atlas_layers_build_no_weight_per_node(monkeypatch, tmp_path):
     """The atlas, its certificates and its exports read the grid's weight
-    rows; only the compatibility ``points`` builds a Weight per node, and it
-    holds the columns row by row."""
-    def refuse(self):
-        raise AssertionError("a Weight was built")
+    rows; only the compatibility ``points`` builds a ParetoPoint per node,
+    and it holds the columns row by row."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a ParetoPoint was built")
 
     with monkeypatch.context() as patch:
-        patch.setattr(Weight, "__post_init__", refuse)
+        patch.setattr(ParetoPoint, "__init__", refuse)
         atlas = build_atlas(softplus_problem(), 6, SolverConfig(max_iter=2))
         atlas.summary
         face_consistency(atlas)
         injectivity_scan(atlas)
         atlas.to_csv(tmp_path / "atlas.csv")
         atlas.to_json(tmp_path / "atlas.json")
+        with pytest.raises(AssertionError, match="ParetoPoint"):
+            atlas.points  # the refusal is live
     assert 0 < len(atlas.failures) < atlas.grid.node_count
     columns = (atlas.grid.weights, atlas.x, atlas.f, atlas.residual, atlas.sv, atlas.corank,
                atlas.iterations, atlas.grad_tol, atlas.converged)
     points = atlas.points
     assert len(points) == atlas.grid.node_count
     for i, pt in enumerate(points):
-        assert pt.weight.face == atlas.grid.face_of(i)
-        row = (pt.weight.coordinates, pt.x, pt.fx, pt.kkt_residual, pt.jacobian_sv, pt.corank,
+        row = (pt.weight, pt.x, pt.fx, pt.kkt_residual, pt.jacobian_sv, pt.corank,
                pt.iterations, pt.grad_tol, pt.converged)
         assert all(np.array_equal(got, col[i]) for got, col in zip(row, columns))
         assert [type(v) for v in row[5:]] == [int, int, float, bool]

@@ -13,7 +13,6 @@ from pareto_atlas import (
     Problem,
     SingularNewtonSystem,
     SolverConfig,
-    Weight,
     build_atlas,
     build_problem,
     minimize_weighted,
@@ -160,17 +159,12 @@ class TestBatch:
 class TestScalarize:
     def test_point_fields(self, example32):
         pt = scalarize(example32, np.array([0.5, 0.25, 0.25]))
-        assert isinstance(pt.weight, Weight)
+        assert pt.weight.dtype == float and pt.weight.tolist() == [0.5, 0.25, 0.25]
         assert pt.kkt_residual <= pt.grad_tol
         assert pt.fx.shape == (3,)
         sv = pt.jacobian_sv
         assert np.all(np.diff(sv) <= 0.0)  # descending
         assert pt.corank == 1  # weight annihilates the Jacobian rows
-
-    def test_accepts_weight_object(self, example32):
-        w = Weight(np.array([0.0, 0.5, 0.5]), (1, 2))
-        pt = scalarize(example32, w)
-        assert pt.weight.face == (1, 2)
 
     def test_weight_length_must_match(self, example32):
         with pytest.raises(ValueError, match="m="):
@@ -178,7 +172,7 @@ class TestScalarize:
 
     def test_kkt_residual_is_weighted_gradient_norm(self, example32):
         pt = scalarize(example32, np.array([0.2, 0.3, 0.5]))
-        grad = pt.weight.coordinates @ example32.gradients(pt.x)
+        grad = pt.weight @ example32.gradients(pt.x)
         assert_allclose(np.linalg.norm(grad), pt.kkt_residual, atol=1e-18)
 
 
@@ -192,6 +186,16 @@ class TestSubproblem:
     def test_mass_off_face_rejected(self, example32):
         with pytest.raises(ValueError, match="outside the face"):
             subproblem_solve(example32, (0, 2), np.array([0.25, 0.5, 0.25]))
+
+    @pytest.mark.parametrize("indices", [(2, 0), (0, 0, 2)])
+    def test_indices_must_be_strictly_increasing(self, example32, indices):
+        """A compact face weight pairs entry j with objective indices[j], so
+        unsorted or repeated indices would silently solve another weight."""
+        with pytest.raises(ValueError, match="strictly increasing"):
+            subproblem_solve(example32, indices, np.array([0.25, 0.75]))
+        # the pairing the caller meant: 0.75 on objective 0, 0.25 on objective 2
+        pt = subproblem_solve(example32, (0, 2), np.array([0.75, 0.25]))
+        assert_allclose(pt.x, [5.0 / 7.0, 6.0 / 7.0, 0.0], atol=1e-12)
 
     def test_single_objective_face(self, example32):
         pt = subproblem_solve(example32, (1,), np.array([1.0]))
@@ -208,14 +212,14 @@ class TestDerivative:
     def test_frozen_vertex_value(self, example31):
         """At w = (1, 0, 0) the chart derivative in z = (w1, w2) is
         [[-1/2, -1], [-1/2, -1], [0, 0]] (differentiating the closed form)."""
-        pt = scalarize(example31, Weight(np.array([1.0, 0.0, 0.0]), (0,)))
+        pt = scalarize(example31, np.array([1.0, 0.0, 0.0]))
         der = x_star_derivative(example31, pt)
         assert_allclose(der, [[-0.5, -1.0], [-0.5, -1.0], [0.0, 0.0]], atol=1e-12)
 
     def test_vertex_value_in_other_chart(self, example31):
         """Chain rule into the (w2, w3) chart gives
         [[-1/2, 1/2], [-1/2, 1/2], [0, 0]], matching the closed form."""
-        pt = scalarize(example31, Weight(np.array([1.0, 0.0, 0.0]), (0,)))
+        pt = scalarize(example31, np.array([1.0, 0.0, 0.0]))
         der = x_star_derivative(example31, pt)
         chart = np.array([[-1.0, -1.0], [1.0, 0.0]])  # d(w1,w2)/d(w2,w3)
         assert_allclose(der @ chart, [[-0.5, 0.5], [-0.5, 0.5], [0.0, 0.0]], atol=1e-12)

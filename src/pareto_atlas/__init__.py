@@ -42,9 +42,9 @@ from .diagnostics import (
 )
 from .ordering import dominates, dominating_pairs, mutually_nondominated
 from .perturb import (
-    LinearPerturbation,
     corank2_system,
     corank2_tracker,
+    draw_perturbation,
     genericity_experiment,
     perturb_problem,
     stability_experiment,

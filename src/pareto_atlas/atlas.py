@@ -83,7 +83,11 @@ def _lex_rank(nodes: np.ndarray, total: int) -> np.ndarray:
 
 
 class SimplexGrid:
-    """Barycentric integer grid of resolution r on the (m-1)-simplex."""
+    """Barycentric integer grid of resolution r on the (m-1)-simplex.
+
+    ``nodes`` and ``weights`` are read-only, since the atlas columns, the
+    certificates and each ``ParetoPoint.weight`` share their rows.
+    """
 
     def __init__(self, m: int, resolution: int):
         if m < 1:
@@ -105,6 +109,7 @@ class SimplexGrid:
             moved[:, b] += 1
             table[src, col] = _lex_rank(moved, resolution)
         self._neighbors = np.sort(table, axis=1)
+        self.nodes.flags.writeable = self.weights.flags.writeable = False
 
     @property
     def node_count(self) -> int:

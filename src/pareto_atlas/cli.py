@@ -25,9 +25,9 @@ from .diagnostics import DEFAULT_RANK_TOL, certify_corank_on_atlas
 from .perturb import (
     E_TOL,
     DBlockSingular,
-    LinearPerturbation,
     TrackerDiverged,
     corank2_tracker,
+    draw_perturbation,
     genericity_experiment,
     stability_experiment,
 )
@@ -321,11 +321,8 @@ def cmd_perturb(args, parser) -> int:
     config = _config(args)
 
     if args.track:
-        pi = (
-            LinearPerturbation.draw(problem.n, problem.m, args.seed, args.scale)
-            if args.scale > 0
-            else LinearPerturbation.zero(problem.n, problem.m)
-        )
+        seed, scale = (args.seed, args.scale) if args.scale > 0 else (None, 0.0)
+        pi = draw_perturbation(problem.n, problem.m, args.seed, scale)
         rep = corank2_tracker(problem, pi, config)
         lines.append(
             f"tracker: x_hat={_fmt_vec(rep.x_hat)} |E|={rep.e_norm:.3e} "
@@ -339,7 +336,8 @@ def cmd_perturb(args, parser) -> int:
             lines.append(f"       interior weight: {_fmt_vec(rep.interior_witness)}")
         return _report(args, lines, "perturb", status, mode="track", input=source,
                        options=_options(args, "scale", "seed", "rank_tol"),
-                       tracker=rep.as_dict())
+                       tracker={**rep.as_dict(), "perturbation": {
+                           "seed": seed, "scale": scale, "coefficients": pi.tolist()}})
 
     if args.stability:
         scales = sorted(args.scales, reverse=True)
@@ -533,8 +531,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (ProblemFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ProblemFormatError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return INPUT_ERROR
     except (SolverError, TrackerDiverged, DBlockSingular) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

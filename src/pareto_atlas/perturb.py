@@ -1,11 +1,11 @@
 """Linear perturbations: genericity trials, corank-2 tracking, stability.
 
-A linear perturbation adds pi_i . x to objective i.  Gradients shift by a
-constant, Hessians (hence strong convexity) are untouched.  Draws are seeded
-and scale linearly: the same seed at a smaller scale gives the same
-direction, shrunk.  ``GenericityReport`` and ``StabilityReport`` hold one
-array per field, row-aligned with the trials and with the scales, as a
-``ParetoAtlas`` holds one per node field.
+A linear perturbation adds pi_i . x to objective i, pi being a plain (m, n)
+array.  Gradients shift by a constant, Hessians (hence strong convexity) are
+untouched.  Draws are seeded and scale linearly: the same seed at a smaller
+scale gives the same direction, shrunk.  ``GenericityReport`` and
+``StabilityReport`` hold one array per field, row-aligned with the trials and
+with the scales, as a ``ParetoAtlas`` holds one per node field.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .problems import Problem
 from .solver import DEFAULT_CONFIG, SolverConfig, raise_unconverged, row_norms
 
 __all__ = [
-    "LinearPerturbation",
+    "draw_perturbation",
     "perturb_problem",
     "GenericityReport",
     "genericity_experiment",
@@ -39,38 +39,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LinearPerturbation:
-    """Per-objective linear terms pi (m, n), drawn uniformly from [-scale, scale]."""
-
-    coefficients: np.ndarray
-    seed: int | None = None
-    scale: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", np.asarray(self.coefficients, dtype=float)
-        )
-
-    @classmethod
-    def draw(cls, n: int, m: int, seed: int, scale: float) -> "LinearPerturbation":
-        rng = np.random.default_rng(seed)
-        coeff = rng.uniform(-scale, scale, size=(m, n))
-        return cls(coeff, seed=seed, scale=scale)
-
-    @classmethod
-    def zero(cls, n: int, m: int) -> "LinearPerturbation":
-        return cls(np.zeros((m, n)), seed=None, scale=0.0)
+def draw_perturbation(n: int, m: int, seed: int, scale: float) -> np.ndarray:
+    """Linear terms pi (m, n) drawn uniformly from [-scale, scale]; all +0.0 at scale 0."""
+    return np.random.default_rng(seed).uniform(-scale, scale, size=(m, n))
 
 
-def perturb_problem(problem, perturbation: LinearPerturbation) -> Problem:
-    """The problem with pi_i . x added to objective i."""
-    if perturbation.coefficients.shape != (problem.m, problem.n):
-        raise ValueError(
-            f"perturbation shape {perturbation.coefficients.shape} does not "
-            f"match problem (m={problem.m}, n={problem.n})"
-        )
-    return Problem(problem, linear=perturbation.coefficients)
+def perturb_problem(problem, pi) -> Problem:
+    """The problem with pi_i . x added to objective i, for pi of shape (m, n)."""
+    pi = np.asarray(pi, dtype=float)
+    if pi.shape != (problem.m, problem.n):
+        raise ValueError(f"perturbation shape {pi.shape} does not match problem "
+                         f"(m={problem.m}, n={problem.n})")
+    return Problem(problem, linear=pi)
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +83,6 @@ class GenericityReport:
 
     def corank2_trials(self, tol: float) -> list[int]:
         return np.flatnonzero(self.corank[self.rank_tols.index(tol)].max(axis=1) >= 2).tolist()
-
-    def all_simplicial(self, tol: float) -> bool:
-        return not self.corank2_trials(tol)
 
     def as_dict(self) -> dict:
         tols = [str(tol) for tol in self.rank_tols]
@@ -159,7 +136,7 @@ def genericity_experiment(
     tols = tuple(float(t) for t in np.atleast_1d(rank_tols))
     if not tols:
         raise ValueError("rank_tols must name at least one tolerance")
-    pis = np.array([LinearPerturbation.draw(problem.n, problem.m, seed + t, scale).coefficients
+    pis = np.array([draw_perturbation(problem.n, problem.m, seed + t, scale)
                     for t in range(trials)])
     grid = SimplexGrid(problem.m, resolution)
     result = solve_grid(problem, grid.weights, config, pis)
@@ -229,7 +206,7 @@ class TrackerReport:
     meets_simplex_interior: bool
     interior_margin: float
     interior_witness: np.ndarray | None
-    perturbation: LinearPerturbation
+    perturbation: np.ndarray  # (m, n) linear terms pi
 
     def as_dict(self) -> dict:
         return {
@@ -246,11 +223,6 @@ class TrackerReport:
             "interior_witness": (
                 None if self.interior_witness is None else self.interior_witness.tolist()
             ),
-            "perturbation": {
-                "seed": self.perturbation.seed,
-                "scale": self.perturbation.scale,
-                "coefficients": self.perturbation.coefficients.tolist(),
-            },
         }
 
 
@@ -288,7 +260,7 @@ def _interior_intersection(cok: np.ndarray):
 
 def corank2_tracker(
     problem,
-    perturbation: LinearPerturbation | None = None,
+    perturbation=None,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> TrackerReport:
     """Track the corank-2 point of a square 4 -> 4 mapping under perturbation.
@@ -299,9 +271,10 @@ def corank2_tracker(
     Reports the corank (at ``config.rank_tol``) and cokernel at the root and
     whether the cokernel meets the open weight simplex, which is what makes
     the degenerate point a genuine obstruction rather than an invisible one.
+    ``perturbation`` is the (m, n) array pi, zero when None.
     """
     if perturbation is None:
-        perturbation = LinearPerturbation.zero(problem.n, problem.m)
+        perturbation = np.zeros((problem.m, problem.n))
     target = perturb_problem(problem, perturbation)
     x = np.zeros(4)
     e, de = corank2_system(target, x)
@@ -333,7 +306,7 @@ def corank2_tracker(
         meets_simplex_interior=meets,
         interior_margin=margin,
         interior_witness=witness,
-        perturbation=perturbation,
+        perturbation=target.linear,
     )
 
 
@@ -379,7 +352,7 @@ def stability_experiment(
     [0, pi_1, ..., pi_k], the unperturbed problem first, every node cold.
     """
     scales = np.array(scales, dtype=float)
-    pis = np.array([LinearPerturbation.draw(problem.n, problem.m, seed, scale).coefficients
+    pis = np.array([draw_perturbation(problem.n, problem.m, seed, scale)
                     for scale in [0.0, *scales]])
     grid = SimplexGrid(problem.m, resolution)
     result = solve_grid(problem, grid.weights, config, pis)

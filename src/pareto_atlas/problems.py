@@ -41,9 +41,9 @@ WEIGHT_SUM_TOL = 1e-12
 
 
 def simplex_weight(coords) -> np.ndarray:
-    """``coords`` as a float array, checked to be a point of the weight
+    """``coords`` as a new float array, checked to be a point of the weight
     simplex: a nonempty finite vector of nonnegative entries summing to 1."""
-    w = np.asarray(coords, dtype=float)
+    w = np.array(coords, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weight coordinates must be a nonempty vector")
     if not np.isfinite(w).all():

@@ -43,6 +43,14 @@ class TestSimplexGrid:
         grid = SimplexGrid(3, 4)
         assert_allclose(grid.weights, grid.nodes / 4.0)
 
+    def test_nodes_and_weights_are_read_only(self, example32):
+        """An atlas and each of its points share the grid's rows."""
+        atlas = build_atlas(example32, 2)
+        for row in (atlas.grid.nodes[0], atlas.grid.weights[0], atlas.points[0].weight):
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 7
+        assert atlas.grid.weights[0].tolist() == [0.0, 0.0, 1.0]
+
     def test_enumeration_is_lexicographic(self):
         grid = SimplexGrid(3, 2)
         expected = [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]

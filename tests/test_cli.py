@@ -645,6 +645,7 @@ def test_run_document_key_order(name, monkeypatch, tmp_path, capsys):
 _RIDGE_RUN = ["ridge", "ridge.csv", "--mu", "0.1", "-r", "5", "--out", "path.csv"]
 _SWEEP_RUN = ["perturb", "--builtin", "remark_g", "--trials", "3", "-r", "6",
               "--rank-tols", "1e-9", "--rank-tols", "0.05", "--json"]
+_TRACK_RUN = ["perturb", "--builtin", "remark_g", "--track"]
 _SOLVE_RUN = ["solve", "--builtin", "example31", "-w", "0.2,0.3,0.5", "-w", "1,0,0",
               "-w", "0,0.5,0.5"]
 # golden name: argv, exit status, stderr, {written file: golden file}
@@ -661,6 +662,11 @@ _RECORDED = {
     "genericity-remark_g-json": (_SWEEP_RUN, 1, "", {}),
     "genericity-remark_g-max-iter0-json": (_SWEEP_RUN + ["--max-iter", "0"], 3,
                                            "error: 252 nodes failed to converge\n", {}),
+    "track-remark_g": (_TRACK_RUN, 0, "", {}),
+    "track-remark_g-json": (_TRACK_RUN + ["--json"], 0, "", {}),
+    "track-remark_g-scale0-json": (_TRACK_RUN + ["--scale", "0", "--json"], 0, "", {}),
+    "track-remark_g-scale1e-3-seed4-json": (_TRACK_RUN + ["--scale", "1e-3", "--seed", "4",
+                                                          "--json"], 0, "", {}),
     "solve-example31": (_SOLVE_RUN, 0, "", {}),
     "solve-example31-json": (_SOLVE_RUN + ["--json"], 0, "", {}),
     "solve-remark_g-json": (["solve", "--builtin", "remark_g", "-w", "0.25,0.25,0.25,0.25",
@@ -674,7 +680,7 @@ _RECORDED = {
 
 @pytest.mark.parametrize("name", list(_RECORDED))
 def test_report_output_matches_the_recorded_bytes(name, monkeypatch, tmp_path, capsys):
-    """The solve, ridge, stability and genericity reports print and write the
+    """The solve, ridge, stability, genericity and tracker reports print and write the
     recorded bytes (``tests/golden/NAME.txt`` is stdout) and exit as recorded."""
     argv, status, stderr, files = _RECORDED[name]
     monkeypatch.chdir(tmp_path)
@@ -697,6 +703,27 @@ def test_console_script_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["command"] == "solve"
+
+
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps allocations on Linux")
+def test_a_grid_too_large_for_memory_is_an_input_error():
+    """r = 100000 asks for a 74.5 GiB node table; under a 2 GB address-space
+    cap the allocation fails at once instead of filling memory."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pareto_atlas.cli", "verify", "--builtin", "example32",
+         "-r", "100000"],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+        preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: Unable to allocate")
+    assert proc.stderr.count("\n") == 1
 
 
 # Runs each argv through cli.main in one fresh interpreter and prints, per

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from conftest import interior_weights, phenotypic_instance, random_quadratic
 from pareto_atlas import (
-    LinearPerturbation,
     LocationInstance,
     NoRegularMinor,
     NotCorankOne,
@@ -18,6 +17,7 @@ from pareto_atlas import (
     cokernel_basis,
     corank2_tracker,
     corank_at,
+    draw_perturbation,
     fold_check,
     genericity_experiment,
     location_pareto_set,
@@ -118,7 +118,7 @@ def test_every_layer_judges_corank_at_the_config_rank_tol(example31, remark_g):
 
     sweep = genericity_experiment(example31, 2, 0.1, 6, seed=3, config=config)
     assert sweep.rank_tols == (1e-3,)
-    pi = LinearPerturbation.draw(3, 3, 3, 0.1)
+    pi = draw_perturbation(3, 3, 3, 0.1)
     trial_atlas = build_atlas(perturb_problem(example31, pi), 6, config)
     assert_judged_like_the_atlas(corank_certificate(sweep.sv[0], 1e-3), trial_atlas)
     assert np.array_equal(sweep.corank[0, 0], trial_atlas.corank)

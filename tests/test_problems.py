@@ -20,7 +20,6 @@ from pareto_atlas import (
     Example31Perturbed,
     Example32,
     GenericQuadratic,
-    LinearPerturbation,
     Phenotypic,
     Problem,
     ProblemFormatError,
@@ -30,6 +29,7 @@ from pareto_atlas import (
     build_problem,
     builtin_problem,
     check_strong_convexity,
+    draw_perturbation,
     parse_problem,
     perturb_problem,
     restrict,
@@ -397,7 +397,7 @@ class TestSerialization:
         assert serialize_problem(parse_problem(text)) == text
 
     def test_derived_problem_serialization_says_derived(self, example31):
-        pi = LinearPerturbation.zero(3, 3)
+        pi = np.zeros((3, 3))
         for derived in (restrict(example31, (0, 1)), perturb_problem(example31, pi)):
             with pytest.raises(ProblemFormatError, match="cannot serialize a derived problem"):
                 serialize_problem(derived)
@@ -486,7 +486,7 @@ class TestDerivedProblems:
     """Subproblems and linear perturbations are views of one problem."""
 
     def test_restricted_perturbation_is_the_perturbed_columns(self, example32, rng):
-        pi = LinearPerturbation.draw(3, 3, seed=2, scale=0.1)
+        pi = draw_perturbation(3, 3, seed=2, scale=0.1)
         perturbed = perturb_problem(example32, pi)
         sub = restrict(perturbed, (2, 0))
         xs = rng.normal(size=(5, 3))
@@ -498,7 +498,7 @@ class TestDerivedProblems:
         """example31_perturbed is example31 with pi[0, 2] = epsilon, bit for bit."""
         pi = np.zeros((3, 3))
         pi[0, 2] = epsilon
-        view = perturb_problem(example31, LinearPerturbation(pi))
+        view = perturb_problem(example31, pi)
         fixture = builtin_problem("example31_perturbed", epsilon=epsilon)
         xs = rng.normal(size=(1000, 3))
         for got, want in zip(fixture.evaluate(xs), view.evaluate(xs)):
@@ -514,7 +514,7 @@ class TestDerivedProblems:
 
     def test_only_underived_problems_have_a_family(self, example31):
         assert isinstance(example31.family, Example31)
-        pi = LinearPerturbation.zero(3, 3)
+        pi = np.zeros((3, 3))
         for derived in (restrict(example31, (0, 1)), perturb_problem(example31, pi),
                         restrict(perturb_problem(example31, pi), (1,))):
             assert derived.family is None
@@ -522,7 +522,7 @@ class TestDerivedProblems:
                 serialize_problem(derived)
 
     def test_perturbed_atlas_exports_no_family(self, example32, tmp_path):
-        pi = LinearPerturbation.draw(3, 3, seed=0, scale=0.1)
+        pi = draw_perturbation(3, 3, seed=0, scale=0.1)
         atlas = build_atlas(perturb_problem(example32, pi), 3)
         atlas.to_json(tmp_path / "atlas.json")
         doc = json.loads((tmp_path / "atlas.json").read_text())

@@ -20,7 +20,6 @@ from conftest import fixture_problems, interior_weights, random_quadratic, softp
 from pareto_atlas import (
     DistanceSquared,
     GenericQuadratic,
-    LinearPerturbation,
     ParetoPoint,
     SimplexGrid,
     SolverConfig,
@@ -29,6 +28,7 @@ from pareto_atlas import (
     builtin_problem,
     dominates,
     dominating_pairs,
+    draw_perturbation,
     face_consistency,
     genericity_experiment,
     injectivity_scan,
@@ -779,7 +779,7 @@ def test_batched_genericity_matches_one_atlas_per_trial(name, problem, max_iter)
     tols = (1e-7, 1e-8, 1e-9)
     report = genericity_experiment(problem, 3, 0.3, 6, rank_tols=tols, seed=5, config=config)
     for t in range(3):
-        pi = LinearPerturbation.draw(problem.n, problem.m, 5 + t, 0.3)
+        pi = draw_perturbation(problem.n, problem.m, 5 + t, 0.3)
         atlas = build_atlas(perturb_problem(problem, pi), 6, config)
         assert np.flatnonzero(~report.converged[t]).tolist() == atlas.failures
         assert report.residual[t].max() == atlas.residual.max()
@@ -795,8 +795,8 @@ def test_batched_genericity_matches_one_atlas_per_trial(name, problem, max_iter)
 def test_linear_term_matches_the_perturbed_problem_row_by_row(name, problem):
     """Two perturbations in one batch, every node started at (-3, ..., -3)."""
     weights = interior_weights(problem.m, 6, seed=4)
-    pis = [LinearPerturbation.draw(problem.n, problem.m, seed, 0.5) for seed in (1, 2)]
-    linear = np.repeat([pi.coefficients for pi in pis], len(weights), axis=0)
+    pis = [draw_perturbation(problem.n, problem.m, seed, 0.5) for seed in (1, 2)]
+    linear = np.repeat(pis, len(weights), axis=0)
     start = np.full(problem.n, -3.0)
     got = minimize_weighted(problem, np.vstack([weights, weights]), x0=start, linear=linear)
     want = [minimize_weighted(perturb_problem(problem, pi), weights, x0=start) for pi in pis]
@@ -812,7 +812,7 @@ def test_stability_matches_one_batch_per_scale(name, problem):
     weights = SimplexGrid(problem.m, 5).weights
     base_x = minimize_weighted(problem, weights).x
     for k, scale in enumerate(scales):
-        pi = LinearPerturbation.draw(problem.n, problem.m, 3, scale)
+        pi = draw_perturbation(problem.n, problem.m, 3, scale)
         moved = minimize_weighted(perturb_problem(problem, pi), weights)
         gaps = row_norms(moved.x - base_x)
         got = (report.sup_displacement[k], report.mean_displacement[k])

@@ -166,6 +166,12 @@ class TestScalarize:
         assert np.all(np.diff(sv) <= 0.0)  # descending
         assert pt.corank == 1  # weight annihilates the Jacobian rows
 
+    def test_point_keeps_its_own_weight(self, example32):
+        w = np.array([0.5, 0.25, 0.25])
+        pt = scalarize(example32, w)
+        w[0] = 7.0
+        assert pt.weight is not w and pt.weight.tolist() == [0.5, 0.25, 0.25]
+
     def test_weight_length_must_match(self, example32):
         with pytest.raises(ValueError, match="m="):
             scalarize(example32, np.array([0.5, 0.5]))

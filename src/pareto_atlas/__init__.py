@@ -32,13 +32,11 @@ from .diagnostics import (
     FoldReport,
     NoRegularMinor,
     NotCorankOne,
-    RankReport,
     certify_corank_on_atlas,
     cokernel_alignment,
     cokernel_basis,
     corank_at,
     fold_check,
-    rank_report,
 )
 from .ordering import dominates, dominating_pairs, mutually_nondominated
 from .perturb import (

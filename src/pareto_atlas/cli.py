@@ -84,11 +84,11 @@ def nonnegative_int(text: str) -> int:
 def nonnegative(text: str) -> float:
     """A tolerance or a perturbation scale: below 0 a distance tolerance
     matches no pair, an error tolerance fails every input, and a scale
-    names no perturbation."""
+    names no perturbation.  ``-0`` reads as 0.0."""
     value = finite(text)
     if value < 0.0:
         raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return value
+    return value + 0.0
 
 
 def scale_list(text: str) -> list[float]:

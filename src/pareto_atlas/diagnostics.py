@@ -13,13 +13,11 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_RANK_TOL",
-    "RankReport",
     "CorankCertificate",
     "FoldReport",
     "NotCorankOne",
     "NoRegularMinor",
     "numerical_rank",
-    "rank_report",
     "corank_at",
     "corank_certificate",
     "certify_corank_on_atlas",
@@ -34,30 +32,13 @@ DEFAULT_RANK_TOL = 1e-8
 class NotCorankOne(RuntimeError):
     """Fold test applied at a point whose Jacobian corank is not 1."""
 
-    def __init__(self, report: "RankReport"):
-        super().__init__(f"fold test needs corank 1, got corank {report.corank}")
-        self.report = report
+    def __init__(self, corank: int):
+        super().__init__(f"fold test needs corank 1, got corank {corank}")
+        self.corank = corank
 
 
 class NoRegularMinor(RuntimeError):
     """No variable permutation makes the leading (m-1)-minor regular."""
-
-
-@dataclass
-class RankReport:
-    """Numerical rank of a Jacobian.  Corank is against min(n, m)."""
-
-    singular_values: np.ndarray
-    rank: int
-    corank: int
-    tolerance: float
-
-    @property
-    def gap(self) -> float:
-        """Smallest retained singular value over the largest (margin vs tol)."""
-        if self.rank == 0:
-            return np.inf
-        return float(self.singular_values[self.rank - 1] / self.singular_values[0])
 
 
 def numerical_rank(singular_values: np.ndarray, tol: float = DEFAULT_RANK_TOL):
@@ -66,15 +47,10 @@ def numerical_rank(singular_values: np.ndarray, tol: float = DEFAULT_RANK_TOL):
     return np.count_nonzero(sv > tol * sv[..., :1], axis=-1)
 
 
-def rank_report(matrix: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> RankReport:
-    sv = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
-    rank = int(numerical_rank(sv, tol))
-    return RankReport(sv, rank, min(matrix.shape) - rank, tol)
-
-
-def corank_at(problem, x, tol: float = DEFAULT_RANK_TOL) -> RankReport:
-    """Rank report of the problem Jacobian at x."""
-    return rank_report(problem.gradients(x), tol)
+def corank_at(problem, x, tol: float = DEFAULT_RANK_TOL) -> int:
+    """Corank of the problem Jacobian at x, against min(n, m)."""
+    sv = np.linalg.svd(problem.gradients(x), compute_uv=False)
+    return len(sv) - int(numerical_rank(sv, tol))
 
 
 @dataclass
@@ -133,12 +109,6 @@ def _svd_spaces(matrix: np.ndarray, tol: float):
     return u, sv, vt, int(numerical_rank(sv, tol))
 
 
-def null_basis(matrix: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthonormal columns spanning the (right) null space."""
-    _, _, vt, rank = _svd_spaces(matrix, tol)
-    return vt[rank:].T
-
-
 def cokernel_basis(problem, x, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal columns spanning {v : v . rows(J) = 0} at x.
 
@@ -186,25 +156,18 @@ class FoldReport:
     kernel_dlambda: np.ndarray  # (n, m-1)
     direct_sum: bool
     pivot_margin: float  # sigma_min of the chosen leading minor
-    fd_error: float | None = None
 
 
-def _minor_values(jac: np.ndarray, lead: tuple[int, ...], tails: tuple[int, ...]):
-    return np.array(
-        [np.linalg.det(jac[:, list(lead) + [t]]) for t in tails]
-    )
-
-
-def _pick_lead_variables(jac: np.ndarray, m: int, n: int, tol: float):
+def _pick_lead_variables(jac: np.ndarray, m: int, n: int, tol: float, smax: float):
     """Variable subset maximizing the smallest singular value of the
-    (m-1) x (m-1) block formed with the first m-1 objective rows."""
+    (m-1) x (m-1) block formed with the first m-1 objective rows; ``smax``
+    is the largest singular value of ``jac``."""
     top = jac[: m - 1, :]
     best, best_sigma = None, -1.0
     for subset in combinations(range(n), m - 1):
         sigma = np.linalg.svd(top[:, subset], compute_uv=False)[-1]
         if sigma > best_sigma:
             best, best_sigma = subset, float(sigma)
-    smax = np.linalg.svd(jac, compute_uv=False)[0]
     if best_sigma <= tol * smax:
         raise NoRegularMinor(
             f"no regular leading minor: best pivot margin {best_sigma:.3e} "
@@ -213,15 +176,15 @@ def _pick_lead_variables(jac: np.ndarray, m: int, n: int, tol: float):
     return best, best_sigma
 
 
-def fold_check(problem, x, tol: float = DEFAULT_RANK_TOL, fd_step: float | None = None) -> FoldReport:
+def fold_check(problem, x, tol: float = DEFAULT_RANK_TOL) -> FoldReport:
     """Decide whether a corank-1 critical point is a fold point.
 
     Forms the vector of maximal minors after a variable permutation that
     keeps the leading block regular, differentiates it analytically through
     the cofactor expansion, and checks (a) the derivative has full rank
     n-m+1 and (b) its kernel is a direct-sum complement of the kernel of
-    the differential.  ``fd_step`` enables a central-difference cross-check
-    of the analytic derivative (returned as ``fd_error``).
+    the differential.  One SVD of the Jacobian gives its corank, its
+    largest singular value and the kernel of the differential.
 
     Raises NotCorankOne away from the corank-1 stratum and NoRegularMinor
     when no variable choice is regular.
@@ -233,13 +196,13 @@ def fold_check(problem, x, tol: float = DEFAULT_RANK_TOL, fd_step: float | None 
     if m < 2:
         raise ValueError("fold test requires at least two objectives")
     jac = problem.gradients(x)
-    rep = rank_report(jac, tol)
-    if rep.corank != 1:
-        raise NotCorankOne(rep)
+    _, sv, vt, rank = _svd_spaces(jac, tol)
+    if len(sv) - rank != 1:
+        raise NotCorankOne(len(sv) - rank)
 
-    lead, pivot_margin = _pick_lead_variables(jac, m, n, tol)
+    lead, pivot_margin = _pick_lead_variables(jac, m, n, tol, sv[0])
     tails = tuple(v for v in range(n) if v not in lead)
-    minors = _minor_values(jac, lead, tails)
+    minors = np.array([np.linalg.det(jac[:, list(lead) + [t]]) for t in tails])
 
     # d(minor_i)/dx_l by cofactor expansion: replace one column of the m x m
     # block at a time with the corresponding Hessian column.
@@ -256,27 +219,16 @@ def fold_check(problem, x, tol: float = DEFAULT_RANK_TOL, fd_step: float | None 
                 dlam[i, l] += np.linalg.det(block)
             block[:, r] = saved
 
-    fd_error = None
-    if fd_step is not None:
-        fd = np.zeros_like(dlam)
-        for l in range(n):
-            step = np.zeros(n)
-            step[l] = fd_step
-            hi = _minor_values(problem.gradients(x + step), lead, tails)
-            lo = _minor_values(problem.gradients(x - step), lead, tails)
-            fd[:, l] = (hi - lo) / (2.0 * fd_step)
-        fd_error = float(np.abs(dlam - fd).max())
-
-    lam_rep = rank_report(dlam, tol)
-    kernel_df = null_basis(jac, tol)
-    kernel_dlam = null_basis(dlam, tol)
+    kernel_df = vt[rank:].T
+    _, _, lam_vt, lambda_rank = _svd_spaces(dlam, tol)
+    kernel_dlam = lam_vt[lambda_rank:].T
     stacked = np.hstack([kernel_df, kernel_dlam])
-    spans = stacked.shape[1] == n and rank_report(stacked, tol).rank == n
-    is_fold = lam_rep.rank == k and spans
+    spans = stacked.shape[1] == n and numerical_rank(
+        np.linalg.svd(stacked, compute_uv=False), tol) == n
     return FoldReport(
-        is_fold=is_fold,
+        is_fold=lambda_rank == k and spans,
         lambda_jacobian=dlam,
-        lambda_rank=lam_rep.rank,
+        lambda_rank=lambda_rank,
         minors=minors,
         lead_variables=lead,
         tail_variables=tails,
@@ -284,5 +236,4 @@ def fold_check(problem, x, tol: float = DEFAULT_RANK_TOL, fd_step: float | None 
         kernel_dlambda=kernel_dlam,
         direct_sum=spans,
         pivot_margin=pivot_margin,
-        fd_error=fd_error,
     )

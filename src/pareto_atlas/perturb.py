@@ -18,7 +18,6 @@ from .atlas import build_atlas  # noqa: F401 -- unused here; perfbench/tracing.p
 from .diagnostics import (
     certify_corank_on_atlas,  # noqa: F401 -- unused here; perfbench/tracing.py patches it
     cokernel_basis,
-    corank_at,
     numerical_rank,
 )
 from .problems import Problem
@@ -40,8 +39,11 @@ __all__ = [
 
 
 def draw_perturbation(n: int, m: int, seed: int, scale: float) -> np.ndarray:
-    """Linear terms pi (m, n) drawn uniformly from [-scale, scale]; all +0.0 at scale 0."""
-    return np.random.default_rng(seed).uniform(-scale, scale, size=(m, n))
+    """Linear terms pi (m, n) drawn uniformly from [-scale, scale]; all +0.0
+    at scale 0 or -0.0.  Raises ValueError for a negative scale."""
+    if scale < 0:
+        raise ValueError(f"perturbation scale {scale:g} is negative")
+    return np.random.default_rng(seed).uniform(-scale, scale + 0.0, size=(m, n))
 
 
 def perturb_problem(problem, pi) -> Problem:
@@ -125,15 +127,15 @@ def genericity_experiment(
     reproducible point by point.  One ``solve_grid`` call solves every
     trial's grid, each node cold, one SVD batch gives every node's singular
     values, and one ``numerical_rank`` call per tolerance of ``rank_tols``
-    (default ``(config.rank_tol,)``) gives every trial's coranks.  Raises
-    ValueError for ``trials < 1`` or an empty ``rank_tols``: a sweep over no
-    trials or no tolerance certifies nothing.
+    (default ``(config.rank_tol,)``, repeats dropped in order) gives every
+    trial's coranks.  Raises ValueError for ``trials < 1`` or an empty
+    ``rank_tols``: a sweep over no trials or no tolerance certifies nothing.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if rank_tols is None:
         rank_tols = (config.rank_tol,)
-    tols = tuple(float(t) for t in np.atleast_1d(rank_tols))
+    tols = tuple(dict.fromkeys(float(t) for t in np.atleast_1d(rank_tols)))
     if not tols:
         raise ValueError("rank_tols must name at least one tolerance")
     pis = np.array([draw_perturbation(problem.n, problem.m, seed + t, scale)
@@ -293,15 +295,15 @@ def corank2_tracker(
         raise TrackerDiverged(
             f"no root after {config.max_iter} iterations (|E| = {e_norm:.3e})"
         )
-    rep = corank_at(target, x, config.rank_tol)
+    sv = np.linalg.svd(target.gradients(x), compute_uv=False)
     cok = cokernel_basis(target, x, config.rank_tol)
     meets, margin, witness = _interior_intersection(cok)
     return TrackerReport(
         x_hat=x,
         e_norm=e_norm,
         iterations=iterations,
-        corank=rep.corank,
-        singular_values=rep.singular_values,
+        corank=len(sv) - int(numerical_rank(sv, config.rank_tol)),
+        singular_values=sv,
         cokernel=cok,
         meets_simplex_interior=meets,
         interior_margin=margin,

@@ -47,6 +47,26 @@ def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "atlas.csv").read_text().startswith("w_1,w_2,w_3,x_1")
 
 
+def test_readme_library_names_resolve():
+    """Every `name(` of the Library section is a public callable of the
+    package or a method of a class it exports (`Class.method(` of that class)."""
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    public = {n: getattr(pareto_atlas, n) for n in dir(pareto_atlas) if not n.startswith("_")}
+    classes = [obj for obj in public.values() if isinstance(obj, type)]
+
+    def resolves(name):
+        owner, _, attr = name.rpartition(".")
+        if isinstance(public.get(owner), type):
+            return callable(getattr(public[owner], attr, None))
+        return callable(public.get(attr)) or any(
+            callable(getattr(cls, attr, None)) for cls in classes)
+
+    names = re.findall(r"`([\w.]+)\(", section)
+    assert len(names) >= 12
+    assert [name for name in names if not resolves(name)] == []
+
+
 def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
     """Every command of the "Command line" block exits 0, or with the code
     its ``# exits N`` comment gives, on a small data.csv and points.json."""

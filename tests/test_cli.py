@@ -376,6 +376,28 @@ class TestPerturb:
         assert code == 0
         assert doc["options"]["rank_tols"] == [1e-7, 1e-9]
 
+    @pytest.mark.parametrize("argv, zero, negative_zero", [
+        (["--trials", "2", "-r", "3"], ["--scale", "0"], ["--scale", "-0"]),
+        (["--stability", "-r", "3"], ["--scales", "0.1,0"], ["--scales", "0.1,-0"]),
+    ])
+    def test_negative_zero_scale_runs_as_zero(self, argv, zero, negative_zero, capsys):
+        """``-0`` is a zero scale: the run prints what ``0`` prints."""
+        assert main(["perturb", "--builtin", "example32", *argv, *zero]) == 0
+        expected = capsys.readouterr()
+        assert main(["perturb", "--builtin", "example32", *argv, *negative_zero]) == 0
+        assert capsys.readouterr() == expected
+
+    def test_repeated_rank_tol_gives_one_verdict(self, capsys):
+        code, doc = run_json(
+            capsys,
+            ["perturb", "--builtin", "example32", "--trials", "1", "-r", "2",
+             "--rank-tols", "0.1", "--rank-tols", "0.1", "--json"],
+        )
+        assert doc["options"]["rank_tols"] == [0.1]
+        assert main(["perturb", "--builtin", "example32", "--trials", "1", "-r", "2",
+                     "--rank-tols", "0.1", "--rank-tols", "0.1"]) == code == 1
+        assert capsys.readouterr().out.count("corank <= 1 at tol 0.1") == 1
+
     def test_track_unperturbed(self, capsys):
         code, doc = run_json(
             capsys,

@@ -1,4 +1,4 @@
-"""Rank reports, corank certificates, cokernels, and the fold criterion."""
+"""Numerical rank, corank certificates, cokernels, and the fold criterion."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import interior_weights, phenotypic_instance, random_quadratic
+from test_reference import ref_lambda_jacobian
 from pareto_atlas import (
     LocationInstance,
     NoRegularMinor,
@@ -23,48 +24,50 @@ from pareto_atlas import (
     location_pareto_set,
     perturb_problem,
     phenotypic_pareto_set,
-    rank_report,
     scalarize,
 )
-from pareto_atlas.diagnostics import corank_certificate
+from pareto_atlas.diagnostics import corank_certificate, numerical_rank
 
 
 class TestRankReport:
+    """The rank decision for one Jacobian: ``numerical_rank`` of its singular
+    values, and ``corank_at`` against min(n, m)."""
+
     def test_known_singular_values(self):
-        mat = np.diag([1.0, 1e-3, 1e-12])
-        rep = rank_report(mat, tol=1e-8)
-        assert rep.rank == 2 and rep.corank == 1
-        assert_allclose(rep.singular_values, [1.0, 1e-3, 1e-12])
-        assert_allclose(rep.gap, 1e-3)
+        sv = np.array([1.0, 1e-3, 1e-12])
+        assert numerical_rank(sv, 1e-8) == 2
+        assert corank_at(_FixedJacobian(np.diag(sv)), np.zeros(3), 1e-8) == 1
+        assert_allclose(corank_certificate(sv[None], 1e-8).min_gap, 1e-3)
 
     def test_threshold_is_relative(self):
         # same spectrum scaled by 1e6 must give the same rank
         mat = np.diag([1.0, 1e-3, 1e-12])
-        assert rank_report(1e6 * mat, tol=1e-8).rank == 2
+        assert corank_at(_FixedJacobian(1e6 * mat), np.zeros(3), 1e-8) == 1
+        assert numerical_rank(1e6 * np.diag(mat), 1e-8) == 2
 
     def test_rectangular_corank_uses_smaller_side(self):
         wide = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])  # 2 x 3, full rank
-        assert rank_report(wide).corank == 0
+        assert corank_at(_FixedJacobian(wide), np.zeros(3)) == 0
         tall = wide.T.copy()
         tall[:, 1] = 0.0
-        assert rank_report(tall).corank == 1
+        assert corank_at(_FixedJacobian(tall), np.zeros(2)) == 1
 
     def test_zero_matrix(self):
-        rep = rank_report(np.zeros((3, 3)))
-        assert rep.rank == 0 and rep.corank == 3
-        assert rep.gap == np.inf
+        assert numerical_rank(np.zeros(3)) == 0
+        assert corank_at(_FixedJacobian(np.zeros((3, 3))), np.zeros(3)) == 3
+        assert corank_certificate(np.zeros((1, 3))).min_gap == np.inf
 
 
 class TestCorank:
     def test_pinch_origin_has_corank_two(self, example31):
-        rep = corank_at(example31, np.zeros(3))
-        assert rep.corank == 2
-        assert rep.singular_values[0] > 1.0  # well-scaled: decision is robust
-        assert rep.singular_values[1] < 1e-12
+        assert corank_at(example31, np.zeros(3)) == 2
+        sv = np.linalg.svd(example31.gradients(np.zeros(3)), compute_uv=False)
+        assert sv[0] > 1.0  # well-scaled: decision is robust
+        assert sv[1] < 1e-12
 
     def test_off_diagonal_solutions_have_corank_one(self, example31):
         pt = scalarize(example31, np.array([0.2, 0.5, 0.3]))
-        assert corank_at(example31, pt.x).corank == 1
+        assert corank_at(example31, pt.x) == 1
 
     def test_certificate_on_pinch_atlas(self, example31):
         atlas = build_atlas(example31, 10)
@@ -114,7 +117,7 @@ def test_every_layer_judges_corank_at_the_config_rank_tol(example31, remark_g):
     assert_judged_like_the_atlas(pheno.corank_certificate, pheno.atlas)
 
     rep = corank2_tracker(remark_g, config=config)
-    assert rep.corank == corank_at(remark_g, rep.x_hat, 1e-3).corank == 2
+    assert rep.corank == corank_at(remark_g, rep.x_hat, 1e-3) == 2
 
     sweep = genericity_experiment(example31, 2, 0.1, 6, seed=3, config=config)
     assert sweep.rank_tols == (1e-3,)
@@ -178,32 +181,50 @@ class TestFoldCheck:
     def test_smooth_fixture_folds_at_interior_points(self, example32):
         for w in interior_weights(3, 10, seed=4):
             pt = scalarize(example32, w)
-            rep = fold_check(example32, pt.x, fd_step=1e-6)
+            rep = fold_check(example32, pt.x)
             assert rep.is_fold
             assert rep.lambda_rank == 1  # n - m + 1
             assert rep.direct_sum
             assert rep.kernel_df.shape == (3, 1)
             assert rep.kernel_dlambda.shape == (3, 2)
             assert np.abs(rep.minors).max() < 1e-10  # minors vanish on Crit
-            assert rep.fd_error < 1e-8
+            fd = ref_lambda_jacobian(example32, pt.x, rep, 1e-6)
+            assert np.abs(rep.lambda_jacobian - fd).max() < 1e-8
 
     def test_quadratic_pareto_points_are_folds(self):
         problem = random_quadratic(7)
         for w in interior_weights(3, 5, seed=5):
             pt = scalarize(problem, w)
-            rep = fold_check(problem, pt.x, fd_step=1e-6)
-            assert rep.is_fold and rep.fd_error < 1e-8
+            rep = fold_check(problem, pt.x)
+            assert rep.is_fold
+            fd = ref_lambda_jacobian(problem, pt.x, rep, 1e-6)
+            assert np.abs(rep.lambda_jacobian - fd).max() < 1e-8
 
     def test_analytic_derivative_matches_finite_differences(self, example32):
         pt = scalarize(example32, np.array([0.5, 0.3, 0.2]))
-        rep = fold_check(example32, pt.x, fd_step=1e-5)
-        assert rep.fd_error < 1e-8
+        rep = fold_check(example32, pt.x)
+        fd = ref_lambda_jacobian(example32, pt.x, rep, 1e-5)
+        assert np.abs(rep.lambda_jacobian - fd).max() < 1e-8
         assert rep.lambda_jacobian.shape == (1, 3)
+
+    def test_one_svd_of_the_jacobian(self, example32, monkeypatch):
+        """The corank, the pivot scale and ker df come from one SVD of J."""
+        pt = scalarize(example32, np.array([0.5, 0.3, 0.2]))
+        jac = example32.gradients(pt.x)
+        svd, inputs = np.linalg.svd, []
+
+        def recording_svd(a, *args, **kwargs):
+            inputs.append(np.array(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        assert fold_check(example32, pt.x).is_fold
+        assert sum(np.array_equal(a, jac) for a in inputs) == 1
 
     def test_rejects_corank_zero(self, quadratic):
         with pytest.raises(NotCorankOne) as err:
             fold_check(quadratic, np.array([5.0, -3.0, 1.0]))
-        assert err.value.report.corank == 0
+        assert err.value.corank == 0
 
     def test_rejects_corank_two(self, example31):
         with pytest.raises(NotCorankOne):
@@ -219,7 +240,7 @@ class TestFoldCheck:
     def test_pivot_search_prefers_best_conditioned_block(self):
         # rank-2 Jacobian; variables 0 and 2 give the only regular leading block
         jac = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
-        assert rank_report(jac).corank == 1
+        assert corank_at(_FixedJacobian(jac), np.zeros(3)) == 1
         report = fold_check(_FixedJacobian(jac), np.zeros(3))
         assert report.lead_variables == (0, 2)
         assert report.tail_variables == (1,)

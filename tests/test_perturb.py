@@ -41,6 +41,12 @@ class TestLinearPerturbation:
         assert not z.any()
         assert not np.signbit(z).any()
 
+    def test_negative_zero_draws_like_zero_and_a_negative_scale_is_named(self):
+        assert np.array_equal(draw_perturbation(3, 2, seed=7, scale=-0.0), np.zeros((2, 3)))
+        assert not np.signbit(draw_perturbation(3, 2, seed=7, scale=-0.0)).any()
+        with pytest.raises(ValueError, match="scale -0.1 is negative"):
+            draw_perturbation(3, 2, seed=7, scale=-0.1)
+
 
 class TestPerturbedProblem:
     def test_offsets_gradients_by_constant(self, example31, rng):
@@ -88,6 +94,12 @@ class TestGenericity:
             example31, trials=1, scale=0.0, resolution=8, seed=0
         )
         assert report.corank2_trials(1e-8) == [0]
+
+    def test_repeated_rank_tols_are_swept_once(self, example31):
+        report = genericity_experiment(example31, 1, 0.1, 4, rank_tols=(0.1, 1e-8, 0.1))
+        assert report.rank_tols == (0.1, 1e-8)
+        assert report.corank.shape[0] == 2
+        assert list(report.as_dict()["corank2_trials"]) == ["0.1", "1e-08"]
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_rejects_an_empty_sweep(self, example31, trials):

@@ -1,6 +1,7 @@
 """The array-built grid, the O(N)-memory certificates and the columnar
 atlas exports against the plain loop, dense-matrix and per-node
-implementations they replaced, kept here as references."""
+implementations they replaced, kept here as references, and the
+central-difference reference for the fold test's analytic derivative."""
 from __future__ import annotations
 
 import csv
@@ -249,6 +250,19 @@ def ref_to_csv(atlas, path) -> None:
                 + [f"{pt.kkt_residual:.17g}", str(pt.corank),
                    ";".join(str(j + 1) for j in np.flatnonzero(atlas.grid.nodes[i]))]
             )
+
+
+def ref_lambda_jacobian(problem, x, fold, step: float) -> np.ndarray:
+    """Central differences of the maximal minors ``fold_check`` formed at x
+    (its ``lead_variables`` with each of its ``tail_variables``)."""
+
+    def minors(y):
+        jac = problem.gradients(y)
+        return np.array([np.linalg.det(jac[:, [*fold.lead_variables, t]])
+                         for t in fold.tail_variables])
+
+    steps = step * np.eye(len(x))
+    return np.column_stack([(minors(x + h) - minors(x - h)) / (2.0 * step) for h in steps])
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,8 @@ critical for its face weight; no solve), injectivity scans, non-domination
 from .apps import (
     LocationInstance,
     LocationReport,
-    PhenotypicReport,
     RidgePathReport,
     location_pareto_set,
-    phenotypic_pareto_set,
     read_ridge_csv,
     ridge_lambda,
     ridge_path,
@@ -33,12 +31,11 @@ from .diagnostics import (
     NoRegularMinor,
     NotCorankOne,
     certify_corank_on_atlas,
-    cokernel_alignment,
     cokernel_basis,
     corank_at,
     fold_check,
 )
-from .ordering import dominates, dominating_pairs, mutually_nondominated
+from .ordering import dominates, dominating_pairs
 from .perturb import (
     corank2_system,
     corank2_tracker,

@@ -1,8 +1,11 @@
-"""Application instances: facility location, anisotropic traits, ridge paths.
+"""Application instances: facility location and ridge paths.
 
 These wire the atlas machinery to families with known structure, and check
 the computed sets against independent routes (closed forms, hull membership
-by linear programming, normal-equation solves).  A ridge path runs on a
+by linear programming, normal-equation solves).  The biological model,
+anisotropic squared distances to trait optima, has no closed form to check
+against: it is the ``phenotypic`` problem family, and ``verify`` runs the
+certificates on it as on any other problem.  A ridge path runs on a
 ``problems.RidgePair``; ``read_ridge_csv`` reads one from a CSV file.  Its
 ``RidgePathReport`` holds one array per field, row-aligned with the path
 rows, and its normal-equations oracle solves one row at a time.
@@ -15,25 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import (
-    FaceConsistencyReport,
-    InjectivityReport,
-    ParetoAtlas,
-    build_atlas,
-    face_consistency,
-    injectivity_scan,
-    solve_grid,
-)
+from .atlas import InjectivityReport, ParetoAtlas, build_atlas, injectivity_scan, solve_grid
 from .diagnostics import CorankCertificate, certify_corank_on_atlas, numerical_rank
-from .problems import DistanceSquared, Phenotypic, RidgePair, build_problem
+from .problems import DistanceSquared, RidgePair, build_problem
 from .solver import DEFAULT_CONFIG, SolverConfig, raise_unconverged, row_norms
 
 __all__ = [
     "LocationInstance",
     "LocationReport",
     "location_pareto_set",
-    "PhenotypicReport",
-    "phenotypic_pareto_set",
     "read_ridge_csv",
     "RidgePathReport",
     "ridge_lambda",
@@ -191,61 +184,6 @@ def location_pareto_set(
     report.corank_certificate = certify_corank_on_atlas(atlas)
     report.injectivity = injectivity_scan(atlas)
     return report
-
-
-# ---------------------------------------------------------------------------
-# Anisotropic squared distances
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PhenotypicReport:
-    atlas: ParetoAtlas
-    corank_certificate: CorankCertificate
-    face_report: FaceConsistencyReport
-    weakly_simplicial_on_sample: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "schema": "pareto-atlas/phenotypic-v1",
-            "weakly_simplicial_on_sample": self.weakly_simplicial_on_sample,
-            "corank": {
-                "tolerance": self.corank_certificate.tolerance,
-                "max_corank": self.corank_certificate.max_corank,
-                "witnesses": self.corank_certificate.witnesses,
-            },
-            "face_consistency": {
-                "consistent": self.face_report.consistent,
-                "max_discrepancy": self.face_report.max_discrepancy,
-                "tolerance": self.face_report.tolerance,
-                "checked": self.face_report.checked,
-            },
-            "summary": self.atlas.summary.as_dict(),
-        }
-
-
-def phenotypic_pareto_set(
-    mats,
-    points,
-    resolution: int,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> PhenotypicReport:
-    """Atlas plus per-instance certificates for anisotropic distances.
-
-    The verdict is sampled: corank <= 1 at every node and face-nesting
-    consistency on every boundary node.  It holds for the instance at this
-    resolution; it is not a statement about the family.
-    """
-    problem = build_problem(Phenotypic(mats, points))
-    atlas = build_atlas(problem, resolution, config)
-    cert = certify_corank_on_atlas(atlas)
-    faces = face_consistency(atlas)
-    return PhenotypicReport(
-        atlas=atlas,
-        corank_certificate=cert,
-        face_report=faces,
-        weakly_simplicial_on_sample=cert.simplicial_on_sample and faces.consistent,
-    )
 
 
 # ---------------------------------------------------------------------------

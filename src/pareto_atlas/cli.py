@@ -349,7 +349,7 @@ def cmd_perturb(args, parser) -> int:
         status = _verdicts([("stability", (
             bool(np.all(sups[:-1] >= sups[1:] - 1e-15)),
             "sup displacement decreases with the scale",
-        ))], lines)
+        ) if len(sups) > 1 else (None, "1 scale, no pair to compare"))], lines)
         return _report(args, lines, "perturb", status, mode="stability", input=source,
                        options=_options(args, "resolution", "seed"), stability=rep.as_dict())
 

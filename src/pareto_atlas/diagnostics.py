@@ -23,7 +23,6 @@ __all__ = [
     "certify_corank_on_atlas",
     "fold_check",
     "cokernel_basis",
-    "cokernel_alignment",
 ]
 
 DEFAULT_RANK_TOL = 1e-8
@@ -100,7 +99,7 @@ def certify_corank_on_atlas(atlas) -> CorankCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Null spaces and cokernel alignment
+# Cokernels
 # ---------------------------------------------------------------------------
 
 
@@ -117,18 +116,6 @@ def cokernel_basis(problem, x, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """
     u, _, _, rank = _svd_spaces(problem.gradients(x), tol)
     return u[:, rank:]
-
-def cokernel_alignment(problem, x, weight, tol: float = DEFAULT_RANK_TOL) -> float:
-    """Norm of the projection of the unit weight onto the image of the differential.
-
-    Zero (to solver accuracy) exactly when the weight annihilates the
-    Jacobian rows, which is the first-order optimality condition at a
-    scalarized minimizer.
-    """
-    w = np.asarray(weight, dtype=float)
-    w_hat = w / np.linalg.norm(w)
-    u, _, _, rank = _svd_spaces(problem.gradients(x), tol)
-    return float(np.linalg.norm(u[:, :rank].T @ w_hat))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["dominates", "dominating_pairs", "mutually_nondominated"]
+__all__ = ["dominates", "dominating_pairs"]
 
 DOMINANCE_TOL = 1e-9
 BLOCK_ELEMENTS = 1 << 22  # booleans per comparison block of dominating_pairs
@@ -80,7 +80,3 @@ def dominating_pairs(values, tol: float = DOMINANCE_TOL, *, near=None,
     code = np.unique(np.concatenate(codes))
     return list(zip((code // n).tolist(), (code % n).tolist()))
 
-
-def mutually_nondominated(values, tol: float = DOMINANCE_TOL) -> bool:
-    """True when no row of ``values`` dominates another."""
-    return not dominating_pairs(values, tol)

@@ -40,7 +40,9 @@ __all__ = [
 
 def draw_perturbation(n: int, m: int, seed: int, scale: float) -> np.ndarray:
     """Linear terms pi (m, n) drawn uniformly from [-scale, scale]; all +0.0
-    at scale 0 or -0.0.  Raises ValueError for a negative scale."""
+    at scale 0 or -0.0.  Raises ValueError for a negative or non-finite scale."""
+    if not np.isfinite(scale):
+        raise ValueError(f"perturbation scale {scale:g} is not finite")
     if scale < 0:
         raise ValueError(f"perturbation scale {scale:g} is negative")
     return np.random.default_rng(seed).uniform(-scale, scale + 0.0, size=(m, n))

@@ -1,8 +1,9 @@
-"""Application layers: location, anisotropic distances, ridge paths."""
+"""Application layers: location, the biological model through ``verify``, ridge paths."""
 from __future__ import annotations
 
 import contextlib
 import csv
+import json
 import os
 import signal
 import subprocess
@@ -21,8 +22,8 @@ from pareto_atlas import (
     apps,
     build_atlas,
     build_problem,
+    cli,
     location_pareto_set,
-    phenotypic_pareto_set,
     read_ridge_csv,
     ridge_lambda,
     ridge_path,
@@ -252,15 +253,24 @@ class TestHullLPsAcrossProcesses:
         assert (proc.returncode, proc.stderr) == (0, "True\n")
 
 
-class TestPhenotypic:
-    def test_random_instance_is_weakly_simplicial(self):
-        family = phenotypic_instance(seed=7, m=3, n=2).family
-        report = phenotypic_pareto_set(family.mats, family.points, resolution=10)
-        assert report.weakly_simplicial_on_sample
-        assert report.corank_certificate.max_corank <= 1
-        assert report.face_report.consistent
+def verify_json(problem, tmp_path, capsys):
+    """Exit status and run document of ``verify -r 10 --json`` on ``problem``
+    written as a problem document."""
+    path = tmp_path / "problem.json"
+    path.write_text(serialize_problem(problem))
+    code = cli.main(["verify", str(path), "-r", "10", "--json"])
+    return code, json.loads(capsys.readouterr().out)
 
-    def test_anisotropic_encoding_of_the_pinch(self):
+
+class TestPhenotypic:
+    def test_random_instance_is_weakly_simplicial(self, tmp_path, capsys):
+        code, doc = verify_json(phenotypic_instance(seed=7, m=3, n=2), tmp_path, capsys)
+        assert code == 0
+        assert doc["certificates"]["corank"]["ok"]
+        assert doc["certificates"]["face-consistency"]["ok"]
+        assert max(map(int, doc["summary"]["corank_histogram"])) <= 1
+
+    def test_anisotropic_encoding_of_the_pinch(self, tmp_path, capsys):
         """Unit maps plus one diag(1, sqrt 2, 1) map reproduce, gradient for
         gradient, the degenerate three-quadratic family, and the sampled
         verdict correctly comes back negative."""
@@ -274,19 +284,12 @@ class TestPhenotypic:
             assert_allclose(target.gradients(x), pinch.gradients(x), atol=1e-12)
             assert_allclose(target.hessians(x), pinch.hessians(x), atol=1e-12)
 
-        report = phenotypic_pareto_set(mats, points, resolution=10)
-        assert not report.weakly_simplicial_on_sample
-        assert report.corank_certificate.max_corank == 2
-        assert len(report.corank_certificate.witnesses) > 0
-
-    def test_report_dict(self):
-        import json
-
-        family = phenotypic_instance(seed=2, m=3, n=2).family
-        doc = phenotypic_pareto_set(family.mats, family.points, resolution=6).as_dict()
-        json.dumps(doc)
-        assert doc["schema"] == "pareto-atlas/phenotypic-v1"
-        assert isinstance(doc["weakly_simplicial_on_sample"], bool)
+        code, doc = verify_json(target, tmp_path, capsys)
+        assert code == 1
+        corank = doc["certificates"]["corank"]
+        assert corank["ok"] is False
+        assert corank["detail"].startswith("max corank 2 ")
+        assert doc["corank_witnesses"]
 
 
 class TestRidge:

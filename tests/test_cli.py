@@ -441,6 +441,18 @@ class TestPerturb:
         rows = doc["stability"]["rows"]
         assert rows[0]["sup_displacement"] > rows[1]["sup_displacement"]
 
+    def test_one_stability_scale_has_no_pair_to_compare(self, capsys):
+        """One scale gives no decrease to judge: the verdict is n/a, and the
+        run still exits 0 with its one row."""
+        argv = ["perturb", "--builtin", "example32", "--stability", "--scales", "0.1", "-r", "3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "[n/a] stability: 1 scale, no pair to compare\n" in out
+        assert "[ok]" not in out
+        code, doc = run_json(capsys, argv + ["--json"])
+        assert code == doc["exit_status"] == 0
+        assert [row["scale"] for row in doc["stability"]["rows"]] == [0.1]
+
 
 class TestRidge:
     @pytest.fixture()
@@ -670,6 +682,21 @@ _SWEEP_RUN = ["perturb", "--builtin", "remark_g", "--trials", "3", "-r", "6",
 _TRACK_RUN = ["perturb", "--builtin", "remark_g", "--track"]
 _SOLVE_RUN = ["solve", "--builtin", "example31", "-w", "0.2,0.3,0.5", "-w", "1,0,0",
               "-w", "0,0.5,0.5"]
+# README's phenotypic example, and four demand points in R^3 drawn once by
+# np.random.default_rng(7).uniform(-1, 1, (4, 3)).round(3)
+_INPUTS = {
+    "ridge.csv": _RIDGE_DATA,
+    "phenotypic.json": '{"family": "phenotypic",\n'
+                       ' "matrices": [[[1, 0], [0, 2]], [[2, 0], [0, 1]], [[1, 0], [0, 1]]],\n'
+                       ' "points": [[0, 0], [1, 0], [0, 1]]}\n',
+    "points.json": '{"family": "distance_squared", "points": [[0.25, 0.794, 0.551], '
+                   '[-0.55, -0.4, 0.747], [-0.989, 0.642, 0.594], [-0.064, -0.394, -0.443]]}\n',
+}
+_LOCATE_RUN = ["locate", "points.json", "-r", "6", "--out", "located"]
+_LOCATE_FILES = {"located.csv": "locate-points-r6.csv", "located.json": "locate-points-r6.json"}
+_ATLAS_RUN = ["atlas", "--builtin", "example32", "-r", "20", "--out", "example32"]
+_ATLAS_FILES = {"example32.csv": "atlas-example32-r20.csv",
+                "example32.json": "atlas-example32-r20.json"}
 # golden name: argv, exit status, stderr, {written file: golden file}
 _RECORDED = {
     "ridge": (_RIDGE_RUN, 0, "", {"path.csv": "ridge-path.csv"}),
@@ -697,16 +724,24 @@ _RECORDED = {
         ["solve", "--builtin", "example32", "-w", "0.2,0.3,0.5", "--max-iter", "0"], 3,
         "solver error: no convergence after 0 iterations (residual 5.967e+00, tol 5.967e-10)\n",
         {}),
+    "verify-phenotypic-r10": (["verify", "phenotypic.json", "-r", "10"], 0, "", {}),
+    "verify-phenotypic-r10-json": (["verify", "phenotypic.json", "-r", "10", "--json"], 0, "",
+                                   {}),
+    "locate-points-r6": (_LOCATE_RUN, 0, "", _LOCATE_FILES),
+    "locate-points-r6-json": (_LOCATE_RUN + ["--json"], 0, "", _LOCATE_FILES),
+    "atlas-example32-r20": (_ATLAS_RUN, 0, "", _ATLAS_FILES),
 }
 
 
 @pytest.mark.parametrize("name", list(_RECORDED))
 def test_report_output_matches_the_recorded_bytes(name, monkeypatch, tmp_path, capsys):
-    """The solve, ridge, stability, genericity and tracker reports print and write the
-    recorded bytes (``tests/golden/NAME.txt`` is stdout) and exit as recorded."""
+    """The solve, atlas, verify, locate, ridge, stability, genericity and tracker
+    reports print and write the recorded bytes (``tests/golden/NAME.txt`` is
+    stdout) and exit as recorded."""
     argv, status, stderr, files = _RECORDED[name]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "ridge.csv").write_text(_RIDGE_DATA)
+    for input_name, text in _INPUTS.items():
+        (tmp_path / input_name).write_text(text)
     assert main(argv) == status
     out, err = capsys.readouterr()
     assert (out, err) == ((GOLDEN / f"{name}.txt").read_text(), stderr)

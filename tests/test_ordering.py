@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pareto_atlas import dominates, dominating_pairs, mutually_nondominated
+from pareto_atlas import dominates, dominating_pairs
 
 
 def test_strict_improvement_everywhere():
@@ -36,13 +36,12 @@ def test_dominating_pairs_known_answer():
     f = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 2.0], [2.0, 0.5]])
     # (1,1) is incomparable with both (0.5,2) and (2,0.5); only row 0 dominates
     assert dominating_pairs(f) == [(0, 1), (0, 2), (0, 3)]
-    assert not mutually_nondominated(f)
 
 
 def test_front_sample_is_mutually_nondominated():
     t = np.linspace(0.0, np.pi / 2.0, 25)
     front = np.column_stack([np.cos(t), np.sin(t)])  # decreasing vs increasing
-    assert mutually_nondominated(front)
+    assert not dominating_pairs(front)
 
 
 def test_rejects_non_matrix_input():

@@ -47,6 +47,14 @@ class TestLinearPerturbation:
         with pytest.raises(ValueError, match="scale -0.1 is negative"):
             draw_perturbation(3, 2, seed=7, scale=-0.1)
 
+    def test_nan_scale_is_named(self):
+        with pytest.raises(ValueError, match="scale nan is not finite"):
+            draw_perturbation(2, 2, 0, np.nan)
+
+    def test_infinite_scale_is_named(self):
+        with pytest.raises(ValueError, match="scale inf is not finite"):
+            draw_perturbation(2, 2, 0, np.inf)
+
 
 class TestPerturbedProblem:
     def test_offsets_gradients_by_constant(self, example31, rng):

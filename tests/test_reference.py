@@ -1,7 +1,8 @@
 """The array-built grid, the O(N)-memory certificates and the columnar
 atlas exports against the plain loop, dense-matrix and per-node
-implementations they replaced, kept here as references, and the
-central-difference reference for the fold test's analytic derivative."""
+implementations they replaced, kept here as references, the
+central-difference reference for the fold test's analytic derivative, and
+the cokernel alignment that the optimality tests hold to zero."""
 from __future__ import annotations
 
 import csv
@@ -40,7 +41,7 @@ from pareto_atlas import (
 )
 from pareto_atlas import atlas as pa_atlas
 from pareto_atlas.atlas import _close_pairs, _min_pair_distance, _pair_distances
-from pareto_atlas.diagnostics import corank_certificate
+from pareto_atlas.diagnostics import DEFAULT_RANK_TOL, corank_certificate, numerical_rank
 from pareto_atlas.ordering import DOMINANCE_TOL
 from pareto_atlas.problems import strong_convexity_constant
 from pareto_atlas.solver import row_norms
@@ -250,6 +251,17 @@ def ref_to_csv(atlas, path) -> None:
                 + [f"{pt.kkt_residual:.17g}", str(pt.corank),
                    ";".join(str(j + 1) for j in np.flatnonzero(atlas.grid.nodes[i]))]
             )
+
+
+def ref_cokernel_alignment(problem, x, weight, tol: float = DEFAULT_RANK_TOL) -> float:
+    """Norm of the projection of the unit weight onto the image of the
+    differential: zero (to solver accuracy) exactly when the weight
+    annihilates the Jacobian rows, the first-order optimality condition at a
+    scalarized minimizer."""
+    w = np.asarray(weight, dtype=float)
+    u, sv, _ = np.linalg.svd(problem.gradients(x))
+    rank = numerical_rank(sv, tol)
+    return float(np.linalg.norm(u[:, :rank].T @ (w / np.linalg.norm(w))))
 
 
 def ref_lambda_jacobian(problem, x, fold, step: float) -> np.ndarray:

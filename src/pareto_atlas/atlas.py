@@ -98,17 +98,6 @@ class SimplexGrid:
         self.resolution = resolution
         self.nodes = _compositions(resolution, m)
         self.weights = self.nodes / float(resolution)
-        # One column per unit move k - e_a + e_b (a != b): the neighbour's
-        # index, or -1 where k_a = 0.  Rows are sorted, so the -1s come first.
-        moves = [(a, b) for a in range(m) for b in range(m) if a != b]
-        table = np.full((self.node_count, len(moves)), -1)
-        for col, (a, b) in enumerate(moves):
-            src = np.flatnonzero(self.nodes[:, a])
-            moved = self.nodes[src]
-            moved[:, a] -= 1
-            moved[:, b] += 1
-            table[src, col] = _lex_rank(moved, resolution)
-        self._neighbors = np.sort(table, axis=1)
         self.nodes.flags.writeable = self.weights.flags.writeable = False
 
     @property
@@ -129,43 +118,37 @@ class SimplexGrid:
         return ([tuple(np.flatnonzero(masks[k]).tolist()) for k in order],
                 np.argsort(order)[which])
 
-    def neighbors(self, i: int) -> list[int]:
-        row = self._neighbors[i]
-        return row[row >= 0].tolist()
-
     @cached_property
     def adjacency(self) -> np.ndarray:
-        """Each adjacent pair (i, j), i < j, once; an (E, 2) array in sorted order."""
-        rows = np.repeat(np.arange(self.node_count), self._neighbors.shape[1])
-        cols = self._neighbors.ravel()
-        keep = rows < cols  # also drops the -1 entries
-        return np.stack([rows[keep], cols[keep]], axis=1)
+        """Each adjacent pair (i, j), i < j, once; an (E, 2) array in sorted order.
+        A unit moved from coordinate a to a later b gives a lexicographically
+        smaller node, so the moves with a < b list each pair once, as (moved, node)."""
+        pairs = [np.empty((0, 2), dtype=int)]
+        for a, b in combinations(range(self.m), 2):
+            src = np.flatnonzero(self.nodes[:, a])
+            moved = self.nodes[src]
+            moved[:, a] -= 1
+            moved[:, b] += 1
+            pairs.append(np.column_stack([_lex_rank(moved, self.resolution), src]))
+        pairs = np.concatenate(pairs)
+        return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
     def bfs_order(self) -> tuple[np.ndarray, np.ndarray]:
         """Breadth-first visit order from the node nearest the barycenter, and
         each node's parent (-1 for the start).
 
-        One level at a time: the frontier's neighbour rows, read in visit
-        order, list the next level's nodes in the order a FIFO queue would
-        first reach them, and the row a node is first reached from is its
-        parent.  The solver does not use it: every node is solved cold.
+        A CSR row holds its columns in index order, so SciPy's search visits
+        each node's neighbours in the order of a FIFO queue over sorted
+        neighbour lists.  The solver does not use it: every node is solved cold.
         """
+        from scipy.sparse import csgraph, csr_array
         center = np.full(self.m, 1.0 / self.m)
         start = int(np.argmin(np.linalg.norm(self.weights - center, axis=1)))
-        parent = np.full(self.node_count, -2)
-        parent[start] = -1
-        levels, frontier = [], np.array([start])
-        while frontier.size:
-            levels.append(frontier)
-            reached = self._neighbors[frontier]
-            fresh = (reached >= 0) & (parent[np.maximum(reached, 0)] == -2)
-            reached_from = np.broadcast_to(frontier[:, None], reached.shape)[fresh]
-            reached = reached[fresh]
-            _, first = np.unique(reached, return_index=True)
-            first.sort()
-            frontier = reached[first]
-            parent[frontier] = reached_from[first]
-        return np.concatenate(levels), parent
+        i, j = self.adjacency.T
+        edges = (np.ones(2 * len(i)), (np.concatenate([i, j]), np.concatenate([j, i])))
+        graph = csr_array(edges, shape=(self.node_count,) * 2)
+        order, parent = csgraph.breadth_first_order(graph, start, directed=True)
+        return order.astype(int), np.where(parent < 0, -1, parent).astype(int)
 
 
 def _pair_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:

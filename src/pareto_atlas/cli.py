@@ -272,12 +272,15 @@ def cmd_verify(args, parser) -> int:
     rank, skipped = f"rank {problem.m - 1}", faces.unjudged
     unjudged = (f", {len(skipped)} below {rank} not judged: nodes " + ", ".join(
         map(str, skipped[:10])) + ", ..." * (len(skipped) > 10)) if skipped else ""
+    # for n < m the max corank hides a failure, so the count of failing nodes is shown
+    below = (f", {len(corank.witnesses)} below {rank}"
+             if problem.n < problem.m and corank.witnesses else "")
 
     checks = {
         "corank": (
             corank.simplicial_on_sample,
             f"max corank {corank.max_corank} over {s.node_count} nodes "
-            f"(tol {corank.tolerance:g})",
+            f"(tol {corank.tolerance:g}){below}",
         ),
         "face-consistency": (
             faces.consistent,

@@ -59,15 +59,19 @@ class CorankCertificate:
     tolerance: float
     coranks: np.ndarray  # (N,) int
     max_corank: int
-    witnesses: list[int]  # node indices with corank >= 2
-    simplicial_on_sample: bool
+    witnesses: list[int]  # node indices below rank m - 1
+    simplicial_on_sample: bool  # no witness: rank m - 1 or more at every node
     min_gap: float  # worst retained-singular-value margin across nodes
 
 
-def corank_certificate(sv: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> CorankCertificate:
+def corank_certificate(sv: np.ndarray, tol: float = DEFAULT_RANK_TOL,
+                       m: int | None = None) -> CorankCertificate:
     """Corank certificate from each node's Jacobian singular values.
 
-    ``sv`` is (N, k), one descending row per node, k = min(m, n).
+    ``sv`` is (N, k), one descending row per node, k = min(m, n); ``m``
+    defaults to k.  The hypothesis is rank m - 1 at every node, which for
+    n >= m is corank at most 1.  For n < m - 1 no node can meet it: no
+    subset of R^n is homeomorphic to the (m-1)-simplex.
     """
     rank = numerical_rank(sv, tol)
     coranks = sv.shape[1] - rank
@@ -75,19 +79,20 @@ def corank_certificate(sv: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> CorankC
     gaps = np.full(len(rank), np.inf)
     gaps[rank > 0] = retained[rank > 0] / sv[rank > 0, 0]
     max_corank = int(coranks.max()) if coranks.size else 0
-    witnesses = [int(i) for i in np.nonzero(coranks >= 2)[0]]
+    witnesses = np.flatnonzero(rank < (sv.shape[1] if m is None else m) - 1).tolist()
     return CorankCertificate(
         tolerance=tol,
         coranks=coranks,
         max_corank=max_corank,
         witnesses=witnesses,
-        simplicial_on_sample=max_corank <= 1,
+        simplicial_on_sample=not witnesses,
         min_gap=float(gaps.min()),
     )
 
 
 def certify_corank_on_atlas(atlas) -> CorankCertificate:
-    """Corank certificate over every atlas node at ``atlas.config.rank_tol``.
+    """Corank certificate over every atlas node at ``atlas.config.rank_tol``,
+    against rank ``atlas.grid.m`` - 1.
 
     Evaluates the Jacobians at the stored minimizers and takes their SVDs,
     all nodes in one batch: the same evaluate and SVD that filled
@@ -95,7 +100,8 @@ def certify_corank_on_atlas(atlas) -> CorankCertificate:
     node.
     """
     jac = atlas.problem.evaluate(atlas.x)[1]
-    return corank_certificate(np.linalg.svd(jac, compute_uv=False), atlas.config.rank_tol)
+    return corank_certificate(np.linalg.svd(jac, compute_uv=False), atlas.config.rank_tol,
+                              atlas.grid.m)
 
 
 # ---------------------------------------------------------------------------

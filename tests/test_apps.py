@@ -49,6 +49,14 @@ class TestLocation:
         # the barycenter formula holds regardless
         assert report.max_barycentric_error <= 1e-12
 
+    def test_more_than_n_plus_one_points_list_every_node_as_a_corank_witness(self):
+        square = LocationInstance([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        report = location_pareto_set(square, resolution=3)
+        assert not report.general_position
+        assert report.corank_certificate.max_corank == 0  # against min(n, m) = 2
+        assert not report.corank_certificate.simplicial_on_sample
+        assert report.as_dict()["corank"]["witnesses"] == list(range(20))
+
     @pytest.mark.parametrize("points, independent", [
         (np.eye(3), True),
         ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], False),

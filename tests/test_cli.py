@@ -158,6 +158,25 @@ class TestVerify:
         assert ("[n/a] face-consistency: no boundary node of rank 3, 52 below rank 3 "
                 "not judged: nodes 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...\n") in capsys.readouterr().out
 
+    @pytest.mark.parametrize("points", [
+        [[0, 0], [1, 0], [0, 1], [1, 1]],
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+        [[0, 0], [1, 0], [2, 0]],
+    ], ids=["square", "five-points-in-r3", "collinear"])
+    def test_nodes_below_rank_m_minus_1_fail_corank(self, points, tmp_path, capsys):
+        """The hypothesis is rank m - 1 at every node.  For n < m - 1 no node
+        can meet it, and three collinear points reach only rank m - 2, though
+        the corank against min(n, m) is at most 1 in all three."""
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"family": "distance_squared", "points": points}))
+        assert main(["verify", str(path), "-r", "3"]) == 1
+        assert "\n[FAIL] corank: max corank " in capsys.readouterr().out
+        code, doc = run_json(capsys, ["verify", str(path), "-r", "3", "--json"])
+        nodes, corank = doc["summary"]["node_count"], doc["certificates"]["corank"]
+        assert code == 1 and corank["ok"] is False
+        assert corank["detail"].endswith(f", {nodes} below rank {len(points) - 1}")
+        assert doc["corank_witnesses"] == list(range(nodes))
+
     def test_perturbed_family_passes(self, capsys):
         code, doc = run_json(
             capsys,
@@ -682,8 +701,9 @@ _SWEEP_RUN = ["perturb", "--builtin", "remark_g", "--trials", "3", "-r", "6",
 _TRACK_RUN = ["perturb", "--builtin", "remark_g", "--track"]
 _SOLVE_RUN = ["solve", "--builtin", "example31", "-w", "0.2,0.3,0.5", "-w", "1,0,0",
               "-w", "0,0.5,0.5"]
-# README's phenotypic example, and four demand points in R^3 drawn once by
-# np.random.default_rng(7).uniform(-1, 1, (4, 3)).round(3)
+# README's phenotypic example, four demand points in R^3 drawn once by
+# np.random.default_rng(7).uniform(-1, 1, (4, 3)).round(3), and the unit
+# square's corners (n = 2 < m - 1)
 _INPUTS = {
     "ridge.csv": _RIDGE_DATA,
     "phenotypic.json": '{"family": "phenotypic",\n'
@@ -691,6 +711,7 @@ _INPUTS = {
                        ' "points": [[0, 0], [1, 0], [0, 1]]}\n',
     "points.json": '{"family": "distance_squared", "points": [[0.25, 0.794, 0.551], '
                    '[-0.55, -0.4, 0.747], [-0.989, 0.642, 0.594], [-0.064, -0.394, -0.443]]}\n',
+    "square.json": '{"family": "distance_squared", "points": [[0, 0], [1, 0], [0, 1], [1, 1]]}\n',
 }
 _LOCATE_RUN = ["locate", "points.json", "-r", "6", "--out", "located"]
 _LOCATE_FILES = {"located.csv": "locate-points-r6.csv", "located.json": "locate-points-r6.json"}
@@ -727,6 +748,8 @@ _RECORDED = {
     "verify-phenotypic-r10": (["verify", "phenotypic.json", "-r", "10"], 0, "", {}),
     "verify-phenotypic-r10-json": (["verify", "phenotypic.json", "-r", "10", "--json"], 0, "",
                                    {}),
+    "verify-square-r3": (["verify", "square.json", "-r", "3"], 1, "", {}),
+    "verify-square-r3-json": (["verify", "square.json", "-r", "3", "--json"], 1, "", {}),
     "locate-points-r6": (_LOCATE_RUN, 0, "", _LOCATE_FILES),
     "locate-points-r6-json": (_LOCATE_RUN + ["--json"], 0, "", _LOCATE_FILES),
     "atlas-example32-r20": (_ATLAS_RUN, 0, "", _ATLAS_FILES),

@@ -86,6 +86,14 @@ class TestCorank:
             assert cert.witnesses == []
         assert certify_corank_on_atlas(atlas).min_gap > 1e-3
 
+    def test_certificate_holds_every_node_to_rank_m_minus_1(self):
+        sv = np.array([[2.0, 1.0], [2.0, 0.0], [0.0, 0.0]])  # ranks 2, 1, 0 with n = 2
+        assert corank_certificate(sv).witnesses == [2]  # m = min(n, m) = 2: corank <= 1
+        for m, witnesses in ((3, [1, 2]), (4, [0, 1, 2])):
+            cert = corank_certificate(sv, m=m)
+            assert cert.max_corank == 2  # still counted against min(n, m)
+            assert cert.witnesses == witnesses and not cert.simplicial_on_sample
+
     def test_certificate_recomputation_matches_solver(self, example32):
         atlas = build_atlas(example32, 6)
         cert = certify_corank_on_atlas(atlas)

@@ -287,8 +287,6 @@ def ref_lambda_jacobian(problem, x, fold, step: float) -> np.ndarray:
 def test_grid_matches_the_loop_reference(m, r):
     grid, ref = SimplexGrid(m, r), RefGrid(m, r)
     assert np.array_equal(grid.nodes, ref.nodes)
-    assert [grid.neighbors(i) for i in range(grid.node_count)] == [
-        ref.neighbors(i) for i in range(grid.node_count)]
     assert [tuple(pair) for pair in grid.adjacency.tolist()] == ref.adjacency()
     order, parent = grid.bfs_order()
     ref_order, ref_parent = ref.bfs_order()
@@ -297,10 +295,9 @@ def test_grid_matches_the_loop_reference(m, r):
 
 
 def test_grid_with_forty_objectives():
-    """40 objectives at r = 2: 820 nodes, but radix codes (r + 1)^m would overflow int64."""
-    grid, ref = SimplexGrid(40, 2), RefGrid(40, 2)
-    assert np.array_equal(grid.nodes, ref.nodes)
-    assert [tuple(pair) for pair in grid.adjacency.tolist()] == ref.adjacency()
+    """40 objectives at r = 2: 820 nodes, but radix codes (r + 1)^m would
+    overflow int64, and 780 forward moves a -> b, a < b, build the adjacency."""
+    test_grid_matches_the_loop_reference.hypothesis.inner_test(40, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -446,7 +446,6 @@ class FaceConsistencyReport:
     tolerance: float
     checked: int
     worst_node: int | None
-    per_face: dict[tuple[int, ...], float]
     unjudged: list[int]  # boundary nodes below rank m - 1
 
 
@@ -472,7 +471,7 @@ def face_consistency(atlas: ParetoAtlas) -> FaceConsistencyReport:
     judged = numerical_rank(atlas.sv[nodes], max(atlas.config.rank_tol, eps)) >= m - 1
     unjudged = nodes[~judged].tolist()
     if not judged.any():
-        return FaceConsistencyReport(True, 0.0, 0.0, 0, None, {}, unjudged)
+        return FaceConsistencyReport(True, 0.0, 0.0, 0, None, unjudged)
     nodes = nodes[judged]
     sv, w = atlas.sv[nodes], grid.weights[nodes]
     jac = atlas.problem.evaluate(atlas.x[nodes])[1]
@@ -481,11 +480,8 @@ def face_consistency(atlas: ParetoAtlas) -> FaceConsistencyReport:
     gaps = (rho + rounding) / sigma
     bounds = (atlas.residual[nodes] + 2.0 * rounding) / sigma
     worst = int(np.argmax(gaps / bounds))
-    faces, which = grid.faces()
-    per_face = {faces[k]: float(gaps[which[nodes] == k].max()) for k in np.unique(which[nodes])}
     return FaceConsistencyReport(bool((gaps <= bounds).all()), float(gaps[worst]),
-                                 float(bounds[worst]), nodes.size, int(nodes[worst]),
-                                 per_face, unjudged)
+                                 float(bounds[worst]), nodes.size, int(nodes[worst]), unjudged)
 
 
 @dataclass

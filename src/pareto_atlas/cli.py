@@ -106,7 +106,7 @@ def _add_problem_args(sub):
         "--builtin", choices=BUILTIN_NAMES, help="use a named fixture instead of a file"
     )
     sub.add_argument(
-        "--epsilon", type=finite, default=0.1,
+        "--epsilon", type=finite,
         help="epsilon for --builtin example31_perturbed (default 0.1)",
     )
 
@@ -127,10 +127,12 @@ def _config(args) -> SolverConfig:
 
 def _load_problem(args, parser):
     """Problem, its ``input`` fields (label, sha256 of the defining JSON) and header line."""
+    if args.epsilon is not None and args.builtin != "example31_perturbed":
+        parser.error("argument --epsilon: only --builtin example31_perturbed takes it")
     if args.builtin:
         if args.problem:
             parser.error("give either a problem file or --builtin, not both")
-        problem = builtin_problem(args.builtin, epsilon=args.epsilon)
+        problem = builtin_problem(args.builtin, 0.1 if args.epsilon is None else args.epsilon)
         label, raw = f"builtin:{args.builtin}", serialize_problem(problem).encode()
     else:
         if not args.problem:
@@ -371,11 +373,14 @@ def cmd_perturb(args, parser) -> int:
     )
     status = _unconverged(int(np.count_nonzero(~rep.converged)))
     if status == OK:
-        checks = []
+        checks, rank = [], problem.m - 1
         for tol in rep.rank_tols:
-            bad = rep.corank2_trials(tol)
-            checks.append((f"corank <= 1 at tol {tol:g}", (
-                not bad, f"{len(bad)} trial(s) with corank >= 2" + (f": {bad}" if bad else ""))))
+            bad, below = rep.corank2_trials(tol), rep.trials_below_rank(tol, rank)
+            # for n < m the corank hides a failure, as in verify's corank line
+            tail = (f", {len(below)} trial(s) below rank {rank}"
+                    if problem.n < problem.m and below else "")
+            checks.append((f"corank <= 1 at tol {tol:g}", (not below, (
+                f"{len(bad)} trial(s) with corank >= 2" + (f": {bad}" if bad else "") + tail))))
         status = _verdicts(checks, lines)
     options = {**_options(args, "trials", "scale", "resolution", "seed"),
                "rank_tols": list(rep.rank_tols)}

@@ -33,8 +33,8 @@ def _blocked(f: np.ndarray, tol: float, rows: np.ndarray, cols: np.ndarray):
     sorted on the first objective, so a block meets only the j from one
     searchsorted column on that have ``f[j] + tol`` not below the block's
     componentwise minimum."""
-    if not f.shape[1]:
-        return  # with no objective no row is strictly better
+    if not (f.shape[1] and len(rows) and len(cols)):
+        return  # no pair without an objective (none is strictly better) or a row
     rows = rows[np.argsort(f[rows, 0], kind="stable")]
     cols = cols[np.argsort(f[cols, 0], kind="stable")]
     height = max(1, BLOCK_ELEMENTS // max(1, len(cols)))
@@ -74,7 +74,7 @@ def dominating_pairs(values, tol: float = DOMINANCE_TOL, *, near=None,
         i, j = np.concatenate(near), np.concatenate(near[::-1])
         hit = (f[i] <= f[j] + tol).all(axis=1) & (f[i] < f[j] - tol).any(axis=1)
         rows = np.asarray(everywhere, dtype=int)
-        others = np.setdiff1d(every, rows)
+        others = np.delete(every, rows)
         codes = [i[hit] * n + j[hit], *_blocked(f, tol, rows, every),
                  *_blocked(f, tol, others, rows)]
     code = np.unique(np.concatenate(codes))

@@ -72,7 +72,8 @@ class GenericityReport:
     as on ``ParetoAtlas``; ``corank[i, t]`` holds trial t's node coranks at
     ``rank_tols[i]``.  For families below the dimension threshold, perturbed
     problems should show corank <= 1 everywhere; a corank-2 witness in any
-    trial refutes genericity at the sampled resolution.
+    trial refutes genericity at the sampled resolution.  For n < m the
+    hypothesis is rank m - 1, which ``trials_below_rank`` checks.
     """
 
     trials: int
@@ -86,7 +87,12 @@ class GenericityReport:
     corank: np.ndarray  # (len(rank_tols), trials, N)
 
     def corank2_trials(self, tol: float) -> list[int]:
-        return np.flatnonzero(self.corank[self.rank_tols.index(tol)].max(axis=1) >= 2).tolist()
+        return self.trials_below_rank(tol, self.sv.shape[-1] - 1)
+
+    def trials_below_rank(self, tol: float, rank: int) -> list[int]:
+        """Trials with a node whose Jacobian has rank below ``rank`` at ``tol``."""
+        peak = self.corank[self.rank_tols.index(tol)].max(axis=1)
+        return np.flatnonzero(self.sv.shape[-1] - peak < rank).tolist()
 
     def as_dict(self) -> dict:
         tols = [str(tol) for tol in self.rank_tols]

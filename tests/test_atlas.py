@@ -219,7 +219,6 @@ class TestFaceConsistency:
         assert report.consistent
         assert report.checked == 24  # 3 * r boundary nodes at m = 3
         assert report.max_discrepancy <= report.tolerance
-        assert set(report.per_face) == {(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)}
         assert report.unjudged == []
 
     def test_face_nesting_against_subproblem_atlases(self, example32):
@@ -271,9 +270,9 @@ class TestFaceConsistency:
                 for row, b in zip(quad.qs[1], quad.bs[1])]
         exact = float(sum(g * g for g in grad)) ** 0.5
         assert exact > 2e-16 and np.linalg.norm(example32.gradients(x)[1]) == 0.0
-        report = face_consistency(atlas)
-        sigma = atlas.sv[k, 1] - np.finfo(float).eps * atlas.sv[k, 0]
-        assert report.consistent and exact / sigma <= report.per_face[(1,)]
+        # rho_k is 0 there, so the node's gap is its rounding term m eps sigma_1 / sigma
+        assert exact <= 3 * np.finfo(float).eps * atlas.sv[k, 0]
+        assert face_consistency(atlas).consistent
 
         strict = build_atlas(example32, 8, SolverConfig(grad_tol=0.0, max_iter=3))
         assert strict.failures and strict.residual.max() > 0.0

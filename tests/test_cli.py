@@ -290,12 +290,15 @@ def test_vacuous_tolerances_rejected(argv, flag, capsys):
     (["atlas", "--builtin", "example32", "-r", "5", "--spot-check", "-1"], "--spot-check"),
     (["verify", "--builtin", "example32", "-r", "5", "--seed", "-1"], "--seed"),
     (["perturb", "--builtin", "remark_g", "--track", "--seed", "-1"], "--seed"),
+    (["verify", "square.json", "--epsilon", "5"], "--epsilon"),
+    (["verify", "--builtin", "example32", "--epsilon", "7"], "--epsilon"),
 ])
 def test_negative_tolerances_and_scales_rejected(argv, flag, capsys):
     """A negative error tolerance fails every input, and a negative scale names
     no perturbation (``--track`` would run the unperturbed problem).  A
     negative sample count would skip the spot check, and numpy refuses a
-    negative seed without naming the flag."""
+    negative seed without naming the flag.  ``--epsilon`` sets only
+    example31_perturbed's epsilon; any other problem would ignore it."""
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
@@ -416,6 +419,25 @@ class TestPerturb:
         assert main(["perturb", "--builtin", "example32", "--trials", "1", "-r", "2",
                      "--rank-tols", "0.1", "--rank-tols", "0.1"]) == code == 1
         assert capsys.readouterr().out.count("corank <= 1 at tol 0.1") == 1
+
+    @pytest.mark.parametrize("points, scale", [
+        ([[0, 0], [1, 0], [0, 1], [1, 1]], "0.1"),
+        ([[0, 0], [1, 0], [2, 0]], "0"),
+    ], ids=["square", "collinear"])
+    def test_trials_below_rank_m_minus_1_fail(self, points, scale, tmp_path, capsys):
+        """As in ``verify``, the hypothesis is rank m - 1 at every node.  No
+        perturbation lifts the square's corners (n = m - 2) to it; unperturbed,
+        three collinear points reach only rank m - 2 (a perturbation moves them
+        off the line).  The corank against min(n, m) is at most 1 in both."""
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"family": "distance_squared", "points": points}))
+        argv = ["perturb", str(path), "--trials", "2", "-r", "3", "--scale", scale]
+        assert main(argv) == 1
+        assert ("\n[FAIL] corank <= 1 at tol 1e-08: 0 trial(s) with corank >= 2, "
+                f"2 trial(s) below rank {len(points) - 1}\n") in capsys.readouterr().out
+        code, doc = run_json(capsys, [*argv, "--json"])
+        assert code == doc["exit_status"] == 1
+        assert doc["genericity"]["corank2_trials"] == {"1e-08": []}
 
     def test_track_unperturbed(self, capsys):
         code, doc = run_json(

@@ -38,6 +38,20 @@ def test_dominating_pairs_known_answer():
     assert dominating_pairs(f) == [(0, 1), (0, 2), (0, 3)]
 
 
+def test_candidates_alone_sort_no_row(monkeypatch):
+    """With no row that meets every row, only the candidate pairs are
+    compared: nothing sorts or set-differences the rows."""
+    f = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 2.0], [2.0, 0.5]])
+    near = (np.array([0, 0, 1]), np.array([1, 3, 2]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rows were sorted")
+
+    monkeypatch.setattr(np, "argsort", refuse)
+    monkeypatch.setattr(np, "setdiff1d", refuse)
+    assert dominating_pairs(f, near=near, everywhere=[]) == [(0, 1), (0, 3)]
+
+
 def test_front_sample_is_mutually_nondominated():
     t = np.linspace(0.0, np.pi / 2.0, 25)
     front = np.column_stack([np.cos(t), np.sin(t)])  # decreasing vs increasing

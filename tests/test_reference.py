@@ -345,6 +345,38 @@ def test_blocked_dominance_matches_both_references(n, m, tol, front, duplicates,
     bent onto the flat front sum(f) = const, so blocks meet ties at the
     tolerance, with duplicate rows, NaN and +-inf entries and non-finite
     tolerances."""
+    f = dominance_lattice(n, m, tol, front, duplicates, special, seed)
+    with np.errstate(invalid="ignore"):  # inf - inf in f +- tol
+        pairs = dominating_pairs(f, tol)
+        assert pairs == ref_blocked_dominating_pairs(f, tol) == ref_dominating_pairs(f, tol)
+        assert pairs == [(i, j) for i in range(len(f)) for j in range(len(f))
+                         if i != j and dominates(f[i], f[j], tol)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.one_of(st.integers(0, 3), st.integers(4, 250)), m=st.integers(1, 5),
+       tol=st.sampled_from(TOLERANCES), front=st.booleans(), duplicates=st.booleans(),
+       special=st.sampled_from([0.0, 0.01, 0.2]), seed=st.integers(0, 2**32 - 1))
+def test_candidate_dominance_matches_the_reference(n, m, tol, front, duplicates, special, seed):
+    """The candidate path on the same lattice: ``near`` holding every pair
+    i < j with ``everywhere`` empty, a random subset or all rows, and ``near``
+    holding no pair with ``everywhere`` all rows, each find every pair."""
+    f = dominance_lattice(n, m, tol, front, duplicates, special, seed)
+    every = np.arange(len(f))
+    subset = every[np.random.default_rng(seed).random(len(f)) < 0.5]
+    none = (every[:0], every[:0])
+    with np.errstate(invalid="ignore"):  # inf - inf in f +- tol
+        expected = ref_dominating_pairs(f, tol)
+        near = np.triu_indices(len(f), 1)
+        for rows in ([], subset, every):
+            assert dominating_pairs(f, tol, near=near, everywhere=rows) == expected
+        assert dominating_pairs(f, tol, near=none, everywhere=every) == expected
+
+
+def dominance_lattice(n, m, tol, front, duplicates, special, seed) -> np.ndarray:
+    """n rows of m values on a lattice of step tol/2, bent onto sum(f) = const
+    with ``front``, a quarter duplicated with ``duplicates``, and entries NaN
+    or +-inf with probability ``special``."""
     rng = np.random.default_rng(seed)
     step = abs(tol) / 2 if np.isfinite(tol) and tol else 0.5e-9
     ticks = rng.integers(-4, 5, (n, m))
@@ -356,11 +388,7 @@ def test_blocked_dominance_matches_both_references(n, m, tol, front, duplicates,
     f[rng.random(f.shape) < special] = np.nan
     f[rng.random(f.shape) < special / 2] = np.inf
     f[rng.random(f.shape) < special / 2] = -np.inf
-    with np.errstate(invalid="ignore"):  # inf - inf in f +- tol
-        pairs = dominating_pairs(f, tol)
-        assert pairs == ref_blocked_dominating_pairs(f, tol) == ref_dominating_pairs(f, tol)
-        assert pairs == [(i, j) for i in range(len(f)) for j in range(len(f))
-                         if i != j and dominates(f[i], f[j], tol)]
+    return f
 
 
 def test_dominance_on_a_noisy_front_of_eight_thousand_rows():

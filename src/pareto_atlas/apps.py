@@ -5,8 +5,9 @@ the computed sets against independent routes (closed forms, hull membership
 by linear programming, normal-equation solves).  The biological model,
 anisotropic squared distances to trait optima, has no closed form to check
 against: it is the ``phenotypic`` problem family, and ``verify`` runs the
-certificates on it as on any other problem.  A ridge path runs on a
-``problems.RidgePair``; ``read_ridge_csv`` reads one from a CSV file.  Its
+certificates on it as on any other problem.  A location atlas runs on a
+``problems.DistanceSquared`` spec, and a ridge path on a
+``problems.RidgePair``, which ``read_ridge_csv`` reads from a CSV file.  A
 ``RidgePathReport`` holds one array per field, row-aligned with the path
 rows, and its normal-equations oracle solves one row at a time.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atlas import InjectivityReport, ParetoAtlas, build_atlas, injectivity_scan, solve_grid
-from .diagnostics import CorankCertificate, certify_corank_on_atlas, numerical_rank
+from .diagnostics import CorankCertificate, certify_corank_on_atlas
 from .problems import DistanceSquared, RidgePair, build_problem
 from .solver import DEFAULT_CONFIG, SolverConfig, raise_unconverged, row_norms
 
@@ -50,19 +51,8 @@ def __getattr__(name):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocationInstance:
-    """Demand points for the squared-distance location problem."""
-
-    points: np.ndarray  # (m, n)
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-
-    def affinely_independent(self, rank_tol: float) -> bool:
-        """The differences p_i - p_1 have numerical rank m - 1 at ``rank_tol``."""
-        span = self.points[1:] - self.points[0]
-        return bool(numerical_rank(np.linalg.svd(span, compute_uv=False), rank_tol) == len(span))
+# ``perfbench/test_perfbench.py`` imports the location spec by this name.
+LocationInstance = DistanceSquared
 
 
 def _hull_violation(points: np.ndarray, x: np.ndarray) -> float:
@@ -159,11 +149,11 @@ class LocationReport:
 
 
 def location_pareto_set(
-    instance: LocationInstance,
+    spec: DistanceSquared,
     resolution: int,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> LocationReport:
-    """Atlas for a location instance, checked two independent ways.
+    """Atlas for the demand points of ``spec``, checked two independent ways.
 
     The minimizer for weight w has the closed form sum_i w_i p_i, so every
     atlas point is compared against that barycenter and, separately, run
@@ -171,16 +161,15 @@ def location_pareto_set(
     If any node fails to converge the report stops at the atlas: no check
     is run and their fields are None.
     """
-    problem = build_problem(DistanceSquared(instance.points))
-    atlas = build_atlas(problem, resolution, config)
-    report = LocationReport(atlas, instance.affinely_independent(config.rank_tol), None, None,
+    atlas = build_atlas(build_problem(spec), resolution, config)
+    report = LocationReport(atlas, spec.affinely_independent(config.rank_tol), None, None,
                             None, None)
     if atlas.failures:
         return report
     xs = atlas.x
-    expected = atlas.grid.weights @ instance.points
+    expected = atlas.grid.weights @ spec.points
     report.max_barycentric_error = float(np.linalg.norm(xs - expected, axis=1).max())
-    report.max_hull_violation = max(_hull_violations(instance.points, xs).tolist())
+    report.max_hull_violation = max(_hull_violations(spec.points, xs).tolist())
     report.corank_certificate = certify_corank_on_atlas(atlas)
     report.injectivity = injectivity_scan(atlas)
     return report

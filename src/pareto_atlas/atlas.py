@@ -104,11 +104,6 @@ class SimplexGrid:
     def node_count(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def step(self) -> float:
-        """Euclidean length of one grid move (a unit transposition)."""
-        return np.sqrt(2.0) / self.resolution
-
     def faces(self) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """The distinct node supports (0-based faces) in order of first
         appearance, and for each node the index of its support in that list."""
@@ -491,26 +486,20 @@ class InjectivityReport:
     injective_on_sample: bool
     collapsed_pairs: list[tuple[int, int]]
     collapse_tol: float
-    weight_threshold: float
 
 
 def injectivity_scan(atlas: ParetoAtlas, collapse_tol: float = 1e-6) -> InjectivityReport:
-    """Find weight pairs more than two grid steps apart mapping to one point.
+    """Find weight pairs more than two grid moves apart mapping to one point.
 
     Adjacent or nearly-adjacent nodes legitimately map to nearby minimizers,
-    so only pairs with weight distance above twice the grid step count as
-    collapses.
+    so only pairs with weight distance above twice the length sqrt(2)/r of a
+    grid move count as collapses: integer nodes at squared distance above 8.
     """
-    xs, ws = atlas.x, atlas.grid.weights
-    threshold = 2.0 * atlas.grid.step * (1.0 + 1e-9)
-    a, b, d = _close_pairs(xs, collapse_tol)
-    keep = (d <= collapse_tol) & (_pair_distances(ws[a], ws[b]) > threshold)
+    nodes = atlas.grid.nodes
+    a, b, d = _close_pairs(atlas.x, collapse_tol)
+    keep = (d <= collapse_tol) & (np.square(nodes[a] - nodes[b]).sum(axis=1) > 8)
     a, b = a[keep], b[keep]
     order = np.lexsort((b, a))
     pairs = list(zip(a[order].tolist(), b[order].tolist()))
-    return InjectivityReport(
-        injective_on_sample=not pairs,
-        collapsed_pairs=pairs,
-        collapse_tol=collapse_tol,
-        weight_threshold=threshold,
-    )
+    return InjectivityReport(injective_on_sample=not pairs, collapsed_pairs=pairs,
+                             collapse_tol=collapse_tol)

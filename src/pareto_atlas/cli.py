@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .apps import (
-    LocationInstance,
     location_pareto_set,
     read_ridge_csv,
     ridge_path,
@@ -321,7 +320,21 @@ def cmd_verify(args, parser) -> int:
     )
 
 
+# The options each perturb mode reads, with their defaults; any other is a usage error.
+PERTURB_OPTIONS = {"track": {"scale": 0.1},
+                   "stability": {"resolution": 20, "scales": (0.1, 0.01, 0.001)},
+                   "genericity": {"trials": 20, "scale": 0.1, "resolution": 20, "rank_tols": None}}
+
+
 def cmd_perturb(args, parser) -> int:
+    mode = "track" if args.track else "stability" if args.stability else "genericity"
+    reads = PERTURB_OPTIONS[mode]
+    for name in ("trials", "scale", "resolution", "rank_tols", "scales"):
+        given = getattr(args, name)
+        if given is None:
+            setattr(args, name, reads.get(name))
+        elif name not in reads:
+            parser.error(f"argument --{name.replace('_', '-')}: a {mode} run does not take it")
     problem, source, lines = _load_problem(args, parser)
     config = _config(args)
 
@@ -415,8 +428,7 @@ def cmd_locate(args, parser) -> int:
     problem, source, lines = _load_problem(args, parser)
     if not isinstance(problem.family, DistanceSquared):
         raise ProblemFormatError("locate requires a distance_squared problem")
-    instance = LocationInstance(problem.family.points)
-    rep = location_pareto_set(instance, args.resolution, _config(args))
+    rep = location_pareto_set(problem.family, args.resolution, _config(args))
     options = _options(args, "resolution", "bary_tol", "hull_tol")
     if rep.atlas.failures:
         return _report(args, lines, "locate", _unconverged(len(rep.atlas.failures)),
@@ -493,9 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perturb", help="genericity trials, corank-2 tracking, stability")
     _add_problem_args(p)
     _add_solver_args(p)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--scale", type=nonnegative, default=0.1)
-    p.add_argument("--resolution", "-r", type=int, default=20)
+    p.add_argument("--trials", type=int, help="genericity trials (default 20)")
+    p.add_argument("--scale", type=nonnegative, help="perturbation scale (default 0.1)")
+    p.add_argument("--resolution", "-r", type=int, help="grid resolution (default 20)")
     p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--rank-tols", type=rank_tol, action="append",
                    help="repeatable rank tolerance sweep, each in [0, 1) (default: --rank-tol)")
@@ -505,8 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
                       f"at |E| <= {E_TOL:g} or after --max-iter steps (--grad-tol does not apply)")
     mode.add_argument("--stability", action="store_true",
                       help="sup-displacement table over --scales")
-    p.add_argument("--scales", type=scale_list, default="0.1,0.01,0.001",
-                   help="comma-separated scales for --stability")
+    p.add_argument("--scales", type=scale_list,
+                   help="comma-separated scales for --stability (default 0.1,0.01,0.001)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out-report", help="also write the JSON report here")
     p.set_defaults(func=cmd_perturb)

@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 import numpy as np
 
+from .diagnostics import numerical_rank
+
 __all__ = [
     "ProblemFormatError",
     "simplex_weight",
@@ -315,6 +317,11 @@ class DistanceSquared(_Family):
         eye = 2.0 * np.eye(self.n)
         hess = _constant(np.repeat(eye[None, :, :], self.m, axis=0))
         return np.einsum("Nki,Nki->Nk", diff, diff), 2.0 * diff, hess
+
+    def affinely_independent(self, rank_tol: float) -> bool:
+        """The differences p_i - p_1 have numerical rank m - 1 at ``rank_tol``."""
+        span = self.points[1:] - self.points[0]
+        return bool(numerical_rank(np.linalg.svd(span, compute_uv=False), rank_tol) == len(span))
 
 
 @dataclass(frozen=True)

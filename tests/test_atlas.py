@@ -65,7 +65,7 @@ class TestSimplexGrid:
         grid = SimplexGrid(3, 5)
         for a, b in grid.adjacency:
             assert_allclose(
-                np.linalg.norm(grid.weights[a] - grid.weights[b]), grid.step
+                np.linalg.norm(grid.weights[a] - grid.weights[b]), np.sqrt(2) / 5
             )
 
     def test_bfs_reaches_every_node_with_valid_parents(self):

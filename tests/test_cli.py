@@ -292,13 +292,25 @@ def test_vacuous_tolerances_rejected(argv, flag, capsys):
     (["perturb", "--builtin", "remark_g", "--track", "--seed", "-1"], "--seed"),
     (["verify", "square.json", "--epsilon", "5"], "--epsilon"),
     (["verify", "--builtin", "example32", "--epsilon", "7"], "--epsilon"),
+    (["perturb", "--builtin", "remark_g", "--track", "--rank-tols", "0.5", "--json"],
+     "--rank-tols"),
+    (["perturb", "--builtin", "remark_g", "--track", "--trials", "2"], "--trials"),
+    (["perturb", "--builtin", "remark_g", "--track", "-r", "5"], "--resolution"),
+    (["perturb", "--builtin", "example31", "--trials", "2", "-r", "4", "--scales", "0.5,0.2"],
+     "--scales"),
+    (["perturb", "--builtin", "example32", "--stability", "--trials", "3", "-r", "4",
+      "--rank-tols", "0.3"], "--trials"),
+    (["perturb", "--builtin", "example32", "--stability", "-r", "4", "--rank-tols", "0.3"],
+     "--rank-tols"),
+    (["perturb", "--builtin", "example32", "--stability", "--scale", "0.2"], "--scale"),
 ])
 def test_negative_tolerances_and_scales_rejected(argv, flag, capsys):
     """A negative error tolerance fails every input, and a negative scale names
     no perturbation (``--track`` would run the unperturbed problem).  A
     negative sample count would skip the spot check, and numpy refuses a
     negative seed without naming the flag.  ``--epsilon`` sets only
-    example31_perturbed's epsilon; any other problem would ignore it."""
+    example31_perturbed's epsilon; any other problem would ignore it, and a
+    perturb mode would ignore an option that only another mode reads."""
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2

@@ -155,7 +155,7 @@ def ref_distances(atlas) -> tuple[float, float]:
 def ref_collapsed_pairs(atlas, collapse_tol: float = 1e-6) -> list[tuple[int, int]]:
     xs = atlas.x
     ws = atlas.grid.weights
-    threshold = 2.0 * atlas.grid.step * (1.0 + 1e-9)
+    threshold = 2.0 * np.sqrt(2) / atlas.grid.resolution * (1.0 + 1e-9)
     mask = np.triu((cdist(xs, xs) <= collapse_tol) & (cdist(ws, ws) > threshold), k=1)
     rows, cols = np.nonzero(mask)
     return list(zip(rows.tolist(), cols.tolist()))
@@ -552,6 +552,19 @@ def test_collapsed_diagonal_matches_the_dense_reference():
     pairs = injectivity_scan(atlas).collapsed_pairs
     assert len(pairs) > 10 and pairs == ref_collapsed_pairs(atlas)
     assert atlas.summary.min_pairwise_x_distance == ref_distances(atlas)[0]
+
+
+def test_collapse_starts_beyond_two_grid_moves():
+    """Node A's x given to B = A + (-2, 2, 0, 0), two grid moves away
+    (squared node distance 8), and to C = A + (-2, 2, -1, 1) (distance 10):
+    only (A, C) collapses; B and C are one move apart."""
+    atlas = build_atlas(random_quadratic(3, n=4, m=4), 6)
+    rows = {tuple(k): i for i, k in enumerate(atlas.grid.nodes.tolist())}
+    a, b, c = (rows[k] for k in [(2, 1, 2, 1), (0, 3, 2, 1), (0, 3, 1, 2)])
+    assert injectivity_scan(atlas).injective_on_sample
+    plant(atlas, [b, c], atlas.x[[a, a]])
+    assert injectivity_scan(atlas).collapsed_pairs == [tuple(sorted((a, c)))]
+    assert injectivity_scan(atlas).collapsed_pairs == ref_collapsed_pairs(atlas)
 
 
 @st.composite

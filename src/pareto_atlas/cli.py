@@ -23,8 +23,6 @@ from .atlas import build_atlas, face_consistency, injectivity_scan
 from .diagnostics import DEFAULT_RANK_TOL, certify_corank_on_atlas
 from .perturb import (
     E_TOL,
-    DBlockSingular,
-    TrackerDiverged,
     corank2_tracker,
     draw_perturbation,
     genericity_experiment,
@@ -40,7 +38,7 @@ from .problems import (
     parse_problem,
     serialize_problem,
 )
-from .solver import SolverConfig, SolverError, row_norms, scalarize
+from .solver import DEFAULT_CONFIG, SolverConfig, SolverError, row_norms, scalarize
 
 OK, CERT_FAIL, INPUT_ERROR, SOLVER_ERROR = 0, 1, 2, 3
 
@@ -100,8 +98,9 @@ def _fmt_vec(v) -> str:
 
 
 def _add_problem_args(sub):
-    sub.add_argument("problem", nargs="?", help="problem JSON file")
-    sub.add_argument(
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("problem", nargs="?", help="problem JSON file")
+    source.add_argument(
         "--builtin", choices=BUILTIN_NAMES, help="use a named fixture instead of a file"
     )
     sub.add_argument(
@@ -111,9 +110,9 @@ def _add_problem_args(sub):
 
 
 def _add_solver_args(sub):
-    sub.add_argument("--grad-tol", type=grad_tol, default=1e-10,
+    sub.add_argument("--grad-tol", type=grad_tol, default=DEFAULT_CONFIG.grad_tol,
                      help="gradient tolerance, scaled by the initial gradient norm, in (0, 1)")
-    sub.add_argument("--max-iter", type=nonnegative_int, default=200)
+    sub.add_argument("--max-iter", type=nonnegative_int, default=DEFAULT_CONFIG.max_iter)
     sub.add_argument("--rank-tol", type=rank_tol, default=DEFAULT_RANK_TOL,
                      help="relative singular value threshold for rank decisions, in [0, 1)")
 
@@ -124,18 +123,14 @@ def _config(args) -> SolverConfig:
     )
 
 
-def _load_problem(args, parser):
+def _load_problem(args):
     """Problem, its ``input`` fields (label, sha256 of the defining JSON) and header line."""
     if args.epsilon is not None and args.builtin != "example31_perturbed":
-        parser.error("argument --epsilon: only --builtin example31_perturbed takes it")
+        args.parser.error("argument --epsilon: only --builtin example31_perturbed takes it")
     if args.builtin:
-        if args.problem:
-            parser.error("give either a problem file or --builtin, not both")
         problem = builtin_problem(args.builtin, 0.1 if args.epsilon is None else args.epsilon)
         label, raw = f"builtin:{args.builtin}", serialize_problem(problem).encode()
     else:
-        if not args.problem:
-            parser.error("a problem file or --builtin is required")
         raw = Path(args.problem).read_bytes()
         problem, label = build_problem(parse_problem(raw.decode())), str(args.problem)
     digest = hashlib.sha256(raw).hexdigest()
@@ -209,8 +204,8 @@ def _export(atlas, prefix: str, lines: list[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(args, parser) -> int:
-    problem, source, lines = _load_problem(args, parser)
+def cmd_solve(args) -> int:
+    problem, source, lines = _load_problem(args)
     config = _config(args)
     points = []
     for spec in args.weight:
@@ -233,8 +228,8 @@ def cmd_solve(args, parser) -> int:
     return _report(args, lines, "solve", OK, input=source, points=points)
 
 
-def cmd_atlas(args, parser) -> int:
-    problem, source, lines = _load_problem(args, parser)
+def cmd_atlas(args) -> int:
+    problem, source, lines = _load_problem(args)
     if not _spot_check(args, problem, lines):
         return INPUT_ERROR
     atlas = build_atlas(problem, args.resolution, _config(args))
@@ -250,8 +245,8 @@ def cmd_atlas(args, parser) -> int:
                    summary=s.as_dict(), outputs=outputs)
 
 
-def cmd_verify(args, parser) -> int:
-    problem, source, lines = _load_problem(args, parser)
+def cmd_verify(args) -> int:
+    problem, source, lines = _load_problem(args)
     if not _spot_check(args, problem, lines):
         return INPUT_ERROR
     atlas = build_atlas(problem, args.resolution, _config(args))
@@ -321,21 +316,24 @@ def cmd_verify(args, parser) -> int:
 
 
 # The options each perturb mode reads, with their defaults; any other is a usage error.
-PERTURB_OPTIONS = {"track": {"scale": 0.1},
-                   "stability": {"resolution": 20, "scales": (0.1, 0.01, 0.001)},
-                   "genericity": {"trials": 20, "scale": 0.1, "resolution": 20, "rank_tols": None}}
+PERTURB_OPTIONS = {"track": {"scale": 0.1, "rank_tol": DEFAULT_RANK_TOL},
+                   "stability": {"resolution": 20, "scales": (0.1, 0.01, 0.001),
+                                 "grad_tol": DEFAULT_CONFIG.grad_tol},
+                   "genericity": {"trials": 20, "scale": 0.1, "resolution": 20, "rank_tols": None,
+                                  "grad_tol": DEFAULT_CONFIG.grad_tol,
+                                  "rank_tol": DEFAULT_RANK_TOL}}
 
 
-def cmd_perturb(args, parser) -> int:
+def cmd_perturb(args) -> int:
     mode = "track" if args.track else "stability" if args.stability else "genericity"
     reads = PERTURB_OPTIONS[mode]
-    for name in ("trials", "scale", "resolution", "rank_tols", "scales"):
+    for name in ("trials", "scale", "resolution", "rank_tols", "scales", "grad_tol", "rank_tol"):
         given = getattr(args, name)
         if given is None:
             setattr(args, name, reads.get(name))
         elif name not in reads:
-            parser.error(f"argument --{name.replace('_', '-')}: a {mode} run does not take it")
-    problem, source, lines = _load_problem(args, parser)
+            args.parser.error(f"argument --{name.replace('_', '-')}: a {mode} run does not take it")
+    problem, source, lines = _load_problem(args)
     config = _config(args)
 
     if args.track:
@@ -401,7 +399,7 @@ def cmd_perturb(args, parser) -> int:
                    options=options, genericity=rep.as_dict())
 
 
-def cmd_ridge(args, parser) -> int:
+def cmd_ridge(args) -> int:
     pair = read_ridge_csv(args.data, args.mu)
     rep = ridge_path(pair, args.resolution, _config(args))
     norms = row_norms(rep.theta)
@@ -424,8 +422,8 @@ def cmd_ridge(args, parser) -> int:
                    max_oracle_gap=rep.max_oracle_gap, outputs=outputs)
 
 
-def cmd_locate(args, parser) -> int:
-    problem, source, lines = _load_problem(args, parser)
+def cmd_locate(args) -> int:
+    problem, source, lines = _load_problem(args)
     if not isinstance(problem.family, DistanceSquared):
         raise ProblemFormatError("locate requires a distance_squared problem")
     rep = location_pareto_set(problem.family, args.resolution, _config(args))
@@ -478,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-w", "--weight", action="append", required=True,
                    help="comma-separated simplex weight, repeatable")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, parser=p)
 
     p = sub.add_parser("atlas", help="solve a full weight grid and export it")
     _add_problem_args(p)
@@ -489,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="strong-convexity sample count (0 to skip)")
     p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_atlas)
+    p.set_defaults(func=cmd_atlas, parser=p)
 
     p = sub.add_parser("verify", help="corank, face, injectivity and ordering certificates")
     _add_problem_args(p)
@@ -500,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out-report", help="also write the JSON report here")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("perturb", help="genericity trials, corank-2 tracking, stability")
     _add_problem_args(p)
@@ -514,14 +512,15 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--track", action="store_true",
                       help="track the corank-2 point of a square 4 -> 4 mapping; it stops "
-                      f"at |E| <= {E_TOL:g} or after --max-iter steps (--grad-tol does not apply)")
+                      f"at |E| <= {E_TOL:g} or after --max-iter steps (it takes no --grad-tol)")
     mode.add_argument("--stability", action="store_true",
                       help="sup-displacement table over --scales")
     p.add_argument("--scales", type=scale_list,
                    help="comma-separated scales for --stability (default 0.1,0.01,0.001)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out-report", help="also write the JSON report here")
-    p.set_defaults(func=cmd_perturb)
+    # None marks an option not given, so that a mode that does not read it can refuse it
+    p.set_defaults(func=cmd_perturb, parser=p, grad_tol=None, rank_tol=None)
 
     p = sub.add_parser("ridge", help="two-objective ridge trade-off path")
     p.add_argument("data", help="CSV with feature columns and the response last")
@@ -531,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-tol", type=nonnegative, default=1e-8)
     _add_solver_args(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_ridge)
+    p.set_defaults(func=cmd_ridge, parser=p)
 
     p = sub.add_parser("locate", help="squared-distance location atlas with hull checks")
     _add_problem_args(p)
@@ -541,20 +540,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hull-tol", type=nonnegative, default=1e-9)
     p.add_argument("--out", "-o", help="atlas export prefix")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_locate)
+    p.set_defaults(func=cmd_locate, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
-    except (ProblemFormatError, OSError, ValueError, MemoryError) as exc:
+        return args.func(args)
+    except (OSError, ValueError, MemoryError) as exc:  # ProblemFormatError is a ValueError
         print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return INPUT_ERROR
-    except (SolverError, TrackerDiverged, DBlockSingular) as exc:
+    except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return SOLVER_ERROR
 

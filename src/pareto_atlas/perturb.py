@@ -21,7 +21,7 @@ from .diagnostics import (
     numerical_rank,
 )
 from .problems import Problem
-from .solver import DEFAULT_CONFIG, SolverConfig, raise_unconverged, row_norms
+from .solver import DEFAULT_CONFIG, SolverConfig, SolverError, raise_unconverged, row_norms
 
 __all__ = [
     "draw_perturbation",
@@ -166,11 +166,11 @@ def genericity_experiment(
 E_TOL = 1e-12  # the tracker stops at |E| <= E_TOL
 
 
-class DBlockSingular(RuntimeError):
+class DBlockSingular(SolverError):
     """Trailing 2x2 block of the transposed Jacobian is singular."""
 
 
-class TrackerDiverged(RuntimeError):
+class TrackerDiverged(SolverError):
     """Newton iteration on the reduced system failed to converge."""
 
 

@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +41,13 @@ class TestLocation:
         assert report.max_hull_violation <= 1e-9
         assert report.corank_certificate.max_corank == 0
         assert report.injectivity.injective_on_sample
+
+    def test_failed_hull_lp_is_an_infinite_violation(self, monkeypatch):
+        import scipy.optimize
+
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *args, **kwargs: SimpleNamespace(status=2))
+        assert apps._hull_violation(np.eye(2), np.zeros(2)) == np.inf
 
     def test_collinear_points_are_not_in_general_position(self):
         flat = LocationInstance([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])

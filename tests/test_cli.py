@@ -67,16 +67,24 @@ class TestSolve:
         assert capsys.readouterr() == ("", "error: weight coordinates must sum to 1, got 0.9\n")
 
 
-class TestProblemLoading:
-    def test_file_and_builtin_together_rejected(self):
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "problem.json", "--builtin", "example31", "-w", "1,0,0"])
-        assert err.value.code == 2
+def assert_usage_error(argv, message, capsys):
+    """``argv`` exits 2 with the usage line and error prefix of its own subcommand."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"usage: pareto-atlas {argv[0]} ")
+    assert f"pareto-atlas {argv[0]}: error: {message}" in stderr
 
-    def test_no_source_rejected(self):
-        with pytest.raises(SystemExit) as err:
-            main(["solve", "-w", "1,0,0"])
-        assert err.value.code == 2
+
+class TestProblemLoading:
+    def test_file_and_builtin_together_rejected(self, capsys):
+        assert_usage_error(["solve", "problem.json", "--builtin", "example31", "-w", "1,0,0"],
+                           "argument --builtin: not allowed with argument problem", capsys)
+
+    def test_no_source_rejected(self, capsys):
+        assert_usage_error(["solve", "-w", "1,0,0"],
+                           "one of the arguments problem --builtin is required", capsys)
 
     def test_unknown_builtin_rejected(self):
         with pytest.raises(SystemExit) as err:
@@ -272,10 +280,7 @@ def test_remark_g_boundary_is_face_consistent_at_r30(capsys):
 def test_vacuous_tolerances_rejected(argv, flag, capsys):
     """A rank tolerance outside [0, 1) or a negative collapse tolerance would
     make its certificate pass on any input."""
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2
-    assert f"argument {flag}:" in capsys.readouterr().err
+    assert_usage_error(argv, f"argument {flag}:", capsys)
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -303,6 +308,9 @@ def test_vacuous_tolerances_rejected(argv, flag, capsys):
     (["perturb", "--builtin", "example32", "--stability", "-r", "4", "--rank-tols", "0.3"],
      "--rank-tols"),
     (["perturb", "--builtin", "example32", "--stability", "--scale", "0.2"], "--scale"),
+    (["perturb", "--builtin", "remark_g", "--track", "--grad-tol", "1e-8"], "--grad-tol"),
+    (["perturb", "--builtin", "example32", "--stability", "-r", "4", "--rank-tol", "0.9",
+      "--json"], "--rank-tol"),
 ])
 def test_negative_tolerances_and_scales_rejected(argv, flag, capsys):
     """A negative error tolerance fails every input, and a negative scale names
@@ -311,10 +319,7 @@ def test_negative_tolerances_and_scales_rejected(argv, flag, capsys):
     negative seed without naming the flag.  ``--epsilon`` sets only
     example31_perturbed's epsilon; any other problem would ignore it, and a
     perturb mode would ignore an option that only another mode reads."""
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2
-    assert f"argument {flag}: " in capsys.readouterr().err
+    assert_usage_error(argv, f"argument {flag}: ", capsys)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -324,10 +329,15 @@ def test_negative_tolerances_and_scales_rejected(argv, flag, capsys):
 def test_solver_settings_checked_at_parse_time(flag, value, capsys):
     """At --grad-tol >= 1 every solve stops at its start; a negative budget
     would be reported as a negative iteration count."""
-    with pytest.raises(SystemExit) as err:
-        main(["solve", "--builtin", "example32", "-w", "0.2,0.3,0.5", f"{flag}={value}"])
-    assert err.value.code == 2
-    assert f"argument {flag}:" in capsys.readouterr().err
+    assert_usage_error(["solve", "--builtin", "example32", "-w", "0.2,0.3,0.5", f"{flag}={value}"],
+                       f"argument {flag}:", capsys)
+
+
+def test_grad_tol_reaches_the_run_document(capsys):
+    code, doc = run_json(capsys, ["verify", "--builtin", "example32", "-r", "3",
+                                  "--grad-tol", "1e-8", "--json"])
+    assert code == 0
+    assert doc["options"]["grad_tol"] == 1e-8
 
 
 class TestAtlas:
@@ -373,6 +383,13 @@ def test_failed_spot_check_exits_2(command, monkeypatch, tmp_path, capsys):
     assert "FAILED (non-convex sample)" in err
     assert err.endswith("error: sampled Hessian not positive definite\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["atlas", "verify"])
+def test_spot_check_0_skips_the_check(command, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--builtin", "example32", "-r", "3", "--spot-check", "0"]) == 0
+    assert "sampled strong-convexity" not in capsys.readouterr().out
 
 
 class TestPerturb:

@@ -9,12 +9,14 @@ from scipy.linalg import subspace_angles
 from conftest import fd_gradients
 from pareto_atlas import (
     SolverConfig,
+    SolverError,
     build_atlas,
     certify_corank_on_atlas,
     corank2_system,
     corank2_tracker,
     draw_perturbation,
     genericity_experiment,
+    perturb,
     perturb_problem,
     stability_experiment,
 )
@@ -219,6 +221,23 @@ class TestTracker:
         pi = draw_perturbation(4, 4, seed=0, scale=1e-3)
         with pytest.raises(TrackerDiverged, match="no root"):
             corank2_tracker(remark_g, pi, SolverConfig(max_iter=0))
+
+    def test_singular_reduced_newton_system_raises(self, remark_g, monkeypatch):
+        monkeypatch.setattr(perturb, "corank2_system",
+                            lambda problem, x: (np.ones((2, 2)), np.zeros((4, 2, 2))))
+        with pytest.raises(TrackerDiverged, match="reduced Newton system singular"):
+            corank2_tracker(remark_g)
+
+    def test_tracker_errors_are_solver_errors(self):
+        """The CLI maps every SolverError, and so both of these, to exit 3."""
+        assert issubclass(TrackerDiverged, SolverError)
+        assert issubclass(DBlockSingular, SolverError)
+
+    def test_cokernel_summing_to_zero_misses_the_simplex(self):
+        """No combination of a column summing to 0 has coordinates summing
+        to 1, so the LP is infeasible."""
+        cok = np.array([[1.0], [-1.0], [0.0], [0.0]]) / np.sqrt(2.0)
+        assert perturb._interior_intersection(cok) == (False, -np.inf, None)
 
 
 class TestStability:

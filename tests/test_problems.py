@@ -186,6 +186,10 @@ class TestWeight:
         with pytest.raises(ValueError, match=r"sum to 1, got 0\.9$"):
             simplex_weight([0.5, 0.4])
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty vector"):
+            simplex_weight([])
+
     @pytest.mark.parametrize("coords", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]])
     def test_rejects_non_finite(self, coords):
         # NaN slips past the sum check, since abs(nan - 1) > tol is False
@@ -371,6 +375,12 @@ class TestSerialization:
         with pytest.raises(ProblemFormatError, match="must be finite"):
             parse_problem(doc)
 
+    def test_integer_beyond_float_range_rejected(self):
+        doc = '{"family": "example31_perturbed", "epsilon": 1' + "0" * 400 + "}"
+        with pytest.raises(ProblemFormatError,
+                           match="bad field .* int too large to convert to float"):
+            parse_problem(doc)
+
     @pytest.mark.parametrize("doc", MALFORMED, ids=MALFORMED_IDS)
     def test_malformed_documents_rejected(self, doc):
         with pytest.raises(ProblemFormatError):
@@ -405,6 +415,14 @@ class TestSerialization:
     def test_unvalidated_spec_serialization_is_a_format_error(self):
         with pytest.raises(ProblemFormatError, match=r"points must be an array of shape \(m, n\)"):
             serialize_problem(DistanceSquared([1.0, 2.0]))
+
+    def test_only_family_specs_serialize(self):
+        with pytest.raises(ProblemFormatError, match="cannot serialize problem of type object"):
+            serialize_problem(object())
+
+    def test_unknown_builtin_lists_known_ones(self):
+        with pytest.raises(ProblemFormatError, match=r"unknown builtin 'nope' \(known: "):
+            builtin_problem("nope")
 
     def test_readme_problem_json_blocks_parse(self):
         """Every JSON example in the README's problem-format section parses."""
@@ -465,6 +483,8 @@ class TestRestrict:
         assert_allclose(sub.hessians(x), example32.hessians(x)[[0, 2]])
         f, g, h = sub.evaluate(x[None, :])
         assert f.shape == (1, 2) and g.shape == (1, 2, 3) and h.shape == (1, 2, 3, 3)
+        assert repr(sub) == ("Problem(Problem('example32', n=3, m=3, indices=None, linear=False), "
+                             "n=3, m=2, indices=(0, 2), linear=False)")
 
     def test_rejects_bad_indices(self, example32):
         with pytest.raises(ValueError, match="out of range"):

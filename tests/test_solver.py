@@ -155,6 +155,10 @@ class TestBatch:
         with pytest.raises(ValueError, match="finite"):
             minimize_weighted(example32, np.array([[np.nan, 0.5, 0.5]]))
 
+    def test_linear_terms_need_one_block_per_row(self, example32):
+        with pytest.raises(ValueError, match=r"shape \(2, 3, 3\), got \(1, 3, 3\)"):
+            minimize_weighted(example32, np.full((2, 3), 1 / 3), linear=np.zeros((1, 3, 3)))
+
 
 class TestScalarize:
     def test_point_fields(self, example32):
@@ -188,6 +192,10 @@ class TestSubproblem:
         embedded = subproblem_solve(example32, (0, 2), np.array([0.25, 0.0, 0.75]))
         assert_allclose(compact.x, embedded.x, atol=1e-12)
         assert compact.fx.shape == (2,)
+
+    def test_face_weight_length_checked(self, example32):
+        with pytest.raises(ValueError, match="length 2 or 3"):
+            subproblem_solve(example32, (0, 2), np.array([1.0]))
 
     def test_mass_off_face_rejected(self, example32):
         with pytest.raises(ValueError, match="outside the face"):

@@ -2,8 +2,8 @@
 
 Weighted-sum scalarization over the weight simplex, solved by damped Newton,
 with numerical certificates for the geometry of the solution map: Jacobian
-corank bounds, fold tests, face consistency (each boundary node's x is
-critical for its face weight; no solve), injectivity scans, non-domination
+corank bounds, face consistency (each boundary node's x is critical for its
+face weight; no solve), injectivity scans, non-domination
 (pairs within the strong-convexity radius in x), and perturbation
 (genericity and stability) experiments.
 """
@@ -27,13 +27,9 @@ from .atlas import (
 from .diagnostics import (
     DEFAULT_RANK_TOL,
     CorankCertificate,
-    FoldReport,
-    NoRegularMinor,
-    NotCorankOne,
     certify_corank_on_atlas,
     cokernel_basis,
     corank_at,
-    fold_check,
 )
 from .ordering import dominates, dominating_pairs
 from .perturb import (
@@ -60,7 +56,6 @@ from .problems import (
     builtin_problem,
     check_strong_convexity,
     parse_problem,
-    restrict,
     serialize_problem,
     simplex_weight,
 )
@@ -74,7 +69,6 @@ from .solver import (
     minimize_weighted,
     raise_unconverged,
     scalarize,
-    subproblem_solve,
     x_star_derivative,
 )
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -93,16 +94,32 @@ def scale_list(text: str) -> list[float]:
     return [nonnegative(item) for item in text.split(",")]
 
 
+def weight(text: str) -> list[float]:
+    """Comma-separated weight coordinates; ``simplex_weight`` checks them."""
+    return [float(item) for item in text.split(",")]
+
+
 def _fmt_vec(v) -> str:
     return "[" + ", ".join(f"{x:.12g}" for x in np.asarray(v).ravel()) + "]"
 
 
+class _SourceUsage(argparse.HelpFormatter):
+    """Prints the problem file and ``--builtin`` as the one required choice they
+    are, ``(problem | --builtin NAME)``: argparse formats positionals apart from
+    optionals, so on its own it brackets each of the two as optional."""
+
+    def _format_usage(self, usage, actions, groups, prefix):
+        text = super()._format_usage(usage, actions, groups, prefix)
+        return re.sub(r"\s+\[problem\]", "", text).replace(
+            "[--builtin NAME]", "(problem | --builtin NAME)")
+
+
 def _add_problem_args(sub):
+    sub.formatter_class = _SourceUsage
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("problem", nargs="?", help="problem JSON file")
-    source.add_argument(
-        "--builtin", choices=BUILTIN_NAMES, help="use a named fixture instead of a file"
-    )
+    source.add_argument("--builtin", choices=BUILTIN_NAMES, metavar="NAME",
+                        help="use a named fixture instead of a file: %(choices)s")
     sub.add_argument(
         "--epsilon", type=finite,
         help="epsilon for --builtin example31_perturbed (default 0.1)",
@@ -208,8 +225,7 @@ def cmd_solve(args) -> int:
     problem, source, lines = _load_problem(args)
     config = _config(args)
     points = []
-    for spec in args.weight:
-        w = np.array([float(t) for t in spec.split(",")])
+    for w in args.weight:
         pt = scalarize(problem, w, config)
         points.append(
             {
@@ -473,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve single weights")
     _add_problem_args(p)
     _add_solver_args(p)
-    p.add_argument("-w", "--weight", action="append", required=True,
+    p.add_argument("-w", "--weight", type=weight, action="append", required=True,
                    help="comma-separated simplex weight, repeatable")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve, parser=p)

@@ -77,6 +77,8 @@ def dominating_pairs(values, tol: float = DOMINANCE_TOL, *, near=None,
         others = np.delete(every, rows)
         codes = [i[hit] * n + j[hit], *_blocked(f, tol, rows, every),
                  *_blocked(f, tol, others, rows)]
-    code = np.unique(np.concatenate(codes))
+    code = np.sort(np.concatenate(codes))
+    # each code once; np.unique would load numpy.ma, which no command needs
+    code = code[np.diff(code, prepend=-1) != 0]
     return list(zip((code // n).tolist(), (code % n).tolist()))
 

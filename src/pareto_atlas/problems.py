@@ -29,7 +29,6 @@ __all__ = [
     "Problem",
     "ConvexityCertificate",
     "build_problem",
-    "restrict",
     "with_linear",
     "check_strong_convexity",
     "strong_convexity_constant",
@@ -416,8 +415,7 @@ class Problem:
     """An m-tuple of strongly convex objectives, or a view derived from one.
 
     ``base`` is a family spec or another Problem.  ``linear``, an (m, n)
-    matrix pi at the base's width, adds pi_i . x to objective i (a linear
-    perturbation); ``indices`` keeps only those objectives (a subproblem).
+    matrix pi, adds pi_i . x to objective i (a linear perturbation).
     ``evaluate(X)`` takes an (N, n) stack of points and returns F (N, m),
     J (N, m, n) with J[k, i] the gradient of f_i at X[k], and Hessians of
     shape (N, m, n, n) or, when they do not depend on x, (1, m, n, n).
@@ -425,14 +423,13 @@ class Problem:
     one.  Evaluation is pure and reentrant; instances carry no mutable state.
     """
 
-    def __init__(self, base, indices: tuple[int, ...] | None = None, linear=None):
+    def __init__(self, base, linear=None):
         self.base = base
-        self.indices = indices
         self.linear = linear
-        derived = isinstance(base, Problem) or indices is not None or linear is not None
+        derived = isinstance(base, Problem) or linear is not None
         self.family = None if derived else base
         self.n = int(base.n)
-        self.m = int(base.m) if indices is None else len(indices)
+        self.m = int(base.m)
 
     def evaluate(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -441,10 +438,7 @@ class Problem:
         values, jac, hess = self.base.evaluate(xs)
         if self.linear is not None:
             values, jac = with_linear(values, jac, self.linear, xs)
-        if self.indices is None:
-            return values, jac, hess
-        keep = list(self.indices)
-        return values[:, keep], jac[:, keep], hess[:, keep]
+        return values, jac, hess
 
     def _at(self, x, part: int) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -464,8 +458,7 @@ class Problem:
 
     def __repr__(self):
         base = getattr(self.base, "tag", self.base)
-        return (f"Problem({base!r}, n={self.n}, m={self.m}, indices={self.indices}, "
-                f"linear={self.linear is not None})")
+        return f"Problem({base!r}, n={self.n}, m={self.m}, linear={self.linear is not None})"
 
 
 def build_problem(spec) -> Problem:
@@ -476,16 +469,6 @@ def build_problem(spec) -> Problem:
     """
     spec.validate()
     return Problem(spec)
-
-
-def restrict(problem, indices) -> Problem:
-    """Subproblem keeping objectives ``indices`` (0-based, deduplicated, sorted)."""
-    idx = tuple(sorted(set(int(i) for i in indices)))
-    if not idx:
-        raise ValueError("indices must be nonempty")
-    if idx[0] < 0 or idx[-1] >= problem.m:
-        raise ValueError(f"objective indices out of range for m={problem.m}")
-    return Problem(problem, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +548,7 @@ def serialize_problem(spec_or_problem) -> str:
     spec = getattr(spec_or_problem, "family", spec_or_problem)
     if spec is None:
         raise ProblemFormatError(
-            "cannot serialize a derived problem (a subproblem or a linear perturbation)")
+            "cannot serialize a derived problem (a view of another problem)")
     tag = getattr(spec, "tag", None)
     if tag not in _FAMILIES:
         raise ProblemFormatError(f"cannot serialize problem of type {type(spec).__name__}")

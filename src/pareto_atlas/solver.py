@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import DEFAULT_RANK_TOL, numerical_rank
-from .problems import restrict, simplex_weight, with_linear
+from .problems import simplex_weight, with_linear
 
 __all__ = [
     "SolverConfig",
@@ -29,7 +29,6 @@ __all__ = [
     "minimize_weighted",
     "raise_unconverged",
     "scalarize",
-    "subproblem_solve",
     "x_star_derivative",
 ]
 
@@ -249,30 +248,6 @@ def scalarize(problem, weight, config: SolverConfig = DEFAULT_CONFIG) -> ParetoP
     values, sv, coranks, _ = pareto_columns(problem, result, config.rank_tol)
     return ParetoPoint(weight, result.x[0], values[0], float(result.residual[0]), sv[0],
                        int(coranks[0]), int(result.iterations[0]), float(result.tol[0]))
-
-
-def subproblem_solve(problem, indices, face_weight, config: SolverConfig = DEFAULT_CONFIG) -> ParetoPoint:
-    """Pareto point of the restricted problem keeping objectives ``indices``.
-
-    ``indices`` must be strictly increasing, so that a weight in face
-    coordinates (length = len(indices)) pairs entry j with objective
-    ``indices[j]``; a full-length weight supported on the face is also
-    accepted.  The returned point is a point of the restricted problem: its
-    weight and values have one entry per kept objective.
-    """
-    indices = [int(i) for i in indices]
-    if any(b <= a for a, b in zip(indices, indices[1:])):
-        raise ValueError(f"face indices must be strictly increasing, got {tuple(indices)}")
-    sub = restrict(problem, indices)
-    w = np.asarray(face_weight, dtype=float)
-    if w.shape == (problem.m,):
-        off = np.delete(w, sub.indices)
-        if off.size and np.abs(off).max() != 0.0:
-            raise ValueError("full-length face weight has mass outside the face")
-        w = w[list(sub.indices)]
-    if w.shape != (sub.m,):
-        raise ValueError(f"face weight must have length {sub.m} or {problem.m}")
-    return scalarize(sub, w, config)
 
 
 def x_star_derivative(problem, point: ParetoPoint) -> np.ndarray:

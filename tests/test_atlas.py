@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import fd_gradients, fd_hessians, random_quadratic, softplus_problem
+from test_reference import ref_restrict
 from pareto_atlas import (
     DistanceSquared,
     Example32,
@@ -23,7 +24,6 @@ from pareto_atlas import (
     certify_corank_on_atlas,
     face_consistency,
     injectivity_scan,
-    restrict,
     ridge_path,
     scalarize,
 )
@@ -227,7 +227,7 @@ class TestFaceConsistency:
         atlas = build_atlas(example32, r)
         lookup = {tuple(k): i for i, k in enumerate(atlas.grid.nodes.tolist())}
         for face in [(0, 1), (0, 2), (1, 2)]:
-            sub_atlas = build_atlas(restrict(example32, face), r)
+            sub_atlas = build_atlas(ref_restrict(example32, face), r)
             for i, k in enumerate(sub_atlas.grid.nodes.tolist()):
                 embedded = [0, 0, 0]
                 for axis, v in zip(face, k):

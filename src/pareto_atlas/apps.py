@@ -6,8 +6,9 @@ by linear programming, normal-equation solves).  The biological model,
 anisotropic squared distances to trait optima, has no closed form to check
 against: it is the ``phenotypic`` problem family, and ``verify`` runs the
 certificates on it as on any other problem.  A location atlas runs on a
-``problems.DistanceSquared`` spec, and a ridge path on a
-``problems.RidgePair``, which ``read_ridge_csv`` reads from a CSV file.  A
+``problems.DistanceSquared`` problem, and a ridge path on a
+``problems.RidgePair``, which ``read_ridge_csv`` reads from a CSV file;
+each entry point refuses any other family before it solves.  A
 ``RidgePathReport`` holds one array per field, row-aligned with the path
 rows, and its normal-equations oracle solves one row at a time.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from .atlas import InjectivityReport, ParetoAtlas, build_atlas, injectivity_scan, solve_grid
 from .diagnostics import CorankCertificate, certify_corank_on_atlas
-from .problems import DistanceSquared, RidgePair, build_problem
+from .problems import DistanceSquared, ProblemFormatError, RidgePair, build_problem
 from .solver import DEFAULT_CONFIG, SolverConfig, raise_unconverged, row_norms
 
 __all__ = [
@@ -159,8 +160,11 @@ def location_pareto_set(
     atlas point is compared against that barycenter and, separately, run
     through an LP membership test for the convex hull of the demand points.
     If any node fails to converge the report stops at the atlas: no check
-    is run and their fields are None.
+    is run and their fields are None.  Raises ProblemFormatError, before
+    any solve, for a spec that is not a ``DistanceSquared``.
     """
+    if not isinstance(spec, DistanceSquared):
+        raise ProblemFormatError("locate requires a distance_squared problem")
     atlas = build_atlas(build_problem(spec), resolution, config)
     report = LocationReport(atlas, spec.affinely_independent(config.rank_tol), None, None,
                             None, None)
@@ -243,9 +247,11 @@ def ridge_path(
     with lambda = inf and theta = 0; all rows are one ``solve_grid`` call.  Every
     solved theta is compared against an independent normal-equations solve
     of (X^T X + lambda I) theta = X^T y, one row at a time.  Raises
-    ValueError for a resolution below 1, which would leave only the w1 = 0
-    vertex.
+    ProblemFormatError for a spec that is not a ``RidgePair`` and ValueError
+    for a resolution below 1, which would leave only the w1 = 0 vertex.
     """
+    if not isinstance(pair, RidgePair):
+        raise ProblemFormatError("ridge requires a ridge_pair problem")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     problem = build_problem(pair)

@@ -363,7 +363,7 @@ class ParetoAtlas:
         header below plus ``"nodes"``.  Only the header goes through the slow
         indenting encoder; the node table is written block by block."""
         head = json.dumps({
-            "schema": "pareto-atlas/atlas-v1", "family": getattr(self.problem.family, "tag", None),
+            "schema": "pareto-atlas/atlas-v1", "family": getattr(self.problem, "tag", None),
             "n": self.problem.n, "m": self.problem.m, "resolution": self.grid.resolution,
             "tolerances": {"grad_tol": self.config.grad_tol, "rank_tol": self.config.rank_tol},
             "summary": self.summary.as_dict(), "failures": self.failures}, indent=2)

@@ -31,8 +31,6 @@ from .perturb import (
 )
 from .problems import (
     BUILTIN_NAMES,
-    DistanceSquared,
-    ProblemFormatError,
     build_problem,
     builtin_problem,
     check_strong_convexity,
@@ -76,6 +74,15 @@ def nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """A grid resolution or a trial count: below 1 a grid has no step and a
+    sweep no trial, so the run would fail only after loading its input."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is below 1")
     return value
 
 
@@ -440,9 +447,7 @@ def cmd_ridge(args) -> int:
 
 def cmd_locate(args) -> int:
     problem, source, lines = _load_problem(args)
-    if not isinstance(problem.family, DistanceSquared):
-        raise ProblemFormatError("locate requires a distance_squared problem")
-    rep = location_pareto_set(problem.family, args.resolution, _config(args))
+    rep = location_pareto_set(problem, args.resolution, _config(args))
     options = _options(args, "resolution", "bary_tol", "hull_tol")
     if rep.atlas.failures:
         return _report(args, lines, "locate", _unconverged(len(rep.atlas.failures)),
@@ -497,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atlas", help="solve a full weight grid and export it")
     _add_problem_args(p)
     _add_solver_args(p)
-    p.add_argument("--resolution", "-r", type=int, required=True)
+    p.add_argument("--resolution", "-r", type=positive_int, required=True)
     p.add_argument("--out", "-o", default="atlas", help="output prefix (default: atlas)")
     p.add_argument("--spot-check", type=nonnegative_int, default=1000,
                    help="strong-convexity sample count (0 to skip)")
@@ -508,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="corank, face, injectivity and ordering certificates")
     _add_problem_args(p)
     _add_solver_args(p)
-    p.add_argument("--resolution", "-r", type=int, default=20)
+    p.add_argument("--resolution", "-r", type=positive_int, default=20)
     p.add_argument("--collapse-tol", type=nonnegative, default=1e-6)
     p.add_argument("--spot-check", type=nonnegative_int, default=1000)
     p.add_argument("--seed", type=nonnegative_int, default=0)
@@ -519,9 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perturb", help="genericity trials, corank-2 tracking, stability")
     _add_problem_args(p)
     _add_solver_args(p)
-    p.add_argument("--trials", type=int, help="genericity trials (default 20)")
+    p.add_argument("--trials", type=positive_int, help="genericity trials (default 20)")
     p.add_argument("--scale", type=nonnegative, help="perturbation scale (default 0.1)")
-    p.add_argument("--resolution", "-r", type=int, help="grid resolution (default 20)")
+    p.add_argument("--resolution", "-r", type=positive_int, help="grid resolution (default 20)")
     p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--rank-tols", type=rank_tol, action="append",
                    help="repeatable rank tolerance sweep, each in [0, 1) (default: --rank-tol)")
@@ -541,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ridge", help="two-objective ridge trade-off path")
     p.add_argument("data", help="CSV with feature columns and the response last")
     p.add_argument("--mu", type=finite, required=True, help="strong-convexity shift (> 0)")
-    p.add_argument("--resolution", "-r", type=int, default=100)
+    p.add_argument("--resolution", "-r", type=positive_int, default=100)
     p.add_argument("--out", "-o", help="write the path CSV here")
     p.add_argument("--oracle-tol", type=nonnegative, default=1e-8)
     _add_solver_args(p)
@@ -551,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("locate", help="squared-distance location atlas with hull checks")
     _add_problem_args(p)
     _add_solver_args(p)
-    p.add_argument("--resolution", "-r", type=int, default=20)
+    p.add_argument("--resolution", "-r", type=positive_int, default=20)
     p.add_argument("--bary-tol", type=nonnegative, default=1e-8)
     p.add_argument("--hull-tol", type=nonnegative, default=1e-9)
     p.add_argument("--out", "-o", help="atlas export prefix")

@@ -20,7 +20,7 @@ from .diagnostics import (
     cokernel_basis,
     numerical_rank,
 )
-from .problems import Problem
+from .problems import Perturbed
 from .solver import DEFAULT_CONFIG, SolverConfig, SolverError, raise_unconverged, row_norms
 
 __all__ = [
@@ -48,13 +48,13 @@ def draw_perturbation(n: int, m: int, seed: int, scale: float) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-scale, scale + 0.0, size=(m, n))
 
 
-def perturb_problem(problem, pi) -> Problem:
+def perturb_problem(problem, pi) -> Perturbed:
     """The problem with pi_i . x added to objective i, for pi of shape (m, n)."""
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (problem.m, problem.n):
         raise ValueError(f"perturbation shape {pi.shape} does not match problem "
                          f"(m={problem.m}, n={problem.n})")
-    return Problem(problem, linear=pi)
+    return Perturbed(problem, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +316,7 @@ def corank2_tracker(
         meets_simplex_interior=meets,
         interior_margin=margin,
         interior_witness=witness,
-        perturbation=target.linear,
+        perturbation=target.pi,
     )
 
 

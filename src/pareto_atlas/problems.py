@@ -1,11 +1,12 @@
 """Objective mappings: families of strongly convex C^2 functions on R^n.
 
-Every family evaluates values, gradients and Hessians analytically (all
-built-in families are quadratic polynomials, so the derivatives are exact),
-for a whole stack of points in one ``evaluate`` call.  A problem is the
-mapping f = (f_1, ..., f_m); the solver and atlas modules only ever touch it
-through ``evaluate``.  A weight on the simplex is a plain coordinate array;
-``simplex_weight`` checks a single one.
+Every family spec is a ``Problem``, a mapping f = (f_1, ..., f_m): it
+evaluates values, gradients and Hessians analytically (all built-in families
+are quadratic polynomials, so the derivatives are exact), for a whole stack
+of points in one ``evaluate`` call, and the solver and atlas modules only
+ever touch it through ``evaluate``.  The one derived problem is f + pi . x
+(``Perturbed``), which has no family document.  A weight on the simplex is a
+plain coordinate array; ``simplex_weight`` checks a single one.
 """
 from __future__ import annotations
 
@@ -73,7 +74,7 @@ def _require_symmetric_pd(mat: np.ndarray, name: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Problem families: each has one ``evaluate(X)`` (see Problem)
+# Problem families: each computes its arrays in one ``_evaluate(X)``
 # ---------------------------------------------------------------------------
 
 
@@ -95,8 +96,13 @@ def _numeric(value) -> bool:
     return all(type(x) in (int, float) for x in np.array(value, dtype=object).reshape(-1))
 
 
-class _Family:
-    """Reader, payload and shape check shared by every family spec.
+class Problem:
+    """m strongly convex objectives on R^n; a family's ``tag`` is its document's "family".
+
+    ``evaluate(X)`` takes an (N, n) stack of points and returns F (N, m),
+    J (N, m, n) with J[k, i] the gradient of f_i at X[k], and Hessians of
+    shape (N, m, n, n) or, when they do not depend on x, (1, m, n, n); a
+    subclass computes them, purely and reentrantly, in ``_evaluate``.
 
     ``fields`` maps each JSON key to (attribute, shape), the shape spelled in
     dimension letters: "mnn" is an (m, n, n) array and "" a number, kept as
@@ -106,7 +112,6 @@ class _Family:
     extend ``validate``; a spec of another class checks its own values.
     """
 
-    tag: str  # the document's "family"
     fields: dict[str, tuple[str, str]] = {}
 
     def __post_init__(self):
@@ -125,6 +130,28 @@ class _Family:
     @property
     def m(self) -> int:
         return self._size("m")
+
+    def evaluate(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.n:
+            raise ValueError(f"expected points of shape (N, {self.n}), got {xs.shape}")
+        return self._evaluate(xs)
+
+    def _at(self, x, part: int) -> np.ndarray:
+        arr = np.asarray(x, dtype=float)
+        if arr.shape != (self.n,):
+            raise ValueError(f"expected point of shape ({self.n},), got {arr.shape}")
+        return np.array(self.evaluate(arr[None, :])[part][0])
+
+    def values(self, x) -> np.ndarray:
+        return self._at(x, 0)
+
+    def gradients(self, x) -> np.ndarray:
+        """Jacobian of the mapping: row i is the gradient of f_i at x."""
+        return self._at(x, 1)
+
+    def hessians(self, x) -> np.ndarray:
+        return self._at(x, 2)
 
     def validate(self):
         sizes = {}  # letter -> (its size, the first key that has it)
@@ -152,6 +179,10 @@ class _Family:
 
     @classmethod
     def from_payload(cls, data: dict):
+        for key in data:  # the first unknown key in document order
+            if key not in ("family", "n", "m", *cls.fields):
+                raise ProblemFormatError(f"unknown field {key!r} for family '{cls.tag}' "
+                                         f"(fields: {', '.join(cls.fields) or 'none'})")
         values = {}
         for key, (attr, _) in cls.fields.items():
             if key not in data:
@@ -167,7 +198,7 @@ class _Family:
 
 
 @dataclass(frozen=True)
-class GenericQuadratic(_Family):
+class GenericQuadratic(Problem):
     """Objectives f_i(x) = x.Q_i x / 2 + b_i.x + c_i with Q_i symmetric PD."""
 
     qs: np.ndarray
@@ -182,19 +213,19 @@ class GenericQuadratic(_Family):
         for i, q in enumerate(self.qs):
             _require_symmetric_pd(q, f"q[{i}]")
 
-    def evaluate(self, xs):
+    def _evaluate(self, xs):
         qx = np.einsum("kij,Nj->Nki", self.qs, xs)
         values = 0.5 * np.einsum("Ni,Nki->Nk", xs, qx) + _rowwise(self.bs, xs) + self.cs
         return values, qx + self.bs, _constant(self.qs)
 
 
-class _FixedQuadratic(_Family):
+class _FixedQuadratic(Problem):
     """A parameter-free quadratic family: ``_quadratic`` holds its data."""
 
     _quadratic: GenericQuadratic
 
-    def evaluate(self, xs):
-        return self._quadratic.evaluate(xs)
+    def _evaluate(self, xs):
+        return self._quadratic._evaluate(xs)
 
 
 @dataclass(frozen=True)
@@ -226,7 +257,7 @@ class Example31(_FixedQuadratic):
 
 
 @dataclass(frozen=True)
-class Example31Perturbed(_Family):
+class Example31Perturbed(Problem):
     """The pinch family with a linear term eps*z added to the first objective.
 
     Any nonzero ``epsilon`` removes the corank-2 point: the minimizer map
@@ -245,8 +276,8 @@ class Example31Perturbed(_Family):
         if self.epsilon == 0.0:
             raise ProblemFormatError("epsilon must be nonzero")
 
-    def evaluate(self, xs):
-        values, jac, hess = Example31().evaluate(xs)
+    def _evaluate(self, xs):
+        values, jac, hess = Example31()._evaluate(xs)
         linear = np.zeros((self.m, self.n))
         linear[0, 2] = self.epsilon
         return (*with_linear(values, jac, linear, xs), hess)
@@ -303,7 +334,7 @@ class RemarkG(_FixedQuadratic):
 
 
 @dataclass(frozen=True)
-class DistanceSquared(_Family):
+class DistanceSquared(Problem):
     """Squared Euclidean distances to demand points: f_i(x) = |x - p_i|^2."""
 
     points: np.ndarray
@@ -311,7 +342,7 @@ class DistanceSquared(_Family):
     tag = "distance_squared"
     fields = {"points": ("points", "mn")}
 
-    def evaluate(self, xs):
+    def _evaluate(self, xs):
         diff = xs[:, None, :] - self.points
         eye = 2.0 * np.eye(self.n)
         hess = _constant(np.repeat(eye[None, :, :], self.m, axis=0))
@@ -324,7 +355,7 @@ class DistanceSquared(_Family):
 
 
 @dataclass(frozen=True)
-class Phenotypic(_Family):
+class Phenotypic(Problem):
     """Squared anisotropic distances f_i(x) = |A_i (x - p_i)|^2, A_i symmetric PD."""
 
     mats: np.ndarray
@@ -338,7 +369,7 @@ class Phenotypic(_Family):
         for i, a in enumerate(self.mats):
             _require_symmetric_pd(a, f"matrices[{i}]")
 
-    def evaluate(self, xs):
+    def _evaluate(self, xs):
         diff = xs[:, None, :] - self.points
         resid = np.einsum("kij,Nkj->Nki", self.mats, diff)
         gram = np.einsum("kji,kjl->kil", self.mats, self.mats)
@@ -347,7 +378,7 @@ class Phenotypic(_Family):
 
 
 @dataclass(frozen=True)
-class RidgePair(_Family):
+class RidgePair(Problem):
     """Penalized least squares paired with the penalty itself.
 
     f_1(theta) = |X theta - y|^2 + mu |theta|^2   (mu > 0 for strong convexity)
@@ -371,7 +402,7 @@ class RidgePair(_Family):
         if not self.mu > 0.0:
             raise ProblemFormatError("mu must be positive")
 
-    def evaluate(self, xs):
+    def _evaluate(self, xs):
         resid = _rowwise(self.x_data, xs) - self.y_data
         sq = np.einsum("Ni,Ni->N", xs, xs)
         values = np.stack([np.einsum("Ni,Ni->N", resid, resid) + self.mu * sq, sq], axis=1)
@@ -397,7 +428,7 @@ _FAMILIES = {
 
 
 # ---------------------------------------------------------------------------
-# Problems
+# Linear perturbations: the one derived problem
 # ---------------------------------------------------------------------------
 
 
@@ -411,64 +442,30 @@ def with_linear(values: np.ndarray, jac: np.ndarray, linear: np.ndarray, xs: np.
     return values + _rowwise(linear, xs), jac + linear
 
 
-class Problem:
-    """An m-tuple of strongly convex objectives, or a view derived from one.
+@dataclass(frozen=True)
+class Perturbed(Problem):
+    """f + pi . x: ``base`` with pi_i . x added to objective i, for an (m, n)
+    array ``pi``.  A view derived from ``base``, with no family document."""
 
-    ``base`` is a family spec or another Problem.  ``linear``, an (m, n)
-    matrix pi, adds pi_i . x to objective i (a linear perturbation).
-    ``evaluate(X)`` takes an (N, n) stack of points and returns F (N, m),
-    J (N, m, n) with J[k, i] the gradient of f_i at X[k], and Hessians of
-    shape (N, m, n, n) or, when they do not depend on x, (1, m, n, n).
-    ``family`` is the spec of an underived problem and None for a derived
-    one.  Evaluation is pure and reentrant; instances carry no mutable state.
-    """
+    base: Problem
+    pi: np.ndarray
 
-    def __init__(self, base, linear=None):
-        self.base = base
-        self.linear = linear
-        derived = isinstance(base, Problem) or linear is not None
-        self.family = None if derived else base
-        self.n = int(base.n)
-        self.m = int(base.m)
+    n = property(lambda self: self.base.n)
+    m = property(lambda self: self.base.m)
 
-    def evaluate(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.n:
-            raise ValueError(f"expected points of shape (N, {self.n}), got {xs.shape}")
+    def _evaluate(self, xs):
         values, jac, hess = self.base.evaluate(xs)
-        if self.linear is not None:
-            values, jac = with_linear(values, jac, self.linear, xs)
-        return values, jac, hess
-
-    def _at(self, x, part: int) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != (self.n,):
-            raise ValueError(f"expected point of shape ({self.n},), got {arr.shape}")
-        return np.array(self.evaluate(arr[None, :])[part][0])
-
-    def values(self, x) -> np.ndarray:
-        return self._at(x, 0)
-
-    def gradients(self, x) -> np.ndarray:
-        """Jacobian of the mapping: row i is the gradient of f_i at x."""
-        return self._at(x, 1)
-
-    def hessians(self, x) -> np.ndarray:
-        return self._at(x, 2)
-
-    def __repr__(self):
-        base = getattr(self.base, "tag", self.base)
-        return f"Problem({base!r}, n={self.n}, m={self.m}, linear={self.linear is not None})"
+        return (*with_linear(values, jac, self.pi, xs), hess)
 
 
 def build_problem(spec) -> Problem:
-    """Validate a family spec and wrap it as an underived problem.
+    """``spec``, a family spec, once it is validated.
 
     Raises ProblemFormatError for non-finite numbers, non-PD matrices,
     nonpositive ridge penalties, or inconsistent shapes.
     """
     spec.validate()
-    return Problem(spec)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -539,17 +536,16 @@ def strong_convexity_constant(problem) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def serialize_problem(spec_or_problem) -> str:
-    """Render a family spec (or a problem built from one) as JSON text.
+def serialize_problem(spec) -> str:
+    """Render a family spec as JSON text.
 
-    Raises ProblemFormatError for a derived problem and for a spec that
-    ``build_problem`` would reject.
+    Raises ProblemFormatError for a derived problem (a Problem with no
+    ``tag``) and for a spec that ``build_problem`` would reject.
     """
-    spec = getattr(spec_or_problem, "family", spec_or_problem)
-    if spec is None:
+    tag = getattr(spec, "tag", None)
+    if tag is None and isinstance(spec, Problem):
         raise ProblemFormatError(
             "cannot serialize a derived problem (a view of another problem)")
-    tag = getattr(spec, "tag", None)
     if tag not in _FAMILIES:
         raise ProblemFormatError(f"cannot serialize problem of type {type(spec).__name__}")
     spec.validate()

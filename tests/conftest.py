@@ -15,6 +15,7 @@ from pareto_atlas import (
     GenericQuadratic,
     LocationInstance,
     Phenotypic,
+    Problem,
     RidgePair,
     build_problem,
     builtin_problem,
@@ -122,32 +123,19 @@ def fixture_problems():
 
 
 @dataclass(frozen=True)
-class SoftplusFamily:
+class SoftplusFamily(Problem):
     """Non-quadratic, strongly convex test family: f_i(x) = softplus(a_i.x) + |x - p_i|^2.
 
     Its Hessians depend on x, so Newton needs several steps per node.
     """
 
-    a: np.ndarray  # (m, n)
-    p: np.ndarray  # (m, n)
+    a: np.ndarray
+    p: np.ndarray
 
     tag = "softplus"
+    fields = {"a": ("a", "mn"), "p": ("p", "mn")}
 
-    @property
-    def n(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.a.shape[0]
-
-    def validate(self):
-        pass
-
-    def payload(self) -> dict:
-        return {"a": self.a.tolist(), "p": self.p.tolist()}
-
-    def evaluate(self, xs):
+    def _evaluate(self, xs):
         z = np.einsum("Ni,ki->Nk", xs, self.a)
         diff = xs[:, None, :] - self.p
         sig = 0.5 * (1.0 + np.tanh(0.5 * z))

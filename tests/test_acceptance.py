@@ -53,7 +53,7 @@ def test_c01_closed_form_minimizer_on_fifty_grid_weights():
     for idx in picks:
         w = grid.weights[idx]
         pt = scalarize(problem, w)
-        expected = problem.family.minimizer(w[1], w[2])
+        expected = problem.minimizer(w[1], w[2])
         worst = max(worst, float(np.abs(pt.x - expected).max()))
     assert worst <= 1e-8
 
@@ -253,7 +253,7 @@ def test_c12_property_bundle_on_all_fixtures():
     for problem in builtins:
         atlas = build_atlas(problem, 6)
         faces = face_consistency(atlas)
-        assert faces.consistent, problem.family.tag
+        assert faces.consistent, problem.tag
 
     # rank of the objective Jacobian drops to m-1 at Pareto points
     resolution = {1: 6, 2: 16, 3: 8, 4: 6}

@@ -19,6 +19,7 @@ from pareto_atlas import (
     DEFAULT_RANK_TOL,
     DistanceSquared,
     LocationInstance,
+    ProblemFormatError,
     SolverConfig,
     apps,
     build_atlas,
@@ -30,7 +31,11 @@ from pareto_atlas import (
     ridge_path,
     write_ridge_csv,
 )
-from pareto_atlas.problems import Example31, Phenotypic, serialize_problem
+from pareto_atlas.problems import Example31, Example32, Phenotypic, serialize_problem
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("solved a problem of the wrong family")
 
 
 class TestLocation:
@@ -41,6 +46,13 @@ class TestLocation:
         assert report.max_hull_violation <= 1e-9
         assert report.corank_certificate.max_corank == 0
         assert report.injectivity.injective_on_sample
+
+    def test_other_families_are_refused_before_any_solve(self, monkeypatch):
+        """Not an AttributeError after the whole grid is solved."""
+        monkeypatch.setattr(apps, "build_atlas", _refuse)
+        with pytest.raises(ProblemFormatError,
+                           match="^locate requires a distance_squared problem$"):
+            location_pareto_set(Example32(), 3)
 
     def test_failed_hull_lp_is_an_infinite_violation(self, monkeypatch):
         import scipy.optimize
@@ -330,6 +342,11 @@ class TestRidge:
         # each row's lambda agrees with the weight it came from
         for (w1, w2), lam in zip(report.weights[:-1], lams[:-1]):
             assert lam == pytest.approx(ridge_lambda(w1, w2, ridge20x5.mu))
+
+    def test_other_families_are_refused_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(apps, "solve_grid", _refuse)
+        with pytest.raises(ProblemFormatError, match="^ridge requires a ridge_pair problem$"):
+            ridge_path(Example32(), 3)
 
     @pytest.mark.parametrize("resolution", [0, -2])
     def test_resolution_below_one_rejected(self, ridge20x5, resolution):

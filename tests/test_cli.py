@@ -320,6 +320,10 @@ def test_vacuous_tolerances_rejected(argv, flag, capsys):
     (["perturb", "--builtin", "example32", "--stability", "-r", "4", "--rank-tol", "0.9",
       "--json"], "--rank-tol"),
     (["solve", "--builtin", "example32", "-w", ",1"], "-w/--weight"),
+    (["verify", "--builtin", "example32", "-r", "0"], "--resolution/-r"),
+    (["locate", "points.json", "-r", "-1"], "--resolution/-r"),
+    (["perturb", "--builtin", "example31", "--trials", "0"], "--trials"),
+    (["perturb", "--builtin", "example32", "--stability", "-r", "0"], "--resolution/-r"),
 ])
 def test_negative_tolerances_and_scales_rejected(argv, flag, capsys):
     """A negative error tolerance fails every input, and a negative scale names
@@ -328,7 +332,8 @@ def test_negative_tolerances_and_scales_rejected(argv, flag, capsys):
     negative seed without naming the flag.  ``--epsilon`` sets only
     example31_perturbed's epsilon; any other problem would ignore it, and a
     perturb mode would ignore an option that only another mode reads.  A
-    weight coordinate that is not a number is refused as ``--scales`` is."""
+    weight coordinate that is not a number is refused as ``--scales`` is.
+    A resolution or a trial count below 1 is refused before the input is read."""
     assert_usage_error(argv, f"argument {flag}: ", capsys)
 
 
@@ -425,8 +430,8 @@ class TestPerturb:
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_empty_sweep_exits_2(self, capsys, trials):
-        assert main(["perturb", "--builtin", "example31", "--trials", trials, "-r", "5"]) == 2
-        assert "trials" in capsys.readouterr().err
+        assert_usage_error(["perturb", "--builtin", "example31", "--trials", trials, "-r", "5"],
+                           f"argument --trials: '{trials}' is below 1", capsys)
 
     def test_rank_tol_sweep(self, capsys):
         code, doc = run_json(
@@ -565,8 +570,8 @@ class TestRidge:
     @pytest.mark.parametrize("resolution", ["0", "-2"])
     def test_resolution_below_one_exits_2(self, capsys, data_csv, resolution):
         # r = 0 would check the oracle at the w1 = 0 vertex alone, where theta = 0
-        assert main(["ridge", str(data_csv), "--mu", "0.1", "-r", resolution]) == 2
-        assert "resolution must be >= 1" in capsys.readouterr().err
+        assert_usage_error(["ridge", str(data_csv), "--mu", "0.1", "-r", resolution],
+                           f"argument --resolution/-r: '{resolution}' is below 1", capsys)
 
 
 class TestLocate:
@@ -642,7 +647,7 @@ class TestLocate:
 
     def test_wrong_family_exits_2(self, capsys):
         assert main(["locate", "--builtin", "example31"]) == 2
-        assert "distance_squared" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: locate requires a distance_squared problem\n"
 
 
 def _strict_json(text: str):
@@ -665,14 +670,13 @@ def _json_runs(problem, path: Path, out: Path):
         runs.append((["perturb", str(path), "--track"], []))
         # corank 0 at the root: an empty cokernel, whose interior margin is -inf
         runs.append((["perturb", str(path), "--track", "--rank-tol", "0"], []))
-    if isinstance(problem.family, DistanceSquared):
+    if isinstance(problem, DistanceSquared):
         runs.append((["locate", str(path), "-r", "3", "--out", str(out / "loc")],
                      [out / "loc.json"]))
-    if isinstance(problem.family, RidgePair):
+    if isinstance(problem, RidgePair):
         data = out / "ridge.csv"
-        family = problem.family
-        np.savetxt(data, np.column_stack([family.x_data, family.y_data]), delimiter=",")
-        runs.append((["ridge", str(data), "--mu", repr(family.mu), "-r", "5"], []))
+        np.savetxt(data, np.column_stack([problem.x_data, problem.y_data]), delimiter=",")
+        runs.append((["ridge", str(data), "--mu", repr(problem.mu), "-r", "5"], []))
     return runs
 
 

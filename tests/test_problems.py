@@ -39,6 +39,14 @@ from pareto_atlas import (
 from pareto_atlas.cli import main
 from pareto_atlas.problems import WEIGHT_SUM_TOL
 
+# A document with a key its family does not read, and the error it gives.
+UNKNOWN_FIELD = [
+    ('{"family": "example32", "epsilon": 0.5}',
+     "unknown field 'epsilon' for family 'example32' (fields: none)"),
+    ('{"family": "distance_squared", "points": [[0, 0], [1, 0]], "weights": [1, 2, 3]}',
+     "unknown field 'weights' for family 'distance_squared' (fields: points)"),
+]
+UNKNOWN_FIELD_IDS = ["example32-epsilon", "distance_squared-weights"]
 # One malformed document per way a field or a dimension can be wrong.
 MALFORMED = [
     '{"family": "distance_squared", "points": [[]]}',
@@ -55,10 +63,11 @@ MALFORMED = [
     '{"family": "distance_squared", "points": [[0, 0], [1]]}',
     '{"family": "distance_squared", "points": %s0%s}' % ("[" * 500, "]" * 500),
     '{"family": "distance_squared", "points": %s0%s}' % ("[" * 100_000, "]" * 100_000),
-]
+] + [doc for doc, _ in UNKNOWN_FIELD]
 MALFORMED_IDS = ["empty-points", "empty-X", "bool-epsilon", "list-epsilon", "string-point",
                  "1d-q", "1d-points", "missing-field", "null-n", "float-n", "string-m",
-                 "ragged-points", "deep-points", "too-deep-for-the-json-parser"]
+                 "ragged-points", "deep-points", "too-deep-for-the-json-parser",
+                 *UNKNOWN_FIELD_IDS]
 BUILTIN_SHA256 = {
     "example31": "a5a51bd258249eb4c2b4356c7b910add8d3fef1a50a6e136032bde97f3f45877",
     "example31_perturbed": "369b9bf9f38f6937dc1e59828448650c63588af32a953f12f969182451b93483",
@@ -351,6 +360,14 @@ class TestSerialization:
         with pytest.raises(ProblemFormatError, match="unknown family"):
             parse_problem('{"family": ["example31"]}')
 
+    @pytest.mark.parametrize("doc, message", UNKNOWN_FIELD, ids=UNKNOWN_FIELD_IDS)
+    def test_unknown_field_rejected(self, doc, message):
+        """An extra key would be ignored: example32 is not perturbed, and the
+        demand points are not weighted."""
+        with pytest.raises(ProblemFormatError) as err:
+            parse_problem(doc)
+        assert str(err.value) == message
+
     def test_document_dimensions_must_agree(self):
         with pytest.raises(ProblemFormatError, match="dimension mismatch"):
             parse_problem('{"family": "example31", "n": 5}')
@@ -391,7 +408,8 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text(doc)
         assert main(["verify", str(path), "-r", "3"]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""  # exit 2 prints no report
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -462,7 +480,7 @@ class TestStrongConvexity:
 
     def test_flags_nonconvex_sample(self):
         q = np.array([np.diag([1.0, -1.0])])
-        p = Problem(GenericQuadratic(q, np.zeros((1, 2)), np.zeros(1)))
+        p = GenericQuadratic(q, np.zeros((1, 2)), np.zeros(1))  # not validated
         cert = check_strong_convexity(p, count=10, seed=0)
         assert not cert.ok
         assert cert.beta_min < 0.0
@@ -483,8 +501,7 @@ class TestRestrict:
         assert_allclose(sub.hessians(x), example32.hessians(x)[[0, 2]])
         f, g, h = sub.evaluate(x[None, :])
         assert f.shape == (1, 2) and g.shape == (1, 2, 3) and h.shape == (1, 2, 3, 3)
-        assert repr(sub) == ("Problem(Problem('example32', n=3, m=3, linear=False), "
-                             "n=3, m=2, linear=False)")
+        assert repr(sub) == "RefSubproblem(base=Example32(), indices=(0, 2))"
 
     def test_rejects_bad_indices(self, example32):
         with pytest.raises(ValueError, match="out of range"):
@@ -497,7 +514,7 @@ class TestRestrict:
         sub = ref_restrict(p, (1, 3))
         x = rng.normal(size=4)
         manual = build_problem(
-            GenericQuadratic(p.family.qs[[1, 3]], p.family.bs[[1, 3]], p.family.cs[[1, 3]])
+            GenericQuadratic(p.qs[[1, 3]], p.bs[[1, 3]], p.cs[[1, 3]])
         )
         assert_allclose(sub.values(x), manual.values(x))
 
@@ -533,12 +550,14 @@ class TestDerivedProblems:
             assert np.array_equal(got, want)
 
     def test_only_underived_problems_have_a_family(self, example31):
-        assert isinstance(example31.family, Example31)
+        for _, problem in fixture_problems():
+            assert isinstance(problem, Problem)
+        spec = Example31()
+        assert build_problem(spec) is spec
         pi = np.zeros((3, 3))
         for derived in (ref_restrict(example31, (0, 1)), perturb_problem(example31, pi),
                         ref_restrict(perturb_problem(example31, pi), (1,))):
-            assert derived.family is None
-            with pytest.raises(ProblemFormatError, match="cannot serialize"):
+            with pytest.raises(ProblemFormatError, match="cannot serialize a derived problem"):
                 serialize_problem(derived)
 
     def test_perturbed_atlas_exports_no_family(self, example32, tmp_path):

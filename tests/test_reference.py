@@ -209,7 +209,6 @@ def ref_summary_dict(atlas) -> dict:
 
 def ref_report_dict(atlas) -> dict:
     """The atlas JSON document built one ParetoPoint at a time."""
-    fam = getattr(atlas.problem, "family", None)
     nodes = []
     for i, pt in enumerate(atlas.points):
         nodes.append(
@@ -227,7 +226,7 @@ def ref_report_dict(atlas) -> dict:
         )
     return {
         "schema": "pareto-atlas/atlas-v1",
-        "family": getattr(fam, "tag", None),
+        "family": getattr(atlas.problem, "tag", None),
         "n": atlas.problem.n,
         "m": atlas.problem.m,
         "resolution": atlas.grid.resolution,
@@ -402,16 +401,18 @@ def ref_lambda_jacobian(problem, x, fold, step: float) -> np.ndarray:
     return np.column_stack([(minors(x + h) - minors(x - h)) / (2.0 * step) for h in steps])
 
 
+@dataclass(frozen=True)
 class RefSubproblem(Problem):
     """The objectives ``indices`` of ``base`` (a Problem), a view derived from it."""
 
-    def __init__(self, base, indices: tuple[int, ...]):
-        super().__init__(base)
-        self.indices = indices
-        self.m = len(indices)
+    base: Problem
+    indices: tuple[int, ...]
 
-    def evaluate(self, xs):
-        values, jac, hess = super().evaluate(xs)
+    n = property(lambda self: self.base.n)
+    m = property(lambda self: len(self.indices))
+
+    def _evaluate(self, xs):
+        values, jac, hess = self.base.evaluate(xs)
         keep = list(self.indices)
         return values[:, keep], jac[:, keep], hess[:, keep]
 

@@ -11,7 +11,6 @@ from test_reference import ref_subproblem_solve
 from pareto_atlas import (
     GenericQuadratic,
     MaxIterExceeded,
-    Problem,
     SingularNewtonSystem,
     SolverConfig,
     build_atlas,
@@ -30,9 +29,8 @@ def closed_form_example31(w2: float, w3: float) -> np.ndarray:
 
 def quadratic_oracle(problem, w) -> np.ndarray:
     """Direct normal-equations solve of sum_i w_i (Q_i x + b_i) = 0."""
-    fam = problem.family
-    q = np.tensordot(w, fam.qs, axes=(0, 0))
-    b = w @ fam.bs
+    q = np.tensordot(w, problem.qs, axes=(0, 0))
+    b = w @ problem.bs
     return np.linalg.solve(q, -b)
 
 
@@ -104,9 +102,8 @@ class TestMinimize:
         spec = GenericQuadratic(
             np.array([np.diag([1.0, -1.0])]), np.ones((1, 2)), np.zeros(1)
         )
-        broken = Problem(spec)  # bypasses build_problem validation
-        with pytest.raises(SingularNewtonSystem):
-            minimize_weighted(broken, np.array([[1.0]]))
+        with pytest.raises(SingularNewtonSystem):  # spec not validated by build_problem
+            minimize_weighted(spec, np.array([[1.0]]))
 
 
 class TestBatch:
